@@ -15,7 +15,9 @@ from .gen import octahedron_height, random_field, random_realizable_tree, realiz
 from .mesh import LevelCycle, TriangleMesh, cut_along_cycle, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, export_dot, level_cycle
 from .split import (
+    SphereAnalysis,
     SplitReport,
+    analyze_sphere,
     check_subtree_group_gap,
     reeb_to_tree,
     verify_all_fixed_edges,
@@ -46,8 +48,10 @@ __all__ = [
     "LevelCycle",
     "ReebGraph",
     "ScalarField",
+    "SphereAnalysis",
     "SplitReport",
     "TriangleMesh",
+    "analyze_sphere",
     "build_reeb",
     "check_subtree_group_gap",
     "choose_cut_value",

@@ -20,7 +20,12 @@ from .field import classify_field
 from .gen import octahedron_height, random_field, random_realizable_tree, realize_tree
 from .mesh import validate_surface
 from .reeb import build_reeb, export_dot
-from .split import reeb_to_tree, verify_all_fixed_edges, verify_theorem
+from .split import (
+    analyze_sphere,
+    reeb_to_tree,
+    verify_all_fixed_edges,
+    verify_theorem,
+)
 from .treeaut import AutGroup, element_order_histogram, enumerate_aut
 
 EXIT_OK = 0
@@ -92,9 +97,10 @@ def cmd_split(args) -> int:
         gens = tuple(tuple(p) for p in data.get("generators", []))
         replay = AutGroup(elements=elems, generators=gens)
     if args.all_edges:
-        reports = verify_all_fixed_edges(mesh, field)
+        sphere = analyze_sphere(mesh, field)
+        reports = verify_all_fixed_edges(mesh, field, sphere=sphere)
         if not reports:
-            single = verify_theorem(mesh, field)
+            single = verify_theorem(mesh, field, sphere=sphere)
             print(single.summary())
             if args.json:
                 _write_json(args.json, [single.to_dict()])

@@ -10,7 +10,7 @@ exactly a whole constant boundary cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -155,6 +155,9 @@ class FieldClassReport:
     maxima: int
     saddle_multiplicities: tuple[int, ...]
     reasons: tuple[str, ...]
+    # the flat-zone contraction the classification was made from; build_reeb
+    # sweeps over it, so it is computed once per mesh and field
+    contraction: FlatContraction = dataclass_field(compare=False, repr=False)
 
     @property
     def total_multiplicity(self) -> int:
@@ -242,6 +245,7 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
         maxima=maxima,
         saddle_multiplicities=tuple(sorted(mults)),
         reasons=tuple(sorted(set(reasons))),
+        contraction=contraction,
     )
 
 

@@ -66,18 +66,27 @@ def load_off(path, values_path=None) -> tuple[TriangleMesh, ScalarField]:
             tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ValueError("not an OFF file")
+    if len(tokens) < 4:
+        raise ValueError("OFF header needs vertex, face and edge counts")
     nv, nf = int(tokens[1]), int(tokens[2])
+    if nv < 0 or nf < 0:
+        raise ValueError("OFF counts must not be negative")
+
+    def take(pos: int, count: int, what: str) -> list[str]:
+        if pos + count > len(tokens):
+            raise ValueError(f"OFF file ends inside {what}")
+        return tokens[pos:pos + count]
+
     pos = 4
     verts = []
-    for _ in range(nv):
-        verts.append([float(tokens[pos]), float(tokens[pos + 1]), float(tokens[pos + 2])])
+    for i in range(nv):
+        verts.append([float(t) for t in take(pos, 3, f"vertex {i}")])
         pos += 3
     tris = []
-    for _ in range(nf):
-        k = int(tokens[pos])
-        if k != 3:
+    for i in range(nf):
+        if int(take(pos, 1, f"face {i}")[0]) != 3:
             raise ValueError("OFF import supports triangles only")
-        tris.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
+        tris.append([int(t) for t in take(pos + 1, 3, f"face {i}")])
         pos += 4
     if values_path is None:
         raise ValueError("OFF input needs a sidecar value file")

@@ -21,8 +21,8 @@ from .errors import (
     InvalidFieldClass,
     ValueCollision,
 )
-from .field import ScalarField, classify_field, flat_contract
-from .mesh import LevelCycle, TriangleMesh, validate_surface
+from .field import FieldClassReport, ScalarField, classify_field
+from .mesh import LevelCycle, SurfaceReport, TriangleMesh, validate_surface
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,9 @@ def _tree_from_sweeps(values, ties, neighbors, kinds, mults,
     return vertices, edges
 
 
-def build_reeb(mesh: TriangleMesh, field: ScalarField) -> ReebGraph:
+def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
+               surface: SurfaceReport | None = None,
+               fclass: FieldClassReport | None = None) -> ReebGraph:
     """Build the level-set tree of a field on a genus-0 surface.
 
     Flat zones (only whole constant boundary cycles are admissible) are
@@ -308,16 +310,21 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField) -> ReebGraph:
     boundary components as vertices.  Every edge strictly increases the
     label; an edge between two events at the same value means two critical
     vertices share a level component, which is rejected.
+
+    ``surface`` and ``fclass`` pass in ``validate_surface(mesh)`` and
+    ``classify_field(mesh, field)`` when the caller already has them; they
+    go through the same checks as the ones computed here.
     """
-    report = validate_surface(mesh)
+    report = validate_surface(mesh) if surface is None else surface
     if report.genus != 0 or not report.connected:
         raise GenusNotZero(
             f"need a connected genus-0 surface, got genus {report.genus}")
-    fclass = classify_field(mesh, field)
+    if fclass is None:
+        fclass = classify_field(mesh, field)
     if not fclass.valid:
         raise InvalidFieldClass("; ".join(fclass.reasons) or "unclassifiable field")
 
-    contraction = flat_contract(mesh, field)
+    contraction = fclass.contraction
     zones = contraction.zones
     zone_values = contraction.zone_values
     nz = len(zones)

@@ -18,7 +18,7 @@ from .errors import GroupTooLarge
 from .field import classify_field, euler_identity_holds
 from .gen import octahedron_height, random_realizable_tree, realize_tree
 from .reeb import build_reeb
-from .split import reeb_to_tree, verify_all_fixed_edges
+from .split import analyze_sphere, reeb_to_tree, verify_all_fixed_edges
 from .treeaut import (
     LabeledTree,
     close_under_composition,
@@ -166,7 +166,7 @@ def criterion_round_trip(quick: bool, ctx: dict) -> CriterionResult:
         fclass = classify_field(mesh, field)
         if not (fclass.valid and euler_identity_holds(fclass)):
             euler_ok = False
-        graph = build_reeb(mesh, field)
+        graph = build_reeb(mesh, field, fclass=fclass)
         if not tree_isomorphic(tree, reeb_to_tree(graph)):
             bad.append(seed)
     ctx["round_trip_euler_ok"] = euler_ok
@@ -299,12 +299,11 @@ def criterion_splitting(quick: bool, ctx: dict) -> CriterionResult:
     for seed, n, symmetry in split_corpus_seeds(count):
         tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
         mesh, field = realize_tree(tree, 4)
-        fclass = classify_field(mesh, field)
-        if not euler_identity_holds(fclass):
+        sphere = analyze_sphere(mesh, field)
+        if not euler_identity_holds(sphere.fclass):
             euler_ok = False
-        graph = build_reeb(mesh, field)
-        groups.append((reeb_to_tree(graph), enumerate_aut(reeb_to_tree(graph))))
-        for report in verify_all_fixed_edges(mesh, field):
+        groups.append((sphere.tree, sphere.group))
+        for report in verify_all_fixed_edges(mesh, field, sphere=sphere):
             reports += 1
             if not report.passed:
                 bad.append((seed, report.edge_id))

@@ -4,7 +4,9 @@ When every label-preserving automorphism of the level-set tree fixes a common
 edge, cutting the sphere along a regular level circle lying over that edge
 must decompose the group as the direct product of the two disk groups.  This
 module performs the cut and verifies each part of that claim, reporting all
-outcomes in a ``SplitReport``.
+outcomes in a ``SplitReport``.  The facts about the whole sphere (surface,
+classification, tree, group, fixed set) are computed once per field in a
+``SphereAnalysis`` and shared by the cuts across all of its fixed edges.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import time
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency
-from .field import ScalarField, classify_field
-from .mesh import TriangleMesh, cut_along_cycle, validate_surface
+from .field import FieldClassReport, ScalarField, classify_field
+from .mesh import SurfaceReport, TriangleMesh, cut_along_cycle, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle
 from .treeaut import (
     AutGroup,
+    FixedSet,
     LabeledTree,
     TreeCut,
     cut_tree_at,
@@ -33,6 +36,40 @@ def reeb_to_tree(graph: ReebGraph, marked: int | None = None) -> LabeledTree:
     return LabeledTree([v.label for v in graph.vertices],
                        [(e.lower, e.upper) for e in graph.edges],
                        marked=marked)
+
+
+@dataclass(frozen=True)
+class SphereAnalysis:
+    """What every fixed-edge cut of one field needs to know about the sphere.
+
+    Made by ``analyze_sphere`` and passed as ``sphere=`` to
+    ``verify_theorem`` and ``verify_all_fixed_edges``, so a field's tree,
+    group and fixed set are computed once however many edges are cut.
+    """
+
+    surface: SurfaceReport
+    fclass: FieldClassReport
+    graph: ReebGraph
+    tree: LabeledTree
+    group: AutGroup     # the enumerated group, never a replayed dump
+    fixed: FixedSet
+
+
+def analyze_sphere(mesh: TriangleMesh, field: ScalarField, *,
+                   surface: SurfaceReport | None = None) -> SphereAnalysis:
+    """Validate, classify and build the tree, group and fixed set of a field.
+
+    ``surface`` passes in ``validate_surface(mesh)`` when the caller already
+    has it.  Errors are those of ``build_reeb`` on the field.
+    """
+    if surface is None:
+        surface = validate_surface(mesh)
+    fclass = classify_field(mesh, field)
+    graph = build_reeb(mesh, field, surface=surface, fclass=fclass)
+    tree = reeb_to_tree(graph)
+    group = enumerate_aut(tree)
+    return SphereAnalysis(surface=surface, fclass=fclass, graph=graph,
+                          tree=tree, group=group, fixed=fixed_set(group, tree))
 
 
 @dataclass(frozen=True)
@@ -164,42 +201,51 @@ class SplitReport:
                 f"homomorphism={self.phi['homomorphism']}")
 
 
-def check_subtree_group_gap(cut: TreeCut) -> tuple[GapNote, ...]:
-    """Compare marked-leaf-fixing and unconstrained subtree groups."""
-    notes = []
-    for name in ("A", "B"):
-        sub = cut.side(name).tree
-        marked = enumerate_aut(sub).order
-        unmarked = enumerate_aut(sub.with_marked(None)).order
-        notes.append(GapNote(side=name, marked_order=marked,
-                             unmarked_order=unmarked))
-    return tuple(notes)
+def check_subtree_group_gap(cut: TreeCut, *,
+                            side_orders: tuple[int, int] | None = None
+                            ) -> tuple[GapNote, ...]:
+    """Compare marked-leaf-fixing and unconstrained subtree groups.
+
+    ``side_orders`` passes in the orders of the two marked side groups when
+    the caller has already enumerated them.
+    """
+    if side_orders is None:
+        side_orders = tuple(enumerate_aut(cut.side(name).tree).order
+                            for name in ("A", "B"))
+    return tuple(
+        GapNote(side=name, marked_order=marked,
+                unmarked_order=enumerate_aut(
+                    cut.side(name).tree.with_marked(None)).order)
+        for name, marked in zip(("A", "B"), side_orders))
 
 
 def verify_theorem(mesh: TriangleMesh, field: ScalarField,
                    edge_id: int | None = None,
                    cut_value: float | None = None,
-                   replay_group: AutGroup | None = None) -> SplitReport:
+                   replay_group: AutGroup | None = None, *,
+                   sphere: SphereAnalysis | None = None) -> SplitReport:
     """Verify the product splitting across one fixed edge.
 
     With no ``edge_id`` the fixed edge with the smallest id is cut.  When the
     fixed set contains no edge the report states that the hypothesis fails,
     which is a clean outcome, not an error.  ``replay_group`` substitutes a
     previously dumped element list for the enumerated group (used to audit
-    external dumps; a tampered dump fails the verdict).
+    external dumps; a tampered dump fails the verdict).  ``sphere`` passes
+    in ``analyze_sphere(mesh, field)`` when the caller already has it.  The
+    surface must be a closed sphere either way, and that is checked before
+    the tree is built.
     """
     t0 = time.perf_counter()
-    surface = validate_surface(mesh)
+    surface = validate_surface(mesh) if sphere is None else sphere.surface
     if not (surface.closed and surface.genus == 0 and surface.connected):
         raise InternalInconsistency(
             f"pipeline needs a closed connected genus-0 surface, got {surface}")
-    graph = build_reeb(mesh, field)
-    tree = reeb_to_tree(graph)
+    if sphere is None:
+        sphere = analyze_sphere(mesh, field, surface=surface)
+    graph, tree, fixed = sphere.graph, sphere.tree, sphere.fixed
     # the enumerated group drives the geometry (fixed set, cut choice); a
     # replayed dump is the claimed element list whose pairing gets audited
-    enum_group = enumerate_aut(tree)
-    fixed = fixed_set(enum_group, tree)
-    group = enum_group if replay_group is None else replay_group
+    group = sphere.group if replay_group is None else replay_group
 
     base = dict(
         reeb_vertices=graph.n_vertices,
@@ -248,7 +294,8 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
             side_tree.edges)
         match = False
         if fclass.valid:
-            disk_graph = build_reeb(piece.mesh, piece.field)
+            disk_graph = build_reeb(piece.mesh, piece.field, surface=rep,
+                                    fclass=fclass)
             boundary_leaf = next(v.id for v in disk_graph.vertices
                                  if v.kind == "boundary")
             match = tree_isomorphic(reeb_to_tree(disk_graph), expected,
@@ -280,7 +327,8 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
         {g[v] for v in side_sets[name]} == side_sets[name]
         for g in group.elements for name in ("A", "B"))
 
-    gap = check_subtree_group_gap(cut)
+    gap = check_subtree_group_gap(
+        cut, side_orders=(group_a.order, group_b.order))
     for note in gap:
         if not note.equal:
             notes.append(
@@ -309,12 +357,15 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
     )
 
 
-def verify_all_fixed_edges(mesh: TriangleMesh, field: ScalarField) -> list[SplitReport]:
-    """One report per fixed edge; empty when the fixed set has no edge."""
-    graph = build_reeb(mesh, field)
-    tree = reeb_to_tree(graph)
-    group = enumerate_aut(tree)
-    fixed = fixed_set(group, tree)
-    if not fixed.has_edge:
-        return []
-    return [verify_theorem(mesh, field, edge_id=eid) for eid in fixed.edge_ids]
+def verify_all_fixed_edges(mesh: TriangleMesh, field: ScalarField, *,
+                           sphere: SphereAnalysis | None = None
+                           ) -> list[SplitReport]:
+    """One report per fixed edge; empty when the fixed set has no edge.
+
+    The sphere is analyzed once (or passed in as ``sphere``) and shared by
+    every edge's ``verify_theorem``.
+    """
+    if sphere is None:
+        sphere = analyze_sphere(mesh, field)
+    return [verify_theorem(mesh, field, edge_id=eid, sphere=sphere)
+            for eid in sphere.fixed.edge_ids]

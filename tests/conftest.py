@@ -31,6 +31,20 @@ def double_fork_tree():
 
 
 @pytest.fixture
+def torus():
+    """A 4x4 grid with opposite sides glued, and an injective field on it."""
+    k = 4
+    vid = lambda i, j: (i % k) * k + (j % k)
+    verts = [(i, j, float(i + j)) for i in range(k) for j in range(k)]
+    tris = []
+    for i in range(k):
+        for j in range(k):
+            tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+            tris.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return TriangleMesh(verts, tris), ScalarField(np.arange(k * k, dtype=float))
+
+
+@pytest.fixture
 def monkey_star():
     """Hexagonal fan around a center whose neighbours alternate above/below."""
     verts = [(0.0, 0.0, 0.0)]

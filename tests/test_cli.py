@@ -207,6 +207,24 @@ def test_off_import(tmp_path):
     assert list(field.values) == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("text", [
+    "OFF\n",
+    "OFF\n4 4\n",
+    "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n",
+    "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+    "3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2\n",
+], ids=["bare-header", "short-counts", "few-vertex-tokens", "few-face-tokens"])
+def test_off_import_truncated(tmp_path, text):
+    off = tmp_path / "cut.off"
+    off.write_text(text)
+    vals = tmp_path / "cut.vals"
+    vals.write_text("0.0\n1.0\n2.0\n3.0\n")
+    code, _, err = run(["validate", "--input", str(off), "--values", str(vals)])
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "Traceback" not in err
+
+
 def test_internal_inconsistency_exits_three(octa_file, monkeypatch):
     from reebsplit import cli
     from reebsplit.errors import InternalInconsistency

@@ -165,17 +165,8 @@ def test_choose_cut_value_largest_gap():
     assert not np.any(field.values == c)
 
 
-def test_torus_rejected():
-    k = 4
-    vid = lambda i, j: (i % k) * k + (j % k)
-    verts = [(i, j, float(i + j)) for i in range(k) for j in range(k)]
-    tris = []
-    for i in range(k):
-        for j in range(k):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-            tris.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    mesh = TriangleMesh(verts, tris)
-    field = ScalarField(np.arange(16, dtype=float))
+def test_torus_rejected(torus):
+    mesh, field = torus
     with pytest.raises(GenusNotZero):
         build_reeb(mesh, field)
 

@@ -1,5 +1,22 @@
+import json
+
+import numpy as np
+import pytest
+
+from reebsplit import reeb, split, treeaut
+from reebsplit import field as field_module
+from reebsplit.errors import (
+    GenusNotZero,
+    InternalInconsistency,
+    InvalidFieldClass,
+    ReebSplitError,
+)
+from reebsplit.field import ScalarField
 from reebsplit.gen import random_realizable_tree, realize_tree
-from reebsplit.reeb import build_reeb
+from reebsplit.io import dumps_canonical, mesh_field_from_dict, mesh_field_to_dict
+from reebsplit.mesh import cut_along_cycle
+from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
+from reebsplit.selftest import split_corpus_seeds
 from reebsplit.split import (
     check_subtree_group_gap,
     reeb_to_tree,
@@ -134,3 +151,85 @@ def test_sides_invariant_claim(three_bump):
     mesh, field = three_bump
     report = verify_theorem(mesh, field)
     assert report.sides_invariant is True
+
+
+# ----------------------------------------------------------------------
+# the sphere analysis shared across fixed edges
+
+def _fresh(mesh, field):
+    """A newly parsed copy of a mesh and field, sharing no objects."""
+    return mesh_field_from_dict(json.loads(dumps_canonical(
+        mesh_field_to_dict(mesh, field))))
+
+
+def _split_corpus_fields(count):
+    for seed, n, symmetry in split_corpus_seeds(count):
+        tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
+        yield realize_tree(tree, 4)
+
+
+def test_shared_analysis_matches_standalone_reports(double_fork_tree):
+    fields = [realize_tree(double_fork_tree, 4)] + list(_split_corpus_fields(20))
+    for mesh, field in fields:
+        shared = verify_all_fixed_edges(*_fresh(mesh, field))
+        edges = verify_theorem(*_fresh(mesh, field)).fixed_edge_ids
+        alone = [verify_theorem(*_fresh(mesh, field), edge_id=e) for e in edges]
+        assert edges
+        assert dumps_canonical([r.to_dict() for r in shared]) == \
+            dumps_canonical([r.to_dict() for r in alone])
+
+
+def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
+    calls = {name: [] for name in ("build_reeb", "flat_contract", "classify_field",
+                                   "validate_surface", "verify_group_axioms")}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(args[0])     # keeps every mesh alive: ids stay unique
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (split, reeb, field_module, treeaut):
+        for name in calls:
+            if hasattr(module, name):
+                count(module, name)
+    reports = verify_all_fixed_edges(*realize_tree(double_fork_tree, 4))
+
+    assert len(reports) == 2
+    meshes = {id(m) for m in calls["build_reeb"]}
+    assert len(calls["build_reeb"]) == len(meshes) == 1 + 2 * 2
+    assert len(calls["flat_contract"]) == len(calls["build_reeb"])
+    for name in ("classify_field", "validate_surface"):
+        assert sorted(map(id, calls[name])) == sorted(meshes), name
+    assert len(calls["verify_group_axioms"]) == 1
+
+
+def _cut_disk(mesh, field):
+    """The lower disk of the octahedron cut across its only edge."""
+    graph = build_reeb(mesh, field)
+    c = choose_cut_value(field, graph, 0)
+    piece = cut_along_cycle(mesh, field, level_cycle(mesh, field, graph, 0, c))[0]
+    return piece.mesh, piece.field
+
+
+def test_exception_order_of_both_entry_points(octahedron, torus):
+    mesh, field = octahedron
+    disk_mesh, disk_field = _cut_disk(mesh, field)
+    flat = ScalarField(np.zeros(mesh.n_vertices))
+    cases = {
+        "torus": (torus, GenusNotZero, InternalInconsistency),
+        "cut disk": ((disk_mesh, disk_field),
+                     InternalInconsistency, InternalInconsistency),
+        "constant disk": ((disk_mesh, ScalarField(np.zeros(disk_mesh.n_vertices))),
+                          InvalidFieldClass, InternalInconsistency),
+        "flat octahedron": ((mesh, flat), InvalidFieldClass, InvalidFieldClass),
+    }
+    for name, ((m, f), all_edges_error, theorem_error) in cases.items():
+        for entry, expected in ((verify_all_fixed_edges, all_edges_error),
+                                (verify_theorem, theorem_error)):
+            with pytest.raises(ReebSplitError) as caught:
+                entry(m, f)
+            assert type(caught.value) is expected, (name, entry.__name__)
