@@ -7,7 +7,6 @@ from . import errors
 from .field import (
     ScalarField,
     classify_field,
-    classify_vertex,
     euler_identity_holds,
     flat_contract,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "check_subtree_group_gap",
     "choose_cut_value",
     "classify_field",
-    "classify_vertex",
     "cut_along_cycle",
     "cut_tree_at",
     "element_order_histogram",

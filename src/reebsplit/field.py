@@ -10,11 +10,12 @@ exactly a whole constant boundary cycle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, components, distinct
 
 
 @dataclass(frozen=True)
@@ -45,23 +46,8 @@ class Criticality:
     upper_components: int = 0
 
 
-def _runs(flags: list[bool], closed: bool) -> int:
-    """Number of maximal True runs in a cyclic (closed) or linear sequence."""
-    n = len(flags)
-    if n == 0 or not any(flags):
-        return 0
-    if all(flags):
-        return 1
-    runs = 0
-    for i in range(n):
-        prev = flags[i - 1] if (closed or i > 0) else False
-        if flags[i] and not prev:
-            runs += 1
-    return runs
-
-
-def classify_vertex(mesh: TriangleMesh, field: ScalarField, v: int) -> Criticality:
-    """Classify one vertex from the lower/upper runs of its link.
+def _criticality(boundary: bool, lower: int, upper: int) -> Criticality:
+    """Kind of a vertex from the lower and upper runs of its link.
 
     Interior vertices: no lower run is a minimum, no upper run a maximum, one
     of each is regular, and k lower runs (k >= 2) is a saddle of multiplicity
@@ -69,12 +55,7 @@ def classify_vertex(mesh: TriangleMesh, field: ScalarField, v: int) -> Criticali
     boundary as a whole is admissible is a field-level question handled by
     ``classify_field``.
     """
-    link, closed = mesh.link(v)
-    tv = field.tie(v)
-    below = [field.tie(u) < tv for u in link]
-    lower = _runs(below, closed)
-    upper = _runs([not b for b in below], closed)
-    if not closed:
+    if boundary:
         return Criticality("boundary-regular", 0, lower, upper)
     if lower == 0:
         return Criticality("minimum", 0, 0, upper)
@@ -82,10 +63,46 @@ def classify_vertex(mesh: TriangleMesh, field: ScalarField, v: int) -> Criticali
         return Criticality("maximum", 0, lower, 0)
     if lower == 1 and upper == 1:
         return Criticality("regular", 0, 1, 1)
-    if lower != upper:
-        # impossible for a cyclic link under a total order
-        raise AssertionError(f"vertex {v}: {lower} lower vs {upper} upper runs")
     return Criticality("saddle", lower - 1, lower, upper)
+
+
+def _link_runs(mesh: TriangleMesh, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper runs of every vertex link, without walking a link.
+
+    Each incident triangle is one link edge; it changes side when its other
+    two corners straddle the vertex in (value, index) order.  A cyclic link
+    with 2k changes has k runs of each side, and one run of a single side
+    when it has none.  A boundary vertex's link is a path between its two
+    boundary neighbours: with c changes and e of those two ends below the
+    vertex, it has (c + e) / 2 lower and (c + 2 - e) / 2 upper runs.
+    """
+    n = mesh.n_vertices
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(field.values, kind="stable")] = np.arange(n)
+    corners = mesh.triangles.ravel()
+    r = rank[mesh.triangles]
+    to_next = (r[:, [1, 2, 0]] - r).ravel()  # its sign: which side the next corner is on
+    straddle = (r[:, [2, 0, 1]] - r).ravel() * to_next
+    changes = np.bincount(corners[straddle < 0], minlength=n)
+    # e, the ends of the link path below the vertex, makes one formula serve
+    # both kinds: an interior link with changes is a cycle, as if one end
+    # were below; one without lies wholly below (both ends) or wholly above
+    # (neither)
+    e = np.bincount(corners[to_next < 0], minlength=n)
+    np.minimum(e, 1, out=e)
+    e *= 2
+    e[changes > 0] = 1
+    e[mesh.is_boundary_vertex] = 0
+    u, v = mesh.boundary_edges.T
+    e += np.bincount(u[rank[v] < rank[u]], minlength=n)
+    e += np.bincount(v[rank[u] < rank[v]], minlength=n)
+    # lower = (c + e) // 2 and upper = (c + 2 - e) // 2, reusing the arrays
+    lower = changes + e
+    lower //= 2
+    changes += 2
+    changes -= e
+    changes //= 2
+    return lower, changes
 
 
 @dataclass(frozen=True)
@@ -98,50 +115,35 @@ class FlatContraction:
     identity: bool               # every zone is a single vertex
 
     def zone_neighbors(self, mesh: TriangleMesh) -> list[list[int]]:
-        nbrs = [set() for _ in self.zones]
-        for u, v in mesh.edge_pairs:
-            zu, zv = int(self.zone_of[u]), int(self.zone_of[v])
-            if zu != zv:
-                nbrs[zu].add(zv)
-                nbrs[zv].add(zu)
-        return [sorted(s) for s in nbrs]
+        nz = len(self.zones)
+        zu, zv = self.zone_of[mesh.edge_pairs].T
+        apart = zu != zv
+        zu, zv = zu[apart], zv[apart]
+        pairs = distinct(np.concatenate((zu * nz + zv, zv * nz + zu)))
+        heads, tails = pairs // nz, pairs % nz
+        ends = np.cumsum(np.bincount(heads, minlength=nz)).tolist()
+        tails = tails.tolist()
+        return [tails[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
     """Contract maximal connected subcomplexes of equal value."""
     n = mesh.n_vertices
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     vals = field.values
-    for u, v in mesh.edge_pairs:
-        if vals[u] == vals[v]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(find(v), []).append(v)
-    reps = sorted(members)
-    zone_of = np.empty(n, dtype=int)
-    zones = []
-    zone_values = []
-    for zid, rep in enumerate(reps):
-        zs = tuple(sorted(members[rep]))
-        zones.append(zs)
-        zone_values.append(float(vals[rep]))
-        for v in zs:
-            zone_of[v] = zid
+    u, v = mesh.edge_pairs.T
+    flat = vals[u] == vals[v]
+    label = components(n, u[flat], v[flat])  # each zone's smallest vertex
+    reps = np.flatnonzero(label == np.arange(n))
+    zone_of = np.empty(n, dtype=np.intp)
+    zone_of[reps] = np.arange(len(reps))
+    zone_of = zone_of[label]
+    members = np.argsort(zone_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(zone_of)).tolist()
     return FlatContraction(
         zone_of=zone_of,
-        zones=tuple(zones),
-        zone_values=tuple(zone_values),
-        identity=len(zones) == n,
+        zones=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
+        zone_values=tuple(vals[reps].tolist()),
+        identity=len(reps) == n,
     )
 
 
@@ -193,8 +195,9 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
 
     boundary_zone_ids = set()
     vals = field.values
+    u, v = mesh.edge_pairs.T
     for cyc in mesh.boundary_cycles:
-        cvals = {vals[v] for v in cyc}
+        cvals = set(vals[cyc].tolist())
         if len(cvals) != 1:
             reasons.append("CriticalBoundary: boundary cycle is not constant")
             continue
@@ -204,33 +207,36 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
             continue
         boundary_zone_ids.add(zid)
         c = cvals.pop()
-        sides = set()
-        for v in cyc:
-            for u in mesh.neighbors[v]:
-                if not mesh.is_boundary_vertex[u]:
-                    sides.add(vals[u] > c)
+        on_cycle = np.zeros(mesh.n_vertices, dtype=bool)
+        on_cycle[cyc] = True
+        collar = np.concatenate((u[on_cycle[v]], v[on_cycle[u]]))
+        collar = collar[~mesh.is_boundary_vertex[collar]]
+        sides = set((vals[collar] > c).tolist())
         if len(sides) > 1:
             reasons.append("CriticalBoundary: collar sits on both sides of the boundary value")
         elif not sides:
             reasons.append("CriticalBoundary: boundary cycle has no interior collar")
 
-    for zid, zone in enumerate(contraction.zones):
-        if len(zone) > 1 and zid not in boundary_zone_ids:
-            reasons.append(f"FlatZone: {len(zone)} adjacent vertices share a value")
+    sizes = np.bincount(contraction.zone_of)
+    for zid in np.flatnonzero(sizes > 1).tolist():
+        if zid not in boundary_zone_ids:
+            reasons.append(f"FlatZone: {sizes[zid]} adjacent vertices share a value")
 
-    per_vertex = []
+    lower, upper = _link_runs(mesh, field)
+    keys = list(zip(mesh.is_boundary_vertex.tolist(), lower.tolist(), upper.tolist()))
+    tally = Counter(keys)
+    kinds = {key: _criticality(*key) for key in tally}
+    per_vertex = tuple(map(kinds.__getitem__, keys))
     minima = maxima = 0
     mults = []
-    for v in range(mesh.n_vertices):
-        crit = classify_vertex(mesh, field, v)
-        per_vertex.append(crit)
-        if not mesh.is_boundary_vertex[v]:
-            if crit.kind == "minimum":
-                minima += 1
-            elif crit.kind == "maximum":
-                maxima += 1
-            elif crit.kind == "saddle":
-                mults.append(crit.multiplicity)
+    for key, count in tally.items():
+        crit = kinds[key]
+        if crit.kind == "minimum":
+            minima += count
+        elif crit.kind == "maximum":
+            maxima += count
+        elif crit.kind == "saddle":
+            mults += [crit.multiplicity] * count
 
     if reasons:
         field_class = "invalid"
@@ -239,7 +245,7 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
     else:
         field_class = "F-generic"
     return FieldClassReport(
-        per_vertex=tuple(per_vertex),
+        per_vertex=per_vertex,
         field_class=field_class,
         minima=minima,
         maxima=maxima,

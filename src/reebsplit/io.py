@@ -27,7 +27,7 @@ def mesh_field_to_dict(mesh: TriangleMesh, field: ScalarField) -> dict:
     return {
         "schema": SCHEMA,
         "vertices": [[float(x) for x in row] for row in mesh.vertices],
-        "triangles": [list(t) for t in mesh.triangles],
+        "triangles": mesh.triangles.tolist(),
         "values": [float(v) for v in field.values],
     }
 

@@ -8,11 +8,14 @@ module is purely combinatorial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 __all__ = [
+    "components",
+    "distinct",
     "TriangleMesh",
     "SurfaceReport",
     "LevelCycle",
@@ -35,13 +38,83 @@ if TYPE_CHECKING:  # pragma: no cover
     from .field import ScalarField
 
 
+def components(n: int, u, v) -> np.ndarray:
+    """Connected components of the graph on nodes ``0 .. n-1`` with edges
+    ``(u[i], v[i])``; each node is labelled with the smallest node of its
+    component.
+
+    Min-label propagation with pointer jumping: in every round each root
+    hooks under the smallest root it shares an edge with, and every node
+    then jumps to its root.  Rounds repeat until no edge joins two roots.
+    """
+    label = np.arange(n)
+    u = np.asarray(u, dtype=np.intp)
+    v = np.asarray(v, dtype=np.intp)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        hi = np.maximum(lu, lv)
+        np.minimum.at(label, hi, np.minimum(lu, lv, out=lu))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
+def distinct(a) -> np.ndarray:
+    """The sorted distinct values of an int array, as ``np.unique(a)``.
+
+    Plain ``np.unique`` imports ``numpy.ma``, which adds about 1.3 MB of
+    resident memory.
+    """
+    a = np.ravel(a)
+    a = a[np.argsort(a, kind="stable")]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _triangle_array(triangles) -> np.ndarray:
+    """``triangles`` as a (T, 3) int array; ValueError unless it is a (T, 3)
+    list of integers."""
+    tris = np.asarray(triangles)
+    if tris.size == 0:
+        raise ValueError("empty triangle list")
+    if tris.ndim != 2 or tris.shape[1] != 3:
+        raise ValueError(f"triangles must be a (T, 3) list, got shape {tris.shape}")
+    if tris.dtype.kind not in "iu" or (
+            # numpy turns booleans among ints into ints without a trace
+            not isinstance(triangles, np.ndarray)
+            and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(triangles)))):
+        raise ValueError("triangle vertex indices must be integers")
+    return tris.astype(np.intp)
+
+
+def _next_corner(k):
+    """The corner after corner ``k`` in its triangle."""
+    return k - k % 3 + (k + 1) % 3
+
+
 class TriangleMesh:
-    """Triangle mesh with derived edge table, vertex links and boundary cycles.
+    """Triangle mesh with its edge table and boundary cycles held in int arrays.
 
     Construction validates the local manifold structure: every edge must lie
     in one or two triangles, and every vertex link must be a single cycle
     (interior vertex) or a single path (boundary vertex).  Degenerate
     triangles are rejected, never repaired.
+
+    Side ``k`` of the mesh is side ``k % 3`` of triangle ``k // 3``, running
+    from its corner ``k`` to the next corner; corner ``k`` sits at vertex
+    ``triangles.flat[k]``.
+
+    - ``edge_pairs`` (E, 2): the edges as ascending vertex pairs, sorted;
+    - ``edge_triangles`` (E, 2): the triangles of each edge in ascending
+      order, with -1 in place of the second on a boundary edge;
+    - ``boundary_edges`` (B, 2): the rows of ``edge_pairs`` that lie in one
+      triangle;
+    - ``corner_links`` (K, 2): the pairs of corners at one vertex that are
+      glued across an interior edge.  The corners of a vertex form one
+      component of this graph exactly when its link is connected.
     """
 
     def __init__(self, vertices, triangles):
@@ -49,20 +122,17 @@ class TriangleMesh:
         nv = len(self.vertices)
         if nv == 0:
             raise ValueError("empty vertex list")
-        tris = []
-        for t in np.asarray(triangles, dtype=int).reshape(-1, 3):
-            a, b, c = int(t[0]), int(t[1]), int(t[2])
-            if len({a, b, c}) != 3:
-                raise DegenerateTriangle(f"triangle {(a, b, c)} repeats a vertex")
-            if min(a, b, c) < 0 or max(a, b, c) >= nv:
-                raise ValueError(f"triangle {(a, b, c)} references a missing vertex")
-            tris.append((a, b, c))
-        if not tris:
-            raise ValueError("empty triangle list")
+        tris = _triangle_array(triangles)
+        if tris.min() < 0 or tris.max() >= nv or any(
+                np.any(tris[:, i] == tris[:, i - 1]) for i in range(3)):
+            for t in map(tuple, tris.tolist()):  # report the first bad triangle
+                if len(set(t)) != 3:
+                    raise DegenerateTriangle(f"triangle {t} repeats a vertex")
+                if min(t) < 0 or max(t) >= nv:
+                    raise ValueError(f"triangle {t} references a missing vertex")
         self.triangles = tris
-
         self._build_edges()
-        self._build_links()
+        self._check_links()
         self._build_boundary_cycles()
         self._orientable = None  # computed lazily
 
@@ -70,115 +140,90 @@ class TriangleMesh:
     # derived structure
 
     def _build_edges(self):
-        edge_tris: dict[tuple[int, int], list[int]] = {}
-        for ti, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_tris.setdefault(key, []).append(ti)
-        for key, ts in edge_tris.items():
-            if len(ts) > 2:
-                raise NonManifoldEdge(f"edge {key} lies in {len(ts)} triangles")
-        self.edge_pairs = sorted(edge_tris)
-        self.edge_id = {pair: i for i, pair in enumerate(self.edge_pairs)}
-        self.edge_triangles = [edge_tris[pair] for pair in self.edge_pairs]
+        tris, nv = self.triangles, self.n_vertices
+        heads = tris.ravel()
+        tails = tris[:, [1, 2, 0]].ravel()
+        key = np.minimum(heads, tails) * nv + np.maximum(heads, tails)
+        by_edge = np.argsort(key, kind="stable")  # sides grouped by edge, in side order
+        key = key[by_edge]
+        start = np.flatnonzero(np.diff(key, prepend=-1))  # of each edge in by_edge
+        counts = np.diff(start, append=len(key))
+        if counts.max() > 2:
+            # report the edge a walk over the triangles meets first
+            e = min(np.flatnonzero(counts > 2).tolist(), key=lambda e: by_edge[start[e]])
+            pair = tuple(divmod(int(key[start[e]]), nv))
+            raise NonManifoldEdge(f"edge {pair} lies in {counts[e]} triangles")
+        inner = np.flatnonzero(counts - 1)
+        p, q = by_edge[start[inner]], by_edge[start[inner] + 1]
+        key = key[start]
+        self.edge_pairs = np.stack((key // nv, key % nv), axis=1)
+        self.edge_triangles = np.full((len(start), 2), -1)
+        self.edge_triangles[:, 0] = by_edge[start] // 3
+        self.edge_triangles[inner, 1] = q // 3
+        self.boundary_edges = self.edge_pairs[counts == 1]
 
-        self.vertex_triangles = [[] for _ in range(len(self.vertices))]
-        for ti, tri in enumerate(self.triangles):
-            for v in tri:
-                self.vertex_triangles[v].append(ti)
-        nbrs = [set() for _ in range(len(self.vertices))]
-        for u, v in self.edge_pairs:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self.neighbors = [sorted(s) for s in nbrs]
+        # glue the two sides of every interior edge: the corners at each of
+        # its ends, and the two windings of its triangles (``_cover_links``,
+        # on the double cover whose nodes t and t + T are triangle t kept
+        # and flipped)
+        after_p, after_q = _next_corner(p), _next_corner(q)
+        same_way = heads[p] == heads[q]
+        self.corner_links = np.concatenate((
+            np.stack((p, np.where(same_way, q, after_q)), axis=1),
+            np.stack((after_p, np.where(same_way, after_q, q)), axis=1)))
+        nt = len(tris)
+        flip = same_way * nt
+        self._cover_links = np.concatenate((
+            np.stack((p // 3, q // 3 + flip), axis=1),
+            np.stack((p // 3 + nt, q // 3 + nt - flip), axis=1)))
 
-    def _build_links(self):
-        """Walk the link of every vertex; raise PinchedVertex on failure.
+    def _check_links(self):
+        """Raise PinchedVertex unless every link is one cycle or one path.
 
-        The link is stored as an ordered list of neighbour vertices, plus a
-        flag telling whether it closes into a cycle.  Repeated neighbours are
-        legal (two triangles may span the same pair, as in the two-triangle
-        sphere), so the walk is over triangle-labelled multigraph edges.
+        With every edge in one or two triangles, a link is a cycle or a path
+        exactly when its corners form one component of the corner graph and
+        it has zero or two loose ends, its boundary edges.
         """
-        self.links = []
-        self.link_closed = []
-        for v in range(len(self.vertices)):
-            ts = self.vertex_triangles[v]
-            if not ts:
-                raise PinchedVertex(f"vertex {v} has no incident triangle")
-            # multigraph on link vertices: one edge per incident triangle
-            adj: dict[int, list[tuple[int, int]]] = {}
-            for ti in ts:
-                a, b, c = self.triangles[ti]
-                others = [x for x in (a, b, c) if x != v]
-                p, q = others
-                adj.setdefault(p, []).append((q, ti))
-                adj.setdefault(q, []).append((p, ti))
-            ends = sorted(u for u, es in adj.items() if len(es) == 1)
-            for u, es in adj.items():
-                if len(es) > 2:
-                    raise PinchedVertex(f"link of vertex {v} branches at {u}")
-            if len(ends) not in (0, 2):
-                raise PinchedVertex(f"link of vertex {v} has {len(ends)} loose ends")
-            closed = not ends
-            start = min(adj) if closed else ends[0]
-            used = set()
-            walk = [start]
-            cur = start
-            while True:
-                step = None
-                for nxt, ti in sorted(adj[cur]):
-                    if ti not in used:
-                        step = (nxt, ti)
-                        break
-                if step is None:
-                    break
-                used.add(step[1])
-                cur = step[0]
-                walk.append(cur)
-            if len(used) != len(ts):
-                raise PinchedVertex(f"link of vertex {v} is disconnected")
-            if closed:
-                if walk[0] != walk[-1]:
-                    raise PinchedVertex(f"link of vertex {v} does not close")
-                walk = walk[:-1]
-            self.links.append(walk)
-            self.link_closed.append(closed)
+        nv, nc = self.n_vertices, 3 * self.n_triangles
+        label = components(nc, self.corner_links[:, 0], self.corner_links[:, 1])
+        roots = np.flatnonzero(np.bincount(label, minlength=nc))
+        fans = np.bincount(self.triangles.ravel()[roots], minlength=nv)
+        ends = np.bincount(self.boundary_edges.ravel(), minlength=nv)
+        if fans.min() != 1 or fans.max() != 1 or ends.max() > 2 or np.any(ends % 2):
+            for v, (fan, end) in enumerate(zip(fans.tolist(), ends.tolist())):
+                if fan == 0:
+                    raise PinchedVertex(f"vertex {v} has no incident triangle")
+                if end not in (0, 2):
+                    raise PinchedVertex(f"link of vertex {v} has {end} loose ends")
+                if fan > 1:
+                    raise PinchedVertex(f"link of vertex {v} is disconnected")
+        self.is_boundary_vertex = ends > 0
 
     def _build_boundary_cycles(self):
-        boundary_edges = [pair for pair, ts in zip(self.edge_pairs, self.edge_triangles)
-                          if len(ts) == 1]
-        succ: dict[int, set[int]] = {}
-        for u, v in boundary_edges:
-            succ.setdefault(u, set()).add(v)
-            succ.setdefault(v, set()).add(u)
+        """Boundary cycles, each starting along its smallest edge.
+
+        Every boundary vertex has exactly two boundary neighbours (checked by
+        ``_check_links``), so each walk is forced.
+        """
+        along: dict[int, list[int]] = {}
+        for u, v in self.boundary_edges.tolist():
+            along.setdefault(u, []).append(v)
+            along.setdefault(v, []).append(u)
         cycles = []
-        remaining = {frozenset(e) for e in boundary_edges}
-        while remaining:
-            first = min(remaining, key=sorted)
-            u, v = sorted(first)
+        seen = set()
+        for u, v in self.boundary_edges.tolist():  # sorted edges
+            if u in seen:
+                continue
             cyc = [u, v]
-            remaining.discard(first)
             while True:
-                cur = cyc[-1]
-                nxt = None
-                for w in sorted(succ[cur]):
-                    if frozenset((cur, w)) in remaining:
-                        nxt = w
-                        break
-                if nxt is None:
+                a, b = along[cyc[-1]]
+                nxt = b if a == cyc[-2] else a
+                if nxt == u:
                     break
-                remaining.discard(frozenset((cur, nxt)))
                 cyc.append(nxt)
-            if cyc[0] != cyc[-1]:
-                raise PinchedVertex("boundary walk did not close")
-            cycles.append(cyc[:-1])
+            seen.update(cyc)
+            cycles.append(cyc)
         self.boundary_cycles = cycles
-        on_boundary = [False] * len(self.vertices)
-        for cyc in cycles:
-            for v in cyc:
-                on_boundary[v] = True
-        self.is_boundary_vertex = on_boundary
 
     # ------------------------------------------------------------------
     # queries
@@ -203,69 +248,24 @@ class TriangleMesh:
     def closed(self) -> bool:
         return not self.boundary_cycles
 
-    def link(self, v: int) -> tuple[list[int], bool]:
-        """Ordered link of ``v`` and whether it is a cycle."""
-        return self.links[v], self.link_closed[v]
+    def component_count(self) -> int:
+        label = components(self.n_vertices, self.edge_pairs[:, 0], self.edge_pairs[:, 1])
+        return len(np.flatnonzero(np.bincount(label)))
 
     def connected(self) -> bool:
-        seen = [False] * self.n_vertices
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n_vertices
+        return self.component_count() == 1
 
     def check_orientable(self) -> bool:
-        """True when triangles admit a globally consistent winding."""
-        if self._orientable is not None:
-            return self._orientable
-        flip = [None] * self.n_triangles
+        """True when triangles admit a globally consistent winding.
 
-        def directed(ti: int) -> list[tuple[int, int]]:
-            a, b, c = self.triangles[ti]
-            es = [(a, b), (b, c), (c, a)]
-            if flip[ti]:
-                es = [(v, u) for u, v in es]
-            return es
-
-        def raw_directed(ti: int):
-            a, b, c = self.triangles[ti]
-            return ((a, b), (b, c), (c, a))
-
-        ok = True
-        for seed in range(self.n_triangles):
-            if flip[seed] is not None:
-                continue
-            flip[seed] = False
-            stack = [seed]
-            while stack and ok:
-                ti = stack.pop()
-                for u, v in directed(ti):
-                    key = (u, v) if u < v else (v, u)
-                    for tj in self.edge_triangles[self.edge_id[key]]:
-                        if tj == ti:
-                            continue
-                        # consistent winding traverses a shared edge in
-                        # opposite directions in its two triangles
-                        want_flipped = (u, v) in raw_directed(tj)
-                        if flip[tj] is None:
-                            flip[tj] = want_flipped
-                            stack.append(tj)
-                        elif flip[tj] != want_flipped:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        self._orientable = ok
-        return ok
+        A consistent winding exists exactly when no triangle is joined to
+        its own flip on the double cover.
+        """
+        if self._orientable is None:
+            nt = self.n_triangles
+            label = components(2 * nt, self._cover_links[:, 0], self._cover_links[:, 1])
+            self._orientable = not np.any(label[:nt] == label[nt:])
+        return self._orientable
 
 
 @dataclass(frozen=True)
@@ -306,11 +306,10 @@ def validate_surface(mesh: TriangleMesh) -> SurfaceReport:
     """
     if not mesh.check_orientable():
         raise NonOrientable("triangles admit no consistent winding")
-    connected = mesh.connected()
+    ncomp = mesh.component_count()
     boundary_count = len(mesh.boundary_cycles)
     euler = mesh.euler
     # one 2-sphere worth of Euler characteristic per connected component
-    ncomp = 1 if connected else _component_count(mesh)
     genus = (2 * ncomp - euler - boundary_count) // 2
     return SurfaceReport(
         closed=mesh.closed,
@@ -318,29 +317,11 @@ def validate_surface(mesh: TriangleMesh) -> SurfaceReport:
         genus=genus,
         boundary_count=boundary_count,
         euler=euler,
-        connected=connected,
+        connected=ncomp == 1,
         vertex_count=mesh.n_vertices,
         edge_count=mesh.n_edges,
         triangle_count=mesh.n_triangles,
     )
-
-
-def _component_count(mesh: TriangleMesh) -> int:
-    seen = [False] * mesh.n_vertices
-    count = 0
-    for s in range(mesh.n_vertices):
-        if seen[s]:
-            continue
-        count += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            for w in mesh.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
 
 
 @dataclass(frozen=True)
@@ -375,19 +356,17 @@ def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> list[int
     eids = [e for e, _ in cycle.crossings]
     if len(set(eids)) != len(eids):
         raise CycleNotLevel("cycle crosses a mesh edge twice")
-    for e, t in cycle.crossings:
-        u, v = mesh.edge_pairs[e]
+    for (_, t), (u, v) in zip(cycle.crossings, mesh.edge_pairs[eids].tolist()):
         fu, fv = values[u], values[v]
         if not (min(fu, fv) < c < max(fu, fv)):
             raise CycleNotLevel(f"edge {(u, v)} does not straddle {c}")
         t_ref = (c - fu) / (fv - fu)
         if not (0.0 < t < 1.0) or abs(t - t_ref) > 1e-9:
             raise CycleNotLevel(f"parameter {t} inconsistent on edge {(u, v)}")
+    sides = [set(ts) - {-1} for ts in mesh.edge_triangles[eids].tolist()]
     tris = []
-    n = len(eids)
-    for i in range(n):
-        e1, e2 = eids[i], eids[(i + 1) % n]
-        shared = set(mesh.edge_triangles[e1]) & set(mesh.edge_triangles[e2])
+    for i in range(len(eids)):
+        shared = sides[i] & sides[(i + 1) % len(eids)]
         if len(shared) != 1:
             raise CycleNotLevel("consecutive crossings do not share one triangle")
         tris.append(shared.pop())
@@ -437,155 +416,75 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     if not mesh.closed:
         raise CycleNotLevel("cut requires a closed surface")
 
+    nv, nt = mesh.n_vertices, mesh.n_triangles
     ncross = len(cycle)
-    cross_index = {eid: i for i, (eid, _) in enumerate(cycle.crossings)}
-    tri_cross = {}  # crossed triangle -> (index of crossing pair start)
-    for i, ti in enumerate(crossed_tris):
-        tri_cross[ti] = i
+    ends = mesh.edge_pairs[[e for e, _ in cycle.crossings]]
+    # crossed triangle i lies between crossings i and i + 1, which sit on
+    # its two sides at its lone vertex, the apex.  Crossing vertex i is
+    # numbered nv + i until the pieces are renumbered; p1 is the one on side
+    # (apex, a), p2 the one on side (b, apex).  The triangle becomes the apex
+    # triangle (apex, p1, p2) and the quad split from p1 as (p1, a, b),
+    # (p1, b, p2); its corners at a and b go to the quad.
+    cut_rows = []
+    quad_corners = []
+    pairs = ends.tolist()
+    for i, (ti, tri) in enumerate(zip(crossed_tris, mesh.triangles[crossed_tris].tolist())):
+        e1, e2 = pairs[i], pairs[(i + 1) % ncross]
+        k = tri.index((set(e1) & set(e2)).pop())
+        apex, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        p1, p2 = nv + i, nv + (i + 1) % ncross
+        if a not in e1:
+            p1, p2 = p2, p1
+        cut_rows += [(apex, p1, p2), (p1, a, b), (p1, b, p2)]
+        quad_corners += [3 * ti + (k + 1) % 3, 3 * ti + (k + 2) % 3]
 
-    # piece nodes: uncrossed triangles keep one node; crossed triangles get
-    # an apex node and a quad node
-    def apex_of(ti: int) -> tuple[int, int, int]:
-        """Rotate a crossed triangle so its lone vertex comes first."""
-        i = tri_cross[ti]
-        e1 = cycle.crossings[i][0]
-        e2 = cycle.crossings[(i + 1) % ncross][0]
-        s1 = set(mesh.edge_pairs[e1])
-        s2 = set(mesh.edge_pairs[e2])
-        apex = (s1 & s2).pop()
-        a, b, cc = mesh.triangles[ti]
-        while a != apex:
-            a, b, cc = b, cc, a
-        return a, b, cc
-
-    node_of = {}  # ('t', ti) | ('a', ti) | ('q', ti) -> serial
-    nodes = []
-
-    def node(key):
-        if key not in node_of:
-            node_of[key] = len(nodes)
-            nodes.append(key)
-        return node_of[key]
-
-    for ti in range(mesh.n_triangles):
-        if ti in tri_cross:
-            node(("a", ti))
-            node(("q", ti))
-        else:
-            node(("t", ti))
-
-    def piece_containing(ti: int, vert: int):
-        """Node of the piece of triangle ``ti`` containing vertex ``vert``."""
-        if ti not in tri_cross:
-            return node(("t", ti))
-        apex = apex_of(ti)[0]
-        return node(("a", ti)) if vert == apex else node(("q", ti))
-
-    # union-find over piece nodes
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for eid, (u, v) in enumerate(mesh.edge_pairs):
-        ts = mesh.edge_triangles[eid]
-        if len(ts) != 2:
-            raise CycleNotLevel("cut requires a closed surface")
-        t1, t2 = ts
-        if eid in cross_index:
-            union(piece_containing(t1, u), piece_containing(t2, u))
-            union(piece_containing(t1, v), piece_containing(t2, v))
-        else:
-            union(piece_containing(t1, u), piece_containing(t2, u))
-
-    roots = sorted({find(i) for i in range(len(nodes))})
+    # piece nodes: an uncrossed triangle keeps one node, a crossed one gets
+    # its apex node and after it its quad node
+    crossed = np.zeros(nt, dtype=np.intp)
+    crossed[crossed_tris] = 1
+    before = np.cumsum(crossed) - crossed  # crossed triangles before each one
+    node = np.arange(nt) + before
+    corner_node = node[np.arange(3 * nt) // 3]
+    corner_node[quad_corners] += 1
+    label = components(nt + ncross, corner_node[mesh.corner_links[:, 0]],
+                       corner_node[mesh.corner_links[:, 1]])
+    roots = np.flatnonzero(np.bincount(label))
     if len(roots) != 2:
         raise CutNotSeparating(f"cut produced {len(roots)} pieces")
 
-    # crossing vertices: one per crossed edge, duplicated into both pieces
-    cross_coord = []
-    for eid, t in cycle.crossings:
-        u, v = mesh.edge_pairs[eid]
-        cross_coord.append((1.0 - t) * mesh.vertices[u] + t * mesh.vertices[v])
+    # new triangles in node order, each with the node it belongs to
+    first_row = np.arange(nt) + 2 * before
+    new_tris = np.empty((nt + 2 * ncross, 3), dtype=np.intp)
+    row_node = np.empty(nt + 2 * ncross, dtype=np.intp)
+    plain = np.flatnonzero(crossed == 0)
+    new_tris[first_row[plain]] = mesh.triangles[plain]
+    row_node[first_row[plain]] = node[plain]
+    cut_at = (first_row[crossed_tris, None] + [0, 1, 2]).ravel()
+    new_tris[cut_at] = cut_rows
+    row_node[cut_at] = (node[crossed_tris, None] + [0, 1, 1]).ravel()
+    tri_piece = label[row_node]
 
+    ts = np.array([t for _, t in cycle.crossings])[:, None]
+    coords = np.concatenate((mesh.vertices, (1.0 - ts) * mesh.vertices[ends[:, 0]]
+                             + ts * mesh.vertices[ends[:, 1]]))
+    vals = np.concatenate((values, np.full(ncross, c)))
     pieces = []
-    first_eid = cycle.crossings[0][0]
-    u0, v0 = mesh.edge_pairs[first_eid]
-    below_first = u0 if values[u0] < c else v0
-
     for root in roots:
-        tri_list = []  # triangles in original vertex ids, crossings as ('x', i)
-        used_orig = set()
-        used_cross = set()
-
-        def emit(tri):
-            tri_list.append(tri)
-            for w in tri:
-                if isinstance(w, tuple):
-                    used_cross.add(w[1])
-                else:
-                    used_orig.add(w)
-
-        for key in nodes:
-            if find(node_of[key]) != root:
-                continue
-            kind, ti = key
-            if kind == "t":
-                emit(mesh.triangles[ti])
-            else:
-                apex, a, b = apex_of(ti)
-                i = tri_cross[ti]
-                p1 = ("x", cycle.crossings[i][0])          # on edge (apex, a)
-                p2 = ("x", cycle.crossings[(i + 1) % ncross][0])  # on (b, apex)
-                e1 = set(mesh.edge_pairs[cycle.crossings[i][0]])
-                if a not in e1:  # first crossing sits on (b, apex) instead
-                    p1, p2 = p2, p1
-                if kind == "a":
-                    emit((apex, p1, p2))
-                else:
-                    emit((p1, a, b))
-                    emit((p1, b, p2))
-
-        orig_sorted = sorted(used_orig)
-        cross_sorted = sorted(used_cross, key=lambda eid: cross_index[eid])
-        index = {}
-        coords = []
-        vals = []
-        orig_vertex = []
-        for w in orig_sorted:
-            index[w] = len(coords)
-            coords.append(mesh.vertices[w])
-            vals.append(values[w])
-            orig_vertex.append(w)
-        cross_new = {}
-        for eid in cross_sorted:
-            cross_new[eid] = len(coords)
-            coords.append(cross_coord[cross_index[eid]])
-            vals.append(c)
-            orig_vertex.append(-1)
-
-        def resolve(w):
-            return cross_new[w[1]] if isinstance(w, tuple) else index[w]
-
-        new_tris = [tuple(resolve(w) for w in tri) for tri in tri_list]
-        piece_mesh = TriangleMesh(np.asarray(coords), new_tris)
-        boundary = tuple(cross_new[eid] for eid, _ in cycle.crossings
-                         if eid in cross_new)
+        # original vertices first, in ascending order, then the crossings in
+        # cycle order
+        mine = new_tris[tri_piece == root]
+        used = distinct(mine)
+        renumber = np.empty(nv + ncross, dtype=np.intp)
+        renumber[used] = np.arange(len(used))
         pieces.append(CutPiece(
-            mesh=piece_mesh,
-            field=ScalarField(np.asarray(vals)),
-            orig_vertex=np.asarray(orig_vertex, dtype=int),
-            boundary=boundary,
+            mesh=TriangleMesh(coords[used], renumber[mine]),
+            field=ScalarField(vals[used]),
+            orig_vertex=np.where(used < nv, used, -1),
+            boundary=tuple(renumber[used[used >= nv]].tolist()),
         ))
 
+    u0, v0 = pairs[0]
+    below_first = u0 if values[u0] < c else v0
     if not pieces[0].contains_orig(below_first):
         pieces.reverse()
     return pieces[0], pieces[1]

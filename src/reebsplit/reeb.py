@@ -22,7 +22,7 @@ from .errors import (
     ValueCollision,
 )
 from .field import FieldClassReport, ScalarField, classify_field
-from .mesh import LevelCycle, SurfaceReport, TriangleMesh, validate_surface
+from .mesh import LevelCycle, SurfaceReport, TriangleMesh, components, validate_surface
 
 
 @dataclass(frozen=True)
@@ -423,70 +423,43 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     if np.any(vals == c):
         raise ValueCollision(f"{c} collides with a vertex value")
 
-    n = mesh.n_vertices
+    # every crossed edge joins a component of the strict sublevel graph to
+    # one of the strict superlevel graph, and all edges of one level cycle
+    # join the same pair; the requested cycle's pair holds the edge's ends.
+    # The uncrossed edges give both kinds of component in one labelling.
+    u, v = mesh.edge_pairs.T
+    above = vals > c
+    crosses = above[u] != above[v]
+    level = np.flatnonzero(~crosses)
+    crossed = np.flatnonzero(crosses)
+    comp = components(mesh.n_vertices, u[level], v[level])
+    lo_comp = comp[graph.vertices[e.lower].preimage[0]]
+    hi_comp = comp[graph.vertices[e.upper].preimage[0]]
+    ends = mesh.edge_pairs[crossed].tolist()
+    for start, (a, b) in enumerate(ends):
+        if above[a]:
+            a, b = b, a
+        if comp[a] == lo_comp and comp[b] == hi_comp:
+            break
+    else:
+        raise InternalInconsistency("no level component matches the requested edge")
 
-    def comp_roots(side_above: bool):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in mesh.edge_pairs:
-            inu = (vals[u] > c) == side_above
-            inv = (vals[v] > c) == side_above
-            if inu and inv:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        return find
-
-    find_below = comp_roots(False)
-    find_above = comp_roots(True)
-    root_lo = find_below(graph.vertices[e.lower].preimage[0])
-    root_hi = find_above(graph.vertices[e.upper].preimage[0])
-
-    crossed = [eid for eid, (u, v) in enumerate(mesh.edge_pairs)
-               if min(vals[u], vals[v]) < c < max(vals[u], vals[v])]
-    crossed_set = set(crossed)
-
-    # pair crossings inside triangles and walk components
-    tri_pair: dict[int, list[int]] = {}
-    for eid in crossed:
-        for ti in mesh.edge_triangles[eid]:
-            tri_pair.setdefault(ti, []).append(eid)
-    for ti, es in tri_pair.items():
-        if len(es) != 2:
-            raise InternalInconsistency(f"triangle {ti} has {len(es)} crossings")
-
-    unused = set(crossed_set)
-    while unused:
-        start = min(unused)
-        cyc = [start]
-        unused.discard(start)
-        ts = sorted(mesh.edge_triangles[start])
-        walk_tri = ts[0]
-        cur = start
-        while True:
-            a, b = tri_pair[walk_tri]
-            nxt = b if a == cur else a
-            if nxt == start:
-                break
-            cyc.append(nxt)
-            unused.discard(nxt)
-            t1, t2 = mesh.edge_triangles[nxt]
-            walk_tri = t2 if t1 == walk_tri else t1
-            cur = nxt
-        u, v = mesh.edge_pairs[cyc[0]]
-        below = u if vals[u] < c else v
-        above = v if below == u else u
-        if find_below(below) == root_lo and find_above(above) == root_hi:
-            crossings = []
-            for eid in cyc:
-                uu, vv = mesh.edge_pairs[eid]
-                t = (c - vals[uu]) / (vals[vv] - vals[uu])
-                crossings.append((eid, float(t)))
-            return LevelCycle(crossings=tuple(crossings), closed=True, value=float(c))
-    raise InternalInconsistency("no level component matches the requested edge")
+    # walk from the smallest such edge through its smaller triangle; side 2j
+    # and 2j + 1 are edge crossed[j] seen from its first and second
+    # triangle, and mate[s] is the other crossed edge's side in the same
+    # triangle
+    by_triangle = np.argsort(mesh.edge_triangles[crossed].ravel(), kind="stable")
+    mate = np.empty(2 * len(crossed), dtype=np.intp)
+    mate[by_triangle[0::2]] = by_triangle[1::2]
+    mate[by_triangle[1::2]] = by_triangle[0::2]
+    mate = mate.tolist()
+    cyc = [start]
+    side = mate[2 * start]
+    while side // 2 != start:
+        cyc.append(side // 2)
+        side = mate[side ^ 1]
+    crossings = []
+    for j in cyc:
+        a, b = ends[j]
+        crossings.append((int(crossed[j]), float((c - vals[a]) / (vals[b] - vals[a]))))
+    return LevelCycle(crossings=tuple(crossings), closed=True, value=float(c))

@@ -225,6 +225,30 @@ def test_off_import_truncated(tmp_path, text):
     assert "Traceback" not in err
 
 
+OCTA_TRIANGLES = [[0, 2, 1], [0, 3, 2], [0, 4, 3], [0, 1, 4],
+                  [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
+
+
+@pytest.mark.parametrize("triangles", [
+    [[0, 2, 4.7]] + OCTA_TRIANGLES[1:],
+    [[False, 2, 1]] + OCTA_TRIANGLES[1:],
+    [[0, 2, True]] + OCTA_TRIANGLES[1:],
+    [i for t in OCTA_TRIANGLES for i in t],
+    [t[:2] for t in OCTA_TRIANGLES],
+    [["0", "2", "1"]] + OCTA_TRIANGLES[1:],
+], ids=["float-index", "false-index", "true-index", "flat-list", "pairs",
+        "string-index"])
+def test_validate_rejects_malformed_triangles(octa_file, tmp_path, triangles):
+    data = json.loads(octa_file.read_text())
+    data["triangles"] = triangles
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["validate", "--input", str(path)])
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "Traceback" not in err
+
+
 def test_internal_inconsistency_exits_three(octa_file, monkeypatch):
     from reebsplit import cli
     from reebsplit.errors import InternalInconsistency

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebsplit.field import (
+    Criticality,
     ScalarField,
     classify_field,
-    classify_vertex,
     euler_identity_holds,
     flat_contract,
 )
@@ -18,15 +18,16 @@ from reebsplit.mesh import cut_along_cycle
 
 def test_octahedron_vertex_kinds(octahedron):
     mesh, field = octahedron
-    assert classify_vertex(mesh, field, 0).kind == "minimum"
-    assert classify_vertex(mesh, field, 5).kind == "maximum"
+    per_vertex = classify_field(mesh, field).per_vertex
+    assert per_vertex[0].kind == "minimum"
+    assert per_vertex[5].kind == "maximum"
     for v in (1, 2, 3, 4):
-        assert classify_vertex(mesh, field, v).kind == "regular"
+        assert per_vertex[v].kind == "regular"
 
 
 def test_monkey_saddle_multiplicity(monkey_star):
     mesh, field = monkey_star
-    crit = classify_vertex(mesh, field, 0)
+    crit = classify_field(mesh, field).per_vertex[0]
     assert crit.kind == "saddle"
     assert crit.lower_components == 3
     assert crit.multiplicity == 2
@@ -102,8 +103,7 @@ def test_nonconstant_boundary_rejected():
 def test_classification_affine_invariant(scale, shift):
     mesh, field = octahedron_height()
     moved = ScalarField(field.values * scale + shift)
-    for v in range(mesh.n_vertices):
-        assert classify_vertex(mesh, field, v) == classify_vertex(mesh, moved, v)
+    assert classify_field(mesh, field).per_vertex == classify_field(mesh, moved).per_vertex
 
 
 def test_negative_scale_swaps_extrema(three_bump):
@@ -114,9 +114,75 @@ def test_negative_scale_swaps_extrema(three_bump):
     assert flipped.saddle_multiplicities == rep.saddle_multiplicities
 
 
-def brute_force_lower_components(mesh, field, v):
+def link_walks(mesh):
+    """Ordered link of every vertex and whether it closes into a cycle.
+
+    The link is walked over a multigraph with one edge per incident
+    triangle, since two triangles may span the same pair of neighbours (as
+    in the two-triangle sphere).  Independent of the classifier's arrays.
+    """
+    incident = [[] for _ in range(mesh.n_vertices)]
+    for ti, tri in enumerate(mesh.triangles.tolist()):
+        for v in tri:
+            incident[v].append((ti, tri))
+    walks = []
+    for v, tris in enumerate(incident):
+        adj = {}
+        for ti, tri in tris:
+            p, q = [x for x in tri if x != v]
+            adj.setdefault(p, []).append((q, ti))
+            adj.setdefault(q, []).append((p, ti))
+        ends = sorted(u for u, es in adj.items() if len(es) == 1)
+        assert len(ends) in (0, 2) and all(len(es) <= 2 for es in adj.values())
+        closed = not ends
+        cur = min(adj) if closed else ends[0]
+        walk, used = [cur], set()
+        while True:
+            step = next(((nxt, ti) for nxt, ti in sorted(adj[cur]) if ti not in used),
+                        None)
+            if step is None:
+                break
+            used.add(step[1])
+            cur = step[0]
+            walk.append(cur)
+        assert len(used) == len(tris)
+        if closed:
+            assert walk[0] == walk[-1]
+            walk = walk[:-1]
+        walks.append((walk, closed))
+    return walks
+
+
+def runs(flags, closed):
+    """Number of maximal True runs in a cyclic (closed) or linear sequence."""
+    if not any(flags):
+        return 0
+    if all(flags):
+        return 1
+    return sum(1 for i, f in enumerate(flags)
+               if f and not (flags[i - 1] if (closed or i > 0) else False))
+
+
+def link_walk_criticality(field, v, link, closed):
+    """Oracle: classify ``v`` from the runs along its walked link."""
+    below = [field.tie(u) < field.tie(v) for u in link]
+    lower = runs(below, closed)
+    upper = runs([not b for b in below], closed)
+    if not closed:
+        return Criticality("boundary-regular", 0, lower, upper)
+    if lower == 0:
+        return Criticality("minimum", 0, 0, upper)
+    if upper == 0:
+        return Criticality("maximum", 0, lower, 0)
+    assert lower == upper
+    if lower == 1:
+        return Criticality("regular", 0, 1, 1)
+    return Criticality("saddle", lower - 1, lower, upper)
+
+
+def brute_force_lower_components(mesh, field, v, link_walk=None):
     """Independent oracle: build the lower-link subgraph and count parts."""
-    link, closed = mesh.link(v)
+    link, closed = link_walk or link_walks(mesh)[v]
     lows = [u for u in link if field.tie(u) < field.tie(v)]
     lowset = set(lows)
     edges = set()
@@ -148,9 +214,53 @@ def test_classify_matches_lower_link_oracle(seed):
     tree = random_realizable_tree(6, symmetry=(1, 2)[seed % 2], seed=seed)
     mesh, _ = realize_tree(tree, 4)
     field = random_field(mesh, seed=seed)
-    for v in range(mesh.n_vertices):
-        crit = classify_vertex(mesh, field, v)
-        assert crit.lower_components == brute_force_lower_components(mesh, field, v)
+    per_vertex = classify_field(mesh, field).per_vertex
+    for v, walk in enumerate(link_walks(mesh)):
+        assert per_vertex[v].lower_components == \
+            brute_force_lower_components(mesh, field, v, walk)
+
+
+def renumbered(mesh, field, seed):
+    """The same surface and field with shuffled vertex ids and triangle order."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_vertices)  # perm[old] = new
+    inv = np.argsort(perm)
+    tris = perm[mesh.triangles][rng.permutation(mesh.n_triangles)]
+    return (TriangleMesh(mesh.vertices[inv], tris.tolist()),
+            ScalarField(field.values[inv]))
+
+
+def corpus_spheres_and_disks(count):
+    from reebsplit.gen import random_realizable_tree
+    from reebsplit.selftest import split_corpus_seeds
+
+    for seed, n, symmetry in split_corpus_seeds(count):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry,
+                                                          seed=seed), 4)
+        yield mesh, field
+        graph = build_reeb(mesh, field)
+        for eid in range(graph.n_edges):
+            cycle = level_cycle(mesh, field, graph, eid,
+                                choose_cut_value(field, graph, eid))
+            for piece in cut_along_cycle(mesh, field, cycle):
+                yield piece.mesh, piece.field
+
+
+def test_classify_field_matches_link_walk_on_corpus():
+    checked = set()
+    for i, (mesh, field) in enumerate(corpus_spheres_and_disks(20)):
+        for m, f in ((mesh, field), renumbered(mesh, field, i)):
+            per_vertex = classify_field(m, f).per_vertex
+            for v, (link, closed) in enumerate(link_walks(m)):
+                want = link_walk_criticality(f, v, link, closed)
+                assert per_vertex[v] == want, (i, v)
+                assert want.lower_components == \
+                    brute_force_lower_components(m, f, v, (link, closed))
+                checked.add((closed, want.kind))
+    # interior and boundary vertices of every kind were compared
+    assert {k for closed, k in checked if closed} == \
+        {"minimum", "maximum", "regular", "saddle"}
+    assert (False, "boundary-regular") in checked
 
 
 def test_classify_field_wrong_length(octahedron):

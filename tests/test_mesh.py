@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebsplit.errors import (
     CycleNotLevel,
@@ -9,10 +11,11 @@ from reebsplit.errors import (
     PinchedVertex,
 )
 from reebsplit.field import ScalarField, classify_field
-from reebsplit.gen import realize_tree
+from reebsplit.gen import octahedron_height, realize_tree
 from reebsplit.mesh import (
     LevelCycle,
     TriangleMesh,
+    components,
     cut_along_cycle,
     validate_surface,
 )
@@ -60,6 +63,65 @@ def test_pinched_vertex_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
     with pytest.raises(PinchedVertex):
         TriangleMesh(verts, [(0, 1, 2), (0, 3, 4)])
+
+
+def two_octahedra(shared: bool):
+    """Two octahedra, disjoint or glued at one vertex."""
+    mesh, _ = octahedron_height()
+    tris = mesh.triangles.tolist()
+    offset = 5 if shared else 6
+    # the second copy's vertex 0 becomes vertex 0 again when shared
+    second = [[0 if shared and x == 0 else x + offset for x in t] for t in tris]
+    verts = np.concatenate((mesh.vertices, mesh.vertices[1 if shared else 0:] + 3.0))
+    return verts, tris + second
+
+
+def test_closed_pinch_rejected():
+    # every edge lies in two triangles and no link has a loose end, but the
+    # shared vertex's link is two separate cycles
+    verts, tris = two_octahedra(shared=True)
+    with pytest.raises(PinchedVertex, match="vertex 0"):
+        TriangleMesh(verts, tris)
+
+
+def test_two_disjoint_octahedra():
+    mesh = TriangleMesh(*two_octahedra(shared=False))
+    rep = validate_surface(mesh)
+    assert not mesh.connected() and not rep.connected
+    assert mesh.component_count() == 2
+    assert rep.genus == 0 and rep.euler == 4 and rep.closed
+
+
+def dfs_labels(n, edges):
+    """Smallest node of each node's component, by depth-first search."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = [-1] * n
+    for s in range(n):
+        if label[s] >= 0:
+            continue
+        label[s] = s
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if label[w] < 0:
+                    label[w] = s
+                    stack.append(w)
+    return label
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=3 * n) if n else st.just([]))))
+def test_components_matches_dfs(graph):
+    n, edges = graph
+    u = [a for a, _ in edges]
+    v = [b for _, b in edges]
+    assert components(n, u, v).tolist() == dfs_labels(n, edges)
 
 
 def test_moebius_band_not_orientable():
