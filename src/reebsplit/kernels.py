@@ -1,4 +1,4 @@
-"""Union-find sweep kernels.
+"""Union-find sweep kernel.
 
 ``merge_forest`` is the inner loop of level-set graph construction: nodes of a
 graph are processed in a fixed total order, and whenever a node is reached,
@@ -6,26 +6,19 @@ every component already touched among its neighbours is merged into a single
 component now topped by that node.  The returned array maps each node ``x`` to
 the node at which the component whose top was ``x`` got extended or merged
 (-1 for the final top).  Running the same routine on the reversed order yields
-the dual forest; the two sweeps dominate runtime on large meshes.
-
-A compiled extension (``reebsplit._sweepc``) is used when available.  Set
-``REEBSPLIT_PURE=1`` to force the pure-Python implementation.
+the dual forest.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _sweepc
-except ImportError:  # pragma: no cover
-    _sweepc = None
 
-
-def merge_forest_py(order, indptr, indices):
-    """Pure-Python sweep over plain int sequences. Returns a list of parents."""
+def merge_forest(order, indptr, indices) -> np.ndarray:
+    """Merge-forest parents for a sweep of ``order`` over CSR adjacency."""
+    order = np.asarray(order, dtype=np.int64).tolist()
+    indptr = np.asarray(indptr, dtype=np.int64).tolist()
+    indices = np.asarray(indices, dtype=np.int64).tolist()
     n = len(order)
     parent = [-1] * n
     uf = list(range(n))
@@ -48,22 +41,4 @@ def merge_forest_py(order, indptr, indices):
                 uf[r] = v
         top[v] = v
         seen[v] = True
-    return parent
-
-
-def merge_forest(order, indptr, indices) -> np.ndarray:
-    """Merge-forest parents for a sweep of ``order`` over CSR adjacency."""
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    if _sweepc is not None and not os.environ.get("REEBSPLIT_PURE"):
-        return _sweepc.merge_forest(order, indptr, indices)
-    out = merge_forest_py(order.tolist(), indptr.tolist(), indices.tolist())
-    return np.asarray(out, dtype=np.int64)
-
-
-def kernel_backend() -> str:
-    """Name of the backend ``merge_forest`` would use right now."""
-    if _sweepc is not None and not os.environ.get("REEBSPLIT_PURE"):
-        return "compiled"
-    return "pure"
+    return np.asarray(parent, dtype=np.int64)

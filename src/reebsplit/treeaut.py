@@ -4,12 +4,22 @@ and the cut/restrict/glue machinery used by the splitting pipeline.
 Automorphisms are stored as explicit vertex permutations (tuples).  Groups
 are explicit element lists; the supported bound is 10^4 elements, far above
 anything the generators produce.
+
+Group checks run on generators: one incremental span helper (``_Span``)
+grows the subgroup generated by a greedy generating set T, optionally
+confined to a set of permutations.  Closure (``verify_group_axioms``) and
+the splitting homomorphism (``verify_isomorphism_pairs``) are checked on
+G x T, |T| <= log2 |G|, instead of on all |G|^2 pairs.
+
+Enumeration, canonical forms and every walk over a tree are iterative, so
+trees of any depth are handled without recursion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -111,12 +121,26 @@ def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
     """
     if t1.n != t2.n or sorted(t1.labels) != sorted(t2.labels):
         return False
+    ids: dict[tuple, int] = {}  # shared by both trees, so their forms compare
 
-    def canon(tree: LabeledTree, root: int):
-        def rec(v, parent):
-            kids = sorted(rec(w, v) for w in tree.adj[v] if w != parent)
-            return (tree.labels[v], tuple(kids))
-        return rec(root, -1)
+    def canon(tree: LabeledTree, root: int) -> int:
+        # bottom-up AHU: a vertex's form is its label and its children's
+        # sorted form ids, interned as one int; children precede parents
+        # in reverse BFS order
+        parent = {root: -1}
+        order = [root]
+        for v in order:
+            for w in tree.adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        kids: dict[int, list[int]] = {}
+        form = 0
+        for v in reversed(order):
+            sig = (tree.labels[v], tuple(sorted(kids.pop(v, ()))))
+            form = ids.setdefault(sig, len(ids))
+            kids.setdefault(parent[v], []).append(form)
+        return form
 
     if pin is not None:
         return canon(t1, pin[0]) == canon(t2, pin[1])
@@ -157,7 +181,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert(p: Perm) -> Perm:
@@ -184,24 +208,66 @@ def perm_order(p: Perm) -> int:
     return order
 
 
+class _Span:
+    """The subgroup generated by the generators adjoined so far, grown
+    incrementally: adjoining ``t`` multiplies the elements already there by
+    ``t``, and every element that turns up by every generator.  A set of
+    permutations that holds the identity and is closed under multiplication
+    by the generators is their span.
+
+    With ``within`` every product must lie in that set (the identity too);
+    the first one that does not is kept as ``escape = (g, t, g o t)`` and
+    growth stops.  ``max_order`` bounds an unconfined span.
+    """
+
+    def __init__(self, n: int, within=None, max_order: int | None = None):
+        ident = identity_perm(n)
+        self.elements = [ident]
+        self.seen = {ident} if within is None or ident in within else set()
+        self.gens: list[Perm] = []
+        self.within = within
+        self.max_order = max_order
+        self.escape: tuple[Perm, Perm, Perm] | None = None
+
+    def adjoin(self, t: Perm) -> bool:
+        """Add generator ``t``; False once a product leaves ``within``."""
+        gens, elems, seen, within = self.gens, self.elements, self.seen, self.within
+        gens.append(t)
+        old = len(elems)
+        i = 0
+        while i < len(elems):
+            g = elems[i]
+            for s in (gens if i >= old else (t,)):
+                gs = tuple(map(g.__getitem__, s))
+                if gs in seen:
+                    continue
+                if within is not None and gs not in within:
+                    self.escape = (g, s, gs)
+                    return False
+                seen.add(gs)
+                elems.append(gs)
+                if self.max_order is not None and len(elems) > self.max_order:
+                    raise GroupTooLarge(f"group exceeds {self.max_order} elements")
+            i += 1
+        return True
+
+
+def _greedy_span(elements, n: int, within=None,
+                 max_order: int | None = None) -> _Span:
+    """Span of the greedy generators of ``elements``: in the given order,
+    each element outside the span of the earlier picks is picked.  Stops at
+    the first product outside ``within``; otherwise the span covers every
+    element."""
+    span = _Span(n, within, max_order)
+    for g in elements:
+        if g not in span.seen and not span.adjoin(g):
+            break
+    return span
+
+
 def close_under_composition(gens, n: int, max_order: int = MAX_GROUP_ORDER) -> list[Perm]:
-    """Subgroup generated by ``gens`` (breadth-first products)."""
-    elems = {identity_perm(n)}
-    frontier = [g for g in gens]
-    for g in frontier:
-        elems.add(g)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                e = compose(g, h)
-                if e not in elems:
-                    elems.add(e)
-                    nxt.append(e)
-                    if len(elems) > max_order:
-                        raise GroupTooLarge(f"group exceeds {max_order} elements")
-        frontier = nxt
-    return sorted(elems)
+    """Subgroup generated by ``gens``, sorted."""
+    return sorted(_greedy_span(gens, n, max_order=max_order).elements)
 
 
 @dataclass(frozen=True)
@@ -219,8 +285,12 @@ class AutGroup:
     def n(self) -> int:
         return len(self.elements[0])
 
+    @cached_property
+    def element_set(self) -> frozenset[Perm]:
+        return frozenset(self.elements)
+
     def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
+        return p in self.element_set
 
     def to_dict(self) -> dict:
         return {
@@ -243,35 +313,29 @@ def element_order_histogram(group) -> dict[int, int]:
 
 
 def verify_group_axioms(group) -> bool:
-    """Exhaustive closure / identity / inverse check."""
-    elems = list(group.elements if isinstance(group, AutGroup) else group)
+    """Whether a finite set of equal-length permutations is a group.
+
+    It is exactly when no product of the span of its greedy generators T
+    leaves the set: every element is in that span, so the span is then the
+    set, and a finite nonempty set closed under composition is a group.  A
+    missing identity shows up as a product leaving the set.  Costs |G|·|T|
+    compositions, with |T| <= log2 |G|.
+    """
+    if isinstance(group, AutGroup):
+        elems, within = group.elements, group.element_set
+    else:
+        elems = list(group)
+        within = set(elems)
     if not elems:
         return False
-    n = len(elems[0])
-    s = set(elems)
-    if identity_perm(n) not in s:
-        return False
-    for p in elems:
-        if invert(p) not in s:
-            return False
-    for p in elems:
-        for q in elems:
-            if compose(p, q) not in s:
-                return False
-    return True
+    return _greedy_span(elems, len(elems[0]), within).escape is None
 
 
 def _minimal_generators(elements: list[Perm], n: int) -> tuple[Perm, ...]:
-    gens: list[Perm] = []
-    span = {identity_perm(n)}
-    for g in elements:
-        if g not in span:
-            gens.append(g)
-            # the span cannot outgrow the group the elements came from
-            span = set(close_under_composition(gens, n, max_order=len(elements)))
-            if len(span) == len(elements):
-                break
-    return tuple(gens)
+    span = _greedy_span(elements, n, set(elements))
+    if span.escape is not None:
+        raise InternalInconsistency("enumerated maps are not closed under composition")
+    return tuple(span.gens)
 
 
 # ----------------------------------------------------------------------
@@ -320,42 +384,50 @@ def _enumerate(tree: LabeledTree, use_labels: bool,
                 parent[w] = u
                 bfs.append(w)
 
+    # depth-first backtracking over the BFS positions with an explicit
+    # stack: level i maps bfs[i], trying its candidates in list order
     results: list[Perm] = []
     image = [-1] * n
     used = [False] * n
-
-    def extend(i: int):
-        if i == len(bfs):
+    last = len(bfs) - 1
+    candidates = [classes[colors[root]]] + [None] * last
+    tried = [0] * len(bfs)  # candidates of each level tried so far
+    i = 0
+    while i >= 0:
+        v = bfs[i]
+        if image[v] != -1:  # undo this level's previous choice
+            used[image[v]] = False
+            image[v] = -1
+        cands = candidates[i]
+        color = colors[v]
+        for k in range(tried[i], len(cands)):
+            w = cands[k]
+            if not used[w] and colors[w] == color:
+                break
+        else:
+            i -= 1
+            continue
+        tried[i] = k + 1
+        image[v] = w
+        used[w] = True
+        if i == last:
             results.append(tuple(image))
             if len(results) > max_order:
                 raise GroupTooLarge(f"group exceeds {max_order} elements")
-            return
-        v = bfs[i]
-        if parent[v] == -1:
-            candidates = classes[colors[v]]
         else:
-            candidates = tree.adj[image[parent[v]]]
-        for w in candidates:
-            if used[w] or colors[w] != colors[v]:
-                continue
-            image[v] = w
-            used[w] = True
-            extend(i + 1)
-            used[w] = False
-            image[v] = -1
-
-    extend(0)
+            i += 1
+            candidates[i] = tree.adj[image[parent[bfs[i]]]]
+            tried[i] = 0
 
     # the BFS-anchored search preserves every tree edge; double-check labels
     # and the mark, then sort for a canonical element order
-    out = []
+    labels = tree.labels
     for p in results:
-        if use_labels and any(tree.labels[p[v]] != tree.labels[v] for v in range(n)):
+        if use_labels and tuple(map(labels.__getitem__, p)) != labels:
             raise InternalInconsistency("enumerated map breaks labels")
         if tree.marked is not None and p[tree.marked] != tree.marked:
             raise InternalInconsistency("enumerated map moves the marked vertex")
-        out.append(p)
-    return sorted(out)
+    return sorted(results)
 
 
 def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
@@ -452,13 +524,16 @@ def _subtree_connected(tree: LabeledTree, vertices: list[int]) -> bool:
 class MarkedSubtree:
     tree: LabeledTree          # has its marked vertex set to the cut point
     orig: tuple[int, ...]      # subtree index -> base-tree vertex (-1 for the cut point)
+    # base-tree vertex -> subtree index, for the side's base vertices only
+    position: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "position",
+                           {o: i for i, o in enumerate(self.orig) if o != -1})
 
     @property
     def marked(self) -> int:
         return self.tree.marked  # type: ignore[return-value]
-
-    def index_of(self, base_vertex: int) -> int:
-        return self.orig.index(base_vertex)
 
 
 @dataclass(frozen=True)
@@ -533,16 +608,16 @@ def restrict_aut(cut: TreeCut, gamma: Perm, which: str) -> Perm:
     if gamma[u] != u or gamma[v] != v:
         raise SideNotInvariant("cut edge endpoints move")
     side = cut.side(which)
-    members = set(side.orig) - {-1}
+    position = side.position
     out = [0] * side.tree.n
     for i, o in enumerate(side.orig):
         if o == -1:
             out[i] = i  # the cut point stays put
             continue
-        img = gamma[o]
-        if img not in members:
+        j = position.get(gamma[o])
+        if j is None:
             raise SideNotInvariant(f"vertex {o} leaves side {which}")
-        out[i] = side.index_of(img)
+        out[i] = j
     return tuple(out)
 
 
@@ -587,8 +662,15 @@ class IsoVerdict:
 
 def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
                              pair_of, glue) -> IsoVerdict:
-    """Exhaustively check that element -> (pair_of(element)) is a group
-    isomorphism onto side_a x side_b, with ``glue`` producing preimages."""
+    """Check that element -> (pair_of(element)) is a group isomorphism onto
+    side_a x side_b, with ``glue`` producing preimages.
+
+    Closure and multiplicativity are checked on G x T, where T is the greedy
+    generating set of the elements: the span of T stays inside the set and
+    covers it, and pair_of(g o t) = pair_of(g) o pair_of(t) for every g in G
+    and t in T, which by induction on word length covers every pair of G.
+    A failing check names its witness in ``notes``.
+    """
     elements = list(elements)
     notes = []
     pairs = {}
@@ -603,27 +685,30 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
         return IsoVerdict(False, False, False, tuple(notes))
     for g, (pa, pb) in pairs.items():
         if pa not in side_a or pb not in side_b:
-            notes.append("restriction leaves the side group")
+            notes.append(f"restriction of g={g} leaves the side group")
             return IsoVerdict(False, False, False, tuple(notes))
 
     n = len(elements[0])
     ident = identity_perm(n)
-    injective = all(g == ident for g in elements
-                    if pairs[g] == (identity_perm(side_a.n), identity_perm(side_b.n)))
+    ident_pair = (identity_perm(side_a.n), identity_perm(side_b.n))
+    injective = all(g == ident for g in elements if pairs[g] == ident_pair)
 
     homomorphism = True
     elem_set = set(elements)
-    for g, h in product(elements, repeat=2):
-        gh = compose(g, h)
-        if gh not in elem_set:
-            homomorphism = False
-            notes.append("element set not closed under composition")
-            break
-        want = (compose(pairs[g][0], pairs[h][0]), compose(pairs[g][1], pairs[h][1]))
-        if pairs[gh] != want:
-            homomorphism = False
-            notes.append("pairing is not multiplicative")
-            break
+    span = _greedy_span(elements, n, elem_set)
+    if span.escape is not None:
+        homomorphism = False
+        g, t, gt = span.escape
+        notes.append(f"element set not closed under composition: "
+                     f"g={g} times t={t} gives {gt}, which is missing")
+    else:
+        # the trivial group has no generators; its one product is e o e
+        for g, t in product(elements, span.gens or [ident]):
+            (ga, gb), (ta, tb) = pairs[g], pairs[t]
+            if pairs[compose(g, t)] != (compose(ga, ta), compose(gb, tb)):
+                homomorphism = False
+                notes.append(f"pairing is not multiplicative at g={g}, t={t}")
+                break
 
     surjective = True
     hit = set(pairs.values())
@@ -633,7 +718,7 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
         glued = glue(pa, pb)
         if glued not in elem_set or pairs.get(glued) != (pa, pb):
             surjective = False
-            notes.append("a side pair has no preimage")
+            notes.append(f"a side pair has no preimage: alpha={pa}, beta={pb}")
             break
 
     return IsoVerdict(injective, surjective, homomorphism, tuple(notes))

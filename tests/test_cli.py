@@ -119,6 +119,16 @@ def test_split_pass_and_exit_codes(octa_file, bumps_file, tmp_path):
     assert "FAIL" in out
 
 
+def test_split_verifies_bumps_seven(tmp_path):
+    # |G| = 7! = 5040: closure and the homomorphism are checked on generators
+    path = tmp_path / "bumps7.json"
+    code, _, _ = run(["gen", "bumps", "--n", "7", "--out", str(path)])
+    assert code == 0
+    code, out, _ = run(["split", "--input", str(path), "--all-edges"])
+    assert code == 0
+    assert out.startswith("PASS") and "|G| = 5040 = 1 * 5040" in out
+
+
 def test_split_hypothesis_failure_exit_zero(tmp_path):
     from reebsplit.gen import realize_tree
     from reebsplit.treeaut import LabeledTree

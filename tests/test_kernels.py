@@ -29,13 +29,30 @@ def random_csr(n, seed):
     return order, indptr, indices
 
 
+def brute_force_forest(order, indptr, indices):
+    """The merge forest from explicit component sets, without union-find."""
+    parent = [-1] * len(order)
+    components = []  # (node set, top)
+    for v in order:
+        mine = {v}
+        for k in range(indptr[v], indptr[v + 1]):
+            u = indices[k]
+            for comp in components:
+                if u in comp[0]:
+                    parent[comp[1]] = v
+                    mine |= comp[0]
+                    components.remove(comp)
+                    break
+        components.append((mine, v))
+    return parent
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_pure_python_kernel_matches_selected(seed):
+def test_merge_forest_matches_brute_force(seed):
     n = 3 + seed * 7 % 40
     order, indptr, indices = random_csr(n, seed)
-    selected = kernels.merge_forest(order, indptr, indices)
-    pure = kernels.merge_forest_py(order, indptr, indices)
-    assert list(selected) == list(pure)
+    out = kernels.merge_forest(order, indptr, indices)
+    assert list(out) == brute_force_forest(order, indptr, indices)
 
 
 def test_forest_shape_on_path():
@@ -57,15 +74,3 @@ def test_forest_join_event():
     indices = [2, 2, 0, 1]
     out = kernels.merge_forest(order, indptr, indices)
     assert list(out) == [2, 2, -1]
-
-
-def test_pure_env_forces_fallback(monkeypatch):
-    monkeypatch.setenv("REEBSPLIT_PURE", "1")
-    assert kernels.kernel_backend() == "pure"
-    order, indptr, indices = random_csr(12, 5)
-    out = kernels.merge_forest(order, indptr, indices)
-    assert list(out) == list(kernels.merge_forest_py(order, indptr, indices))
-
-
-def test_backend_reports_a_known_name():
-    assert kernels.kernel_backend() in ("compiled", "pure")

@@ -145,6 +145,16 @@ def test_replay_group_tamper_detected(three_bump):
     report = verify_theorem(mesh, field, replay_group=tampered)
     assert report.hypothesis_holds
     assert not report.passed
+    # the notes name the dropped element as the product that leaves the
+    # set, and its restriction pair as the side pair without a preimage
+    missing = group.elements[-1]
+    cut = cut_tree_at(reeb_to_tree(graph), report.edge_id)
+    alpha = treeaut.restrict_aut(cut, missing, "A")
+    beta = treeaut.restrict_aut(cut, missing, "B")
+    notes = report.phi["notes"]
+    assert any("not closed" in x and f"gives {missing}, which is missing" in x
+               for x in notes)
+    assert f"a side pair has no preimage: alpha={alpha}, beta={beta}" in notes
 
 
 def test_sides_invariant_claim(three_bump):

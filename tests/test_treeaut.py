@@ -1,4 +1,8 @@
+import ast
 import random
+import re
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,15 @@ from reebsplit.errors import (
     InvalidTree,
     SideNotInvariant,
 )
-from reebsplit.selftest import brute_force_aut, oracle_corpus, star_tree
+from reebsplit.gen import random_realizable_tree
+from reebsplit.selftest import (
+    brute_force_aut,
+    oracle_corpus,
+    split_corpus_seeds,
+    star_tree,
+)
 from reebsplit.treeaut import (
+    AutGroup,
     LabeledTree,
     close_under_composition,
     compose,
@@ -25,6 +36,7 @@ from reebsplit.treeaut import (
     invert,
     perm_order,
     restrict_aut,
+    tree_isomorphic,
     verify_group_axioms,
     verify_isomorphism,
     verify_isomorphism_pairs,
@@ -226,7 +238,15 @@ def test_verify_isomorphism_detects_missing_element(three_bump_tree):
     verdict = verify_isomorphism_pairs(dropped, ga, gb, pair_of,
                                        lambda a, b: glue_aut(cut, a, b))
     assert not verdict.surjective
+    assert not verdict.homomorphism
     assert not verdict.passed
+    # the only product that can leave a group minus one element is that element
+    missing = group.elements[-1]
+    g, t, gt = witness(verdict.notes, "not closed", "g", "t", "gives")
+    assert g in dropped and t in dropped
+    assert compose(g, t) == gt == missing
+    assert witness(verdict.notes, "no preimage", "alpha", "beta") \
+        == pair_of(missing)
 
 
 def test_setwise_invariant_edges_pointwise_fixed():
@@ -266,3 +286,288 @@ def test_group_json_dump_is_deterministic(three_bump_tree):
     assert g1 == g2
     assert g1["order"] == 6
     assert g1["schema"] == "reeb-split/1"
+
+
+# ----------------------------------------------------------------------
+# generator-level checks against the exhaustive |G|^2 loops
+
+def witness(notes, marker, *names):
+    """The permutations named ``name=(...)`` in the one note containing
+    ``marker``."""
+    [note] = [x for x in notes if marker in x]
+    return tuple(ast.literal_eval(re.search(rf"\b{name}[= ](\([^)]*\))", note)[1])
+                 for name in names)
+
+
+def oracle_group_axioms(elems):
+    """Exhaustive closure / identity / inverse check over all |G|^2 pairs."""
+    elems = list(elems)
+    if not elems:
+        return False
+    n = len(elems[0])
+    s = set(elems)
+    if identity_perm(n) not in s:
+        return False
+    for p in elems:
+        if invert(p) not in s:
+            return False
+    for p in elems:
+        for q in elems:
+            if compose(p, q) not in s:
+                return False
+    return True
+
+
+def oracle_isomorphism_pairs(elements, side_a, side_b, pair_of, glue):
+    """(injective, surjective, homomorphism) by exhaustive loops, with
+    closure and multiplicativity checked on all |G|^2 pairs."""
+    elements = list(elements)
+    try:
+        pairs = {g: pair_of(g) for g in elements}
+    except SideNotInvariant:
+        return (False, False, False)
+    a_set, b_set = set(side_a.elements), set(side_b.elements)
+    if any(pa not in a_set or pb not in b_set for pa, pb in pairs.values()):
+        return (False, False, False)
+    n = len(elements[0])
+    ident = identity_perm(n)
+    injective = all(g == ident for g in elements
+                    if pairs[g] == (identity_perm(side_a.n), identity_perm(side_b.n)))
+    homomorphism = True
+    elem_set = set(elements)
+    for g, h in product(elements, repeat=2):
+        gh = compose(g, h)
+        if gh not in elem_set:
+            homomorphism = False
+            break
+        want = (compose(pairs[g][0], pairs[h][0]), compose(pairs[g][1], pairs[h][1]))
+        if pairs[gh] != want:
+            homomorphism = False
+            break
+    surjective = True
+    hit = set(pairs.values())
+    for pa, pb in product(side_a.elements, side_b.elements):
+        if (pa, pb) in hit:
+            continue
+        glued = glue(pa, pb)
+        if glued not in elem_set or pairs.get(glued) != (pa, pb):
+            surjective = False
+            break
+    return (injective, surjective, homomorphism)
+
+
+def restriction(cut):
+    def pair_of(g):
+        return (restrict_aut(cut, g, "A"), restrict_aut(cut, g, "B"))
+    return pair_of
+
+
+def assert_checks_agree(elements, cut, ga, gb, pair_of=None):
+    """The isomorphism verdict and the oracle's agree; returns the verdict."""
+    pair_of = pair_of or restriction(cut)
+    verdict = verify_isomorphism_pairs(elements, ga, gb, pair_of,
+                                       lambda a, b: glue_aut(cut, a, b))
+    want = oracle_isomorphism_pairs(elements, ga, gb, pair_of,
+                                    lambda a, b: glue_aut(cut, a, b))
+    assert (verdict.injective, verdict.surjective, verdict.homomorphism) == want
+    return verdict
+
+
+def fixed_edge_cuts(tree):
+    """The group of a tree and, for every fixed edge, (cut, side A group,
+    side B group)."""
+    group = enumerate_aut(tree)
+    cuts = []
+    for eid in fixed_set(group, tree).edge_ids:
+        cut = cut_tree_at(tree, eid)
+        cuts.append((cut, enumerate_aut(cut.side_a.tree),
+                     enumerate_aut(cut.side_b.tree)))
+    return group, cuts
+
+
+@lru_cache(maxsize=None)
+def symmetric_trees():
+    """The twelve trees with five identical branches, as fixed_edge_cuts."""
+    return tuple(fixed_edge_cuts(random_realizable_tree(2 + s % 9, symmetry=5, seed=s))
+                 for s in range(12))
+
+
+def assert_groups(*groups):
+    for group in groups:
+        assert verify_group_axioms(group) and oracle_group_axioms(group.elements)
+
+
+def test_generator_checks_match_oracles_on_split_corpus():
+    count = 0
+    for seed, n, symmetry in split_corpus_seeds(200):
+        group, cuts = fixed_edge_cuts(
+            random_realizable_tree(n, symmetry=symmetry, seed=seed))
+        assert_groups(group)
+        for cut, ga, gb in cuts:
+            assert_groups(ga, gb)
+            assert assert_checks_agree(group.elements, cut, ga, gb).passed
+            count += 1
+    assert count > 200
+
+
+def test_generator_checks_match_oracles_on_symmetric_trees():
+    # the |G|^2 oracles take about 0.1 s a cut, so they run on the first
+    # cut of each tree
+    for group, cuts in symmetric_trees():
+        cut, ga, gb = cuts[0]
+        assert group.order == 120
+        assert_groups(group, ga, gb)
+        assert assert_checks_agree(group.elements, cut, ga, gb).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["drop", "foreign", "no identity"]))
+def test_generator_checks_match_oracles_on_non_groups(data, kind):
+    trees = symmetric_trees()
+    group, cuts = trees[data.draw(st.integers(0, len(trees) - 1))]
+    cut, ga, gb = cuts[data.draw(st.integers(0, len(cuts) - 1))]
+    elements = list(group.elements)
+    if kind == "drop":
+        del elements[data.draw(st.integers(1, len(elements) - 1))]
+    elif kind == "foreign":
+        p = tuple(data.draw(st.permutations(range(group.n))))
+        if p in group:
+            return
+        elements.insert(data.draw(st.integers(0, len(elements))), p)
+    else:
+        elements.remove(identity_perm(group.n))
+    assert not verify_group_axioms(elements)
+    assert not oracle_group_axioms(elements)
+    assert not assert_checks_agree(elements, cut, ga, gb).passed
+
+
+def test_non_multiplicative_pairing_detected():
+    for group, cuts in symmetric_trees()[:6]:
+        cut, ga, gb = cuts[0]
+        honest = restriction(cut)
+        # exchange the images of two elements outside the kernel: the map
+        # stays a bijection onto the side groups but is no homomorphism
+        movers = [g for g in group.elements if honest(g) != honest(group.elements[0])]
+        x, y = movers[0], movers[-1]
+        swap = {x: y, y: x}
+
+        def pair_of(g):
+            return honest(swap.get(g, g))
+
+        verdict = assert_checks_agree(group.elements, cut, ga, gb, pair_of)
+        assert verdict.injective and verdict.surjective
+        assert not verdict.homomorphism
+        g, t = witness(verdict.notes, "not multiplicative", "g", "t")
+        (ga_, gb_), (ta, tb) = pair_of(g), pair_of(t)
+        assert pair_of(compose(g, t)) != (compose(ga_, ta), compose(gb_, tb))
+
+
+def test_multiplicativity_checked_on_every_generator(three_bump_tree):
+    # pair_of(g) = honest(sigma(g)), where sigma swaps two left cosets of
+    # <t1> other than <t1> itself: pair_of(g o t1) = pair_of(g) o pair_of(t1)
+    # for every g, so only a later generator can expose the fault
+    trees = [fixed_edge_cuts(three_bump_tree)] + list(symmetric_trees()[:3])
+    for group, cuts in trees:
+        cut, ga, gb = cuts[0]
+        honest = restriction(cut)
+        t1 = group.generators[0]
+        cyclic = close_under_composition([t1], group.n)
+        reps, rep_of = [], {}
+        for g in group.elements:
+            if g not in rep_of:
+                reps.append(g)
+                rep_of.update((compose(g, h), g) for h in cyclic)
+        r1, r2 = reps[1], reps[2]
+        other = {r1: r2, r2: r1}
+
+        def pair_of(g):
+            r = rep_of[g]
+            if r in other:
+                g = compose(other[r], compose(invert(r), g))
+            return honest(g)
+
+        verdict = assert_checks_agree(group.elements, cut, ga, gb, pair_of)
+        assert not verdict.homomorphism
+        g, t = witness(verdict.notes, "not multiplicative", "g", "t")
+        assert t != t1 and t in group.generators
+
+
+def test_trivial_group_with_non_identity_pair_is_no_homomorphism():
+    tree = LabeledTree([0.0, 1.0], [(0, 1)])
+    cut = cut_tree_at(tree, 0)
+    side = AutGroup(elements=((0, 1), (1, 0)), generators=((1, 0),))
+    verdict = verify_isomorphism_pairs([(0, 1)], side, side,
+                                       lambda g: ((1, 0), (0, 1)),
+                                       lambda a, b: glue_aut(cut, a, b))
+    assert not verdict.homomorphism
+    assert witness(verdict.notes, "not multiplicative", "g", "t") == ((0, 1), (0, 1))
+
+
+def naive_closure(gens, n):
+    """Identity and generators, multiplied pairwise until nothing new turns up."""
+    elems = {identity_perm(n), *gens}
+    while True:
+        more = {compose(p, q) for p in elems for q in elems} - elems
+        if not more:
+            return sorted(elems)
+        elems |= more
+
+
+def test_close_under_composition_matches_naive_closure(three_bump_tree):
+    rng = random.Random(2)
+    group, _ = symmetric_trees()[0]
+    for elements in (enumerate_aut(three_bump_tree).elements, group.elements):
+        n = len(elements[0])
+        for k in (0, 1, 1, 2, 3):
+            gens = [elements[rng.randrange(len(elements))] for _ in range(k)]
+            assert close_under_composition(gens, n) == naive_closure(gens, n)
+
+
+# ----------------------------------------------------------------------
+# trees far deeper than the interpreter's recursion limit
+
+def symmetric_path(n):
+    """A path whose labels mirror around its middle vertex (n odd)."""
+    labels = [float(min(i, n - 1 - i)) for i in range(n)]
+    return LabeledTree(labels, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_long_path_group_enumerates():
+    n = 5001
+    group = enumerate_aut(symmetric_path(n))
+    assert group.elements == (identity_perm(n), tuple(range(n - 1, -1, -1)))
+    assert group.generators == (tuple(range(n - 1, -1, -1)),)
+
+
+def renumbered(tree, seed):
+    """A copy of ``tree`` with shuffled vertex ids and the map old -> new."""
+    new = list(range(tree.n))
+    random.Random(seed).shuffle(new)
+    labels = [0.0] * tree.n
+    for v in range(tree.n):
+        labels[new[v]] = tree.labels[v]
+    return LabeledTree(labels, [(new[u], new[v]) for u, v in tree.edges]), new
+
+
+def test_isomorphism_of_renumbered_trees():
+    for seed, tree in enumerate(oracle_corpus(60)):
+        copy, new = renumbered(tree, seed)
+        assert tree_isomorphic(tree, copy)
+        for v in range(tree.n):
+            assert tree_isomorphic(tree, copy, pin=(v, new[v]))
+        # one leaf label moved off every other label breaks it
+        leaf = next(v for v in range(tree.n) if tree.degree(v) == 1)
+        labels = list(copy.labels)
+        labels[new[leaf]] = 1000.0
+        assert not tree_isomorphic(tree, LabeledTree(labels, copy.edges))
+
+
+def test_long_path_pinned_isomorphism():
+    n = 5001
+    path = symmetric_path(n)
+    copy, new = renumbered(path, 3)
+    assert tree_isomorphic(path, copy)
+    assert tree_isomorphic(path, copy, pin=(0, new[0]))
+    assert tree_isomorphic(path, copy, pin=(0, new[n - 1]))  # the mirror
+    assert not tree_isomorphic(path, copy, pin=(0, new[1]))
+    assert not tree_isomorphic(path, copy, pin=(1, new[2]))
