@@ -48,7 +48,9 @@ def brute_force_forest(order, indptr, indices):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_merge_forest_matches_brute_force(seed):
+def test_pure_python_kernel_matches_selected(seed):
+    # merge_forest is the one, plain-Python sweep; the brute-force forest
+    # is the reference it is checked against
     n = 3 + seed * 7 % 40
     order, indptr, indices = random_csr(n, seed)
     out = kernels.merge_forest(order, indptr, indices)
