@@ -114,16 +114,17 @@ class FlatContraction:
     zone_values: tuple[float, ...]
     identity: bool               # every zone is a single vertex
 
-    def zone_neighbors(self, mesh: TriangleMesh) -> list[list[int]]:
+    def zone_neighbors(self, mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency of the zones: ``indices[indptr[z]:indptr[z + 1]]``
+        are the zones next to zone ``z``, ascending."""
         nz = len(self.zones)
         zu, zv = self.zone_of[mesh.edge_pairs].T
         apart = zu != zv
         zu, zv = zu[apart], zv[apart]
         pairs = distinct(np.concatenate((zu * nz + zv, zv * nz + zu)))
-        heads, tails = pairs // nz, pairs % nz
-        ends = np.cumsum(np.bincount(heads, minlength=nz)).tolist()
-        tails = tails.tolist()
-        return [tails[a:b] for a, b in zip([0] + ends, ends)]
+        indptr = np.zeros(nz + 1, dtype=np.intp)
+        np.cumsum(np.bincount(pairs // nz, minlength=nz), out=indptr[1:])
+        return indptr, pairs % nz
 
 
 def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
@@ -141,7 +142,7 @@ def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
     ends = np.cumsum(np.bincount(zone_of)).tolist()
     return FlatContraction(
         zone_of=zone_of,
-        zones=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
+        zones=tuple([tuple(members[a:b]) for a, b in zip([0] + ends, ends)]),
         zone_values=tuple(vals[reps].tolist()),
         identity=len(reps) == n,
     )
@@ -197,13 +198,18 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
     vals = field.values
     u, v = mesh.edge_pairs.T
     for cyc in mesh.boundary_cycles:
+        first = int(cyc[0])
         cvals = set(vals[cyc].tolist())
         if len(cvals) != 1:
-            reasons.append("CriticalBoundary: boundary cycle is not constant")
+            reasons.append(
+                f"CriticalBoundary: boundary cycle at vertex {first} is not constant")
             continue
-        zid = int(contraction.zone_of[cyc[0]])
-        if set(contraction.zones[zid]) != set(cyc):
-            reasons.append("FlatZone: constant zone leaks off a boundary cycle")
+        zid = int(contraction.zone_of[first])
+        zone = contraction.zones[zid]
+        if set(zone) != set(cyc):
+            reasons.append(
+                f"FlatZone: constant zone of {len(zone)} vertices, smallest "
+                f"vertex {zone[0]}, leaks off a boundary cycle")
             continue
         boundary_zone_ids.add(zid)
         c = cvals.pop()
@@ -211,22 +217,29 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
         on_cycle[cyc] = True
         collar = np.concatenate((u[on_cycle[v]], v[on_cycle[u]]))
         collar = collar[~mesh.is_boundary_vertex[collar]]
-        sides = set((vals[collar] > c).tolist())
-        if len(sides) > 1:
-            reasons.append("CriticalBoundary: collar sits on both sides of the boundary value")
-        elif not sides:
-            reasons.append("CriticalBoundary: boundary cycle has no interior collar")
+        above = vals[collar] > c
+        if above.any() and not above.all():
+            reasons.append(
+                "CriticalBoundary: collar sits on both sides of the boundary "
+                f"value (vertex {collar[~above].min()} below, "
+                f"{collar[above].min()} above)")
+        elif not len(collar):
+            reasons.append(
+                f"CriticalBoundary: boundary cycle at vertex {first} has no "
+                "interior collar")
 
     sizes = np.bincount(contraction.zone_of)
     for zid in np.flatnonzero(sizes > 1).tolist():
         if zid not in boundary_zone_ids:
-            reasons.append(f"FlatZone: {sizes[zid]} adjacent vertices share a value")
+            reasons.append(
+                f"FlatZone: {sizes[zid]} adjacent vertices share a value, "
+                f"smallest vertex {contraction.zones[zid][0]}")
 
     lower, upper = _link_runs(mesh, field)
     keys = list(zip(mesh.is_boundary_vertex.tolist(), lower.tolist(), upper.tolist()))
     tally = Counter(keys)
     kinds = {key: _criticality(*key) for key in tally}
-    per_vertex = tuple(map(kinds.__getitem__, keys))
+    per_vertex = tuple([kinds[key] for key in keys])
     minima = maxima = 0
     mults = []
     for key, count in tally.items():

@@ -50,7 +50,7 @@ class _Builder:
         self.tris: list[tuple[int, int, int]] = []
 
     def vertex(self, xyz, value) -> int:
-        self.coords.append(tuple(float(c) for c in xyz))
+        self.coords.append(tuple([float(c) for c in xyz]))
         self.values.append(float(value))
         return len(self.coords) - 1
 

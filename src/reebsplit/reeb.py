@@ -1,14 +1,14 @@
 """Level-set tree (Kronrod-Reeb graph) construction for genus-0 surfaces.
 
-The construction merges two union-find sweeps, one ascending and one
-descending, into the contour tree.  On a sphere (or disk with constant
-regular boundary) the contour tree equals the quotient of the surface by
-connected components of level sets, so no general-genus machinery is needed.
+The construction peels the join and split trees of two union-find sweeps,
+one ascending and one descending, into the contour tree.  On a sphere (or
+disk with constant regular boundary) the contour tree equals the quotient of
+the surface by connected components of level sets, so no general-genus
+machinery is needed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,161 +129,120 @@ def export_dot(graph: ReebGraph) -> str:
 # ----------------------------------------------------------------------
 # construction
 
-def _contour_tree(values, ties, neighbors):
-    """Contour tree of a graph under a total vertex order.
+def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
+    """Contour tree of a connected, simply connected graph.
 
-    ``values``/``ties`` give node heights and the total order key; ``neighbors``
-    is an adjacency list.  Returns (arcs, order) where arcs are (lower, upper)
-    node pairs covering every node.  Assumes the swept space is simply
-    connected; the caller checks the arc count.
+    ``values`` orders the nodes, ties broken by node id; ``indptr`` and
+    ``indices`` are the graph's CSR adjacency.  Returns the arcs as
+    (lower, upper) node pairs.
+
+    The join tree (parents from the ascending sweep) and the split tree (from
+    the descending one) are peeled as in Carr, Snoeyink and Axen: a node with
+    no join child and at most one split child is a lower leaf, whose arc goes
+    to its join parent, and symmetrically for an upper leaf.  A peeled node
+    has at most one child in either tree, so each tree stays the original
+    tree restricted to the live nodes: a node's parent is its nearest live
+    ancestor, found with path compression, and only child counts change.
+
+    On a graph with cycles the peel still ends, but its arcs mean nothing
+    and can even form a tree, so callers check the genus before.
     """
     n = len(values)
-    order = sorted(range(n), key=lambda v: ties[v])
-    indptr = [0]
-    indices = []
-    for v in range(n):
-        indices.extend(neighbors[v])
-        indptr.append(len(indices))
-    order_arr = np.asarray(order, dtype=np.int64)
-    indptr_arr = np.asarray(indptr, dtype=np.int64)
-    indices_arr = np.asarray(indices, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    live = [True] * n
+    # every node starts as a candidate; a peel adds the node that lost a child
+    stack = list(range(n))
 
-    jt_parent = kernels.merge_forest(order_arr, indptr_arr, indices_arr)
-    st_parent = kernels.merge_forest(order_arr[::-1].copy(), indptr_arr, indices_arr)
+    def tree(sweep):
+        """Parents and child counts of the merge forest of one sweep."""
+        parent = kernels.merge_forest(sweep, indptr, indices)
+        return parent.tolist(), np.bincount(parent[parent >= 0], minlength=n).tolist()
 
-    jt_children = [set() for _ in range(n)]
-    st_children = [set() for _ in range(n)]
-    jt_par = [int(x) for x in jt_parent]
-    st_par = [int(x) for x in st_parent]
-    for v in range(n):
-        if jt_par[v] >= 0:
-            jt_children[jt_par[v]].add(v)
-        if st_par[v] >= 0:
-            st_children[st_par[v]].add(v)
+    def ancestor(parent, v):
+        path = [v]
+        p = parent[v]
+        while p >= 0 and not live[p]:
+            path.append(p)
+            p = parent[p]
+        for x in path:
+            parent[x] = p
+        return p
 
-    def lower_leaf(v):
-        return not jt_children[v] and len(st_children[v]) <= 1
+    def peel(v, leaf_tree, other_tree):
+        """Peel ``v`` as a leaf of ``leaf_tree``: its parent there, or -1.
 
-    def upper_leaf(v):
-        return not st_children[v] and len(jt_children[v]) <= 1
+        Short of the last node, such a leaf has one child in the other
+        tree, which from now on hangs from v's parent there.
+        """
+        parent, count = leaf_tree
+        if count[v] or other_tree[1][v] > 1:
+            return -1
+        w = ancestor(parent, v)
+        if w >= 0:
+            live[v] = False
+            count[w] -= 1
+            stack.append(w)
+        return w
 
-    queue = deque(v for v in order if lower_leaf(v) or upper_leaf(v))
-    queued = [False] * n
-    for v in queue:
-        queued[v] = True
-    done = [False] * n
+    join, split = tree(order), tree(order[::-1])
     arcs = []
-    remaining = n
-
-    def requeue(v):
-        if v >= 0 and not done[v] and not queued[v] and (lower_leaf(v) or upper_leaf(v)):
-            queued[v] = True
-            queue.append(v)
-
-    while remaining > 1 and queue:
-        v = queue.popleft()
-        queued[v] = False
-        if done[v]:
+    while stack:
+        v = stack.pop()
+        if not live[v]:
             continue
-        if lower_leaf(v):
-            w = jt_par[v]
-            if w < 0:
-                continue
+        w = peel(v, join, split)
+        if w >= 0:
             arcs.append((v, w))
-            jt_children[w].discard(v)
-            # contract v out of the split tree
-            ch = next(iter(st_children[v])) if st_children[v] else -1
-            p = st_par[v]
-            if ch >= 0:
-                st_par[ch] = p
-                if p >= 0:
-                    st_children[p].discard(v)
-                    st_children[p].add(ch)
-            elif p >= 0:
-                st_children[p].discard(v)
-        elif upper_leaf(v):
-            w = st_par[v]
-            if w < 0:
-                continue
-            arcs.append((w, v))
-            st_children[w].discard(v)
-            ch = next(iter(jt_children[v])) if jt_children[v] else -1
-            p = jt_par[v]
-            if ch >= 0:
-                jt_par[ch] = p
-                if p >= 0:
-                    jt_children[p].discard(v)
-                    jt_children[p].add(ch)
-            elif p >= 0:
-                jt_children[p].discard(v)
         else:
-            continue
-        done[v] = True
-        remaining -= 1
-        w = arcs[-1][0] if arcs[-1][1] == v else arcs[-1][1]
-        requeue(w)
-        for x in list(st_children[v]) + list(jt_children[v]):
-            requeue(x)
-        requeue(st_par[v])
-        requeue(jt_par[v])
+            w = peel(v, split, join)
+            if w >= 0:
+                arcs.append((w, v))
 
     if len(arcs) != n - 1:
         raise GenusNotZero(
             f"contour merge produced {len(arcs)} arcs for {n} nodes")
-    return arcs, order
+    return arcs
 
 
-def _tree_from_sweeps(values, ties, neighbors, kinds, mults,
+def _tree_from_sweeps(values, indptr, indices, kinds, mults,
                       members) -> tuple[list[ReebVertex], list[ReebEdge]]:
     """Contour tree of a node graph with degree-2 regular nodes suppressed.
 
-    ``members`` expands each node back to its mesh vertices for preimage
+    ``indptr`` and ``indices`` are the graph's CSR adjacency; ``members``
+    expands each node back to its mesh vertices for preimage
     bookkeeping.  Raises InvalidFieldClass when a surviving edge fails to
     increase the label strictly, which happens exactly when two critical
     components share a level component.
     """
     nz = len(values)
-    arcs, _ = _contour_tree(values, ties, neighbors)
-
     down = [[] for _ in range(nz)]
     up = [[] for _ in range(nz)]
-    for lo, hi in arcs:
+    for lo, hi in _contour_tree(values, indptr, indices):
         up[lo].append(hi)
         down[hi].append(lo)
 
-    keep = []
+    # every regular node must be a plain chain link, and only those go
     for z in range(nz):
-        deg2 = len(down[z]) == 1 and len(up[z]) == 1
-        if kinds[z] == "regular" and deg2:
-            continue
-        keep.append(z)
-    keep_set = set(keep)
-
-    # sanity: kept nodes must be events, dropped nodes plain chain links
-    for z in keep:
-        if kinds[z] == "regular":
+        if kinds[z] == "regular" and not len(down[z]) == len(up[z]) == 1:
             raise InternalInconsistency(
                 f"regular component {z} has tree degree {len(down[z]) + len(up[z])}")
+    keep = [z for z in range(nz) if kinds[z] != "regular"]
 
-    ordered_keep = sorted(keep, key=lambda z: ties[z])
-    vid_of = {z: i for i, z in enumerate(ordered_keep)}
+    vid_of = {}
     vertices = []
-    for i, z in enumerate(ordered_keep):
+    for i, z in enumerate(sorted(keep, key=values.__getitem__)):
+        vid_of[z] = i
         vertices.append(ReebVertex(
             id=i, label=values[z], kind=kinds[z], multiplicity=mults[z],
             preimage=tuple(members[z])))
 
     raw_edges = []
     for z in keep:
-        for nxt in up[z]:
+        for cur in up[z]:
             chain = []
-            cur = nxt
-            while cur not in keep_set:
+            while cur not in vid_of:
                 chain.extend(members[cur])
-                nxts = up[cur]
-                if len(nxts) != 1 or len(down[cur]) != 1:
-                    raise InternalInconsistency("suppressed node is not a chain link")
-                cur = nxts[0]
+                cur = up[cur][0]
             lo, hi = vid_of[z], vid_of[cur]
             if not vertices[lo].label < vertices[hi].label:
                 raise InvalidFieldClass(
@@ -311,6 +270,10 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
     label; an edge between two events at the same value means two critical
     vertices share a level component, which is rejected.
 
+    The merge of the two sweeps is only meaningful on a simply connected
+    domain: on a surface with handles it still returns arcs, so the genus
+    and connectedness are checked before it runs.
+
     ``surface`` and ``fclass`` pass in ``validate_surface(mesh)`` and
     ``classify_field(mesh, field)`` when the caller already has them; they
     go through the same checks as the ones computed here.
@@ -326,27 +289,15 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
 
     contraction = fclass.contraction
     zones = contraction.zones
-    zone_values = contraction.zone_values
-    nz = len(zones)
-    zone_ties = [(zone_values[z], zones[z][0]) for z in range(nz)]
-    zone_neighbors = contraction.zone_neighbors(mesh)
-
-    boundary_zones = set()
+    crits = [fclass.per_vertex[zone[0]] for zone in zones]
+    kinds = [crit.kind for crit in crits]
+    mults = [crit.multiplicity for crit in crits]
     for cyc in mesh.boundary_cycles:
-        boundary_zones.add(int(contraction.zone_of[cyc[0]]))
+        z = int(contraction.zone_of[cyc[0]])
+        kinds[z], mults[z] = "boundary", 0
 
-    kinds = []
-    mults = []
-    for z in range(nz):
-        if z in boundary_zones:
-            kinds.append("boundary")
-            mults.append(0)
-        else:
-            crit = fclass.per_vertex[zones[z][0]]
-            kinds.append(crit.kind)
-            mults.append(crit.multiplicity)
-
-    vertices, edges = _tree_from_sweeps(zone_values, zone_ties, zone_neighbors,
+    vertices, edges = _tree_from_sweeps(contraction.zone_values,
+                                        *contraction.zone_neighbors(mesh),
                                         kinds, mults, zones)
     graph = ReebGraph(vertices, edges)
 

@@ -123,9 +123,13 @@ def oracle_corpus(count: int) -> list[LabeledTree]:
             labels = _depth_labels(n, edges)
         else:
             labels = [float(rng.randrange(4)) for _ in range(n)]
-            for u, v in edges:  # repair equal-label adjacency
-                if labels[u] == labels[v]:
-                    labels[v] = labels[u] + 10.0 + v
+            # repair equal-label adjacency until none is left, since a
+            # repaired label can meet a neighbour checked earlier; repairs
+            # only raise labels, and below a bound, so this ends
+            while any(labels[u] == labels[v] for u, v in edges):
+                for u, v in edges:
+                    if labels[u] == labels[v]:
+                        labels[v] = labels[u] + 10.0 + v
         trees.append(LabeledTree(labels, edges))
         seed += 1
     return trees[:count]

@@ -47,7 +47,7 @@ class LabeledTree:
     """
 
     def __init__(self, labels, edges, marked: int | None = None):
-        self.labels = tuple(float(x) for x in labels)
+        self.labels = tuple([float(x) for x in labels])
         n = len(self.labels)
         es = []
         for u, v in edges:
@@ -180,8 +180,13 @@ def identity_perm(n: int) -> Perm:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(map(p.__getitem__, q))
+    """(p o q)(i) = p(q(i)).
+
+    Permutations here are built from lists, at their final length: a tuple
+    grown from an iterator is resized, and when freed it piles up on the
+    free list of another length until the next full garbage collection.
+    """
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Perm) -> Perm:
@@ -238,7 +243,7 @@ class _Span:
         while i < len(elems):
             g = elems[i]
             for s in (gens if i >= old else (t,)):
-                gs = tuple(map(g.__getitem__, s))
+                gs = tuple([g[k] for k in s])
                 if gs in seen:
                     continue
                 if within is not None and gs not in within:
@@ -423,7 +428,7 @@ def _enumerate(tree: LabeledTree, use_labels: bool,
     # and the mark, then sort for a canonical element order
     labels = tree.labels
     for p in results:
-        if use_labels and tuple(map(labels.__getitem__, p)) != labels:
+        if use_labels and tuple([labels[i] for i in p]) != labels:
             raise InternalInconsistency("enumerated map breaks labels")
         if tree.marked is not None and p[tree.marked] != tree.marked:
             raise InternalInconsistency("enumerated map moves the marked vertex")

@@ -80,6 +80,7 @@ def test_flat_contract_merges_adjacent_equal(octahedron):
     rep = classify_field(mesh, ScalarField(vals))
     assert rep.field_class == "invalid"
     assert any("FlatZone" in r for r in rep.reasons)
+    assert rep.reasons == ("FlatZone: 2 adjacent vertices share a value, smallest vertex 1",)
 
 
 def test_constant_field_rejected(octahedron):
@@ -95,6 +96,31 @@ def test_nonconstant_boundary_rejected():
     rep = classify_field(mesh, ScalarField(np.array([0.0, 1.0, 2.0])))
     assert rep.field_class == "invalid"
     assert any("CriticalBoundary" in r for r in rep.reasons)
+    assert rep.reasons == ("CriticalBoundary: boundary cycle at vertex 0 is not constant",)
+
+
+@pytest.mark.parametrize("interior, reason", [
+    ((-1.0, 1.0), "CriticalBoundary: collar sits on both sides of the boundary "
+                  "value (vertex 4 below, 5 above)"),
+    ((2.0, -1.0), "CriticalBoundary: collar sits on both sides of the boundary "
+                  "value (vertex 5 below, 4 above)"),
+    ((0.0, 1.0), "FlatZone: constant zone of 5 vertices, smallest vertex 0, "
+                 "leaks off a boundary cycle"),
+], ids=["collar-4-below", "collar-5-below", "leaking-zone"])
+def test_boundary_reasons_name_their_vertices(interior, reason):
+    # a square whose boundary 0-1-2-3 has value 0, around interior vertices 4, 5
+    verts = [(0, 0, 0), (3, 0, 0), (3, 3, 0), (0, 3, 0), (1, 1.5, 0), (2, 1.5, 0)]
+    tris = [(0, 1, 4), (1, 5, 4), (1, 2, 5), (2, 3, 5), (3, 4, 5), (3, 0, 4)]
+    rep = classify_field(TriangleMesh(verts, tris),
+                         ScalarField(np.array([0.0] * 4 + list(interior))))
+    assert reason in rep.reasons
+
+
+def test_boundary_without_collar_named():
+    mesh = TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    rep = classify_field(mesh, ScalarField(np.zeros(3)))
+    assert rep.reasons == (
+        "CriticalBoundary: boundary cycle at vertex 0 has no interior collar",)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,18 +1,22 @@
 import random
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reebsplit import kernels
 from reebsplit.errors import (
     EdgeNotFound,
     GenusNotZero,
     InvalidFieldClass,
     ValueCollision,
 )
-from reebsplit.field import ScalarField
-from reebsplit.gen import random_realizable_tree, realize_tree
+from reebsplit.field import ScalarField, flat_contract
+from reebsplit.gen import random_field, random_realizable_tree, realize_tree
 from reebsplit.mesh import TriangleMesh, cut_along_cycle
 from reebsplit.reeb import (
+    _contour_tree,
     _tree_from_sweeps,
     build_reeb,
     choose_cut_value,
@@ -20,6 +24,7 @@ from reebsplit.reeb import (
     level_cycle,
     mesh_vertex_assignment,
 )
+from reebsplit.selftest import split_corpus_seeds
 from reebsplit.split import reeb_to_tree
 from reebsplit.treeaut import tree_isomorphic
 
@@ -171,16 +176,20 @@ def test_torus_rejected(torus):
         build_reeb(mesh, field)
 
 
+def csr(neighbors):
+    indptr = np.cumsum([0] + [len(nb) for nb in neighbors])
+    return indptr, np.array([w for nb in neighbors for w in nb], dtype=np.intp)
+
+
 def test_shared_level_component_rejected():
     # three basins joined by two necks at one height: the sweep must refuse
     # to split that single critical component into two tree vertices
     values = [0.0, 0.2, 0.4, 1.0, 1.0, 1.5, 2.0]
-    ties = [(v, i) for i, v in enumerate(values)]
     neighbors = [[3], [3, 4], [4], [0, 1, 5], [1, 2, 5], [3, 4, 6], [5]]
     kinds = ["minimum", "minimum", "minimum", "saddle", "saddle", "regular",
              "maximum"]
     with pytest.raises(InvalidFieldClass):
-        _tree_from_sweeps(values, ties, neighbors, kinds, [1] * 7,
+        _tree_from_sweeps(values, *csr(neighbors), kinds, [1] * 7,
                           [[i] for i in range(7)])
 
 
@@ -190,3 +199,171 @@ def test_equal_labels_on_distinct_components_are_fine(three_bump):
     g = build_reeb(mesh, field)
     labels = [v.label for v in g.vertices]
     assert labels.count(2.0) == 3
+
+
+# ----------------------------------------------------------------------
+# the set-and-deque join/split merge that the peel replaced, kept verbatim
+# as an oracle for the arcs
+
+def oracle_contour_tree(values, ties, neighbors):
+    """Contour tree of a graph under a total vertex order.
+
+    ``values``/``ties`` give node heights and the total order key; ``neighbors``
+    is an adjacency list.  Returns (arcs, order) where arcs are (lower, upper)
+    node pairs covering every node.  Assumes the swept space is simply
+    connected; the caller checks the arc count.
+    """
+    n = len(values)
+    order = sorted(range(n), key=lambda v: ties[v])
+    indptr = [0]
+    indices = []
+    for v in range(n):
+        indices.extend(neighbors[v])
+        indptr.append(len(indices))
+    order_arr = np.asarray(order, dtype=np.int64)
+    indptr_arr = np.asarray(indptr, dtype=np.int64)
+    indices_arr = np.asarray(indices, dtype=np.int64)
+
+    jt_parent = kernels.merge_forest(order_arr, indptr_arr, indices_arr)
+    st_parent = kernels.merge_forest(order_arr[::-1].copy(), indptr_arr, indices_arr)
+
+    jt_children = [set() for _ in range(n)]
+    st_children = [set() for _ in range(n)]
+    jt_par = [int(x) for x in jt_parent]
+    st_par = [int(x) for x in st_parent]
+    for v in range(n):
+        if jt_par[v] >= 0:
+            jt_children[jt_par[v]].add(v)
+        if st_par[v] >= 0:
+            st_children[st_par[v]].add(v)
+
+    def lower_leaf(v):
+        return not jt_children[v] and len(st_children[v]) <= 1
+
+    def upper_leaf(v):
+        return not st_children[v] and len(jt_children[v]) <= 1
+
+    queue = deque(v for v in order if lower_leaf(v) or upper_leaf(v))
+    queued = [False] * n
+    for v in queue:
+        queued[v] = True
+    done = [False] * n
+    arcs = []
+    remaining = n
+
+    def requeue(v):
+        if v >= 0 and not done[v] and not queued[v] and (lower_leaf(v) or upper_leaf(v)):
+            queued[v] = True
+            queue.append(v)
+
+    while remaining > 1 and queue:
+        v = queue.popleft()
+        queued[v] = False
+        if done[v]:
+            continue
+        if lower_leaf(v):
+            w = jt_par[v]
+            if w < 0:
+                continue
+            arcs.append((v, w))
+            jt_children[w].discard(v)
+            # contract v out of the split tree
+            ch = next(iter(st_children[v])) if st_children[v] else -1
+            p = st_par[v]
+            if ch >= 0:
+                st_par[ch] = p
+                if p >= 0:
+                    st_children[p].discard(v)
+                    st_children[p].add(ch)
+            elif p >= 0:
+                st_children[p].discard(v)
+        elif upper_leaf(v):
+            w = st_par[v]
+            if w < 0:
+                continue
+            arcs.append((w, v))
+            st_children[w].discard(v)
+            ch = next(iter(jt_children[v])) if jt_children[v] else -1
+            p = jt_par[v]
+            if ch >= 0:
+                jt_par[ch] = p
+                if p >= 0:
+                    jt_children[p].discard(v)
+                    jt_children[p].add(ch)
+            elif p >= 0:
+                jt_children[p].discard(v)
+        else:
+            continue
+        done[v] = True
+        remaining -= 1
+        w = arcs[-1][0] if arcs[-1][1] == v else arcs[-1][1]
+        requeue(w)
+        for x in list(st_children[v]) + list(jt_children[v]):
+            requeue(x)
+        requeue(st_par[v])
+        requeue(jt_par[v])
+
+    if len(arcs) != n - 1:
+        raise GenusNotZero(
+            f"contour merge produced {len(arcs)} arcs for {n} nodes")
+    return arcs, order
+
+
+def assert_peel_matches_oracle(values, indptr, indices):
+    """Equal arc sets from the peel and the oracle, ties broken by node id."""
+    neighbors = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+    ties = [(v, i) for i, v in enumerate(values)]
+    want, _ = oracle_contour_tree(values, ties, neighbors)
+    got = _contour_tree(values, indptr, indices)
+    assert len(got) == len(values) - 1
+    assert set(got) == set(want)
+    return got
+
+
+def test_peel_matches_oracle_on_corpus_spheres_and_disks():
+    checked = 0
+    for seed, n, symmetry in split_corpus_seeds(40):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry,
+                                                          seed=seed), 4)
+        graph = build_reeb(mesh, field)
+        pieces = [(mesh, field)]
+        for eid in range(graph.n_edges):
+            cycle = level_cycle(mesh, field, graph, eid,
+                                choose_cut_value(field, graph, eid))
+            pieces += [(p.mesh, p.field) for p in cut_along_cycle(mesh, field, cycle)]
+        for m, f in pieces:
+            contraction = flat_contract(m, f)
+            assert_peel_matches_oracle(contraction.zone_values,
+                                       *contraction.zone_neighbors(m))
+            checked += 1
+    assert checked > 40
+
+
+def test_peel_matches_oracle_on_random_fields_of_large_sphere():
+    tree = random_realizable_tree(n=14, symmetry=2, seed=1)
+    mesh, _ = realize_tree(tree, 48)
+    assert mesh.n_vertices == 4148
+    contraction = flat_contract(mesh, random_field(mesh, 0))
+    assert contraction.identity
+    indptr, indices = contraction.zone_neighbors(mesh)
+    for seed in range(3):
+        values = random_field(mesh, seed).values.tolist()
+        assert_peel_matches_oracle(values, indptr, indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_peel_matches_oracle_on_random_trees(data):
+    # on a tree graph every level set is a set of points, so the contour
+    # tree is the graph itself with each edge pointing up the sweep order
+    n = data.draw(st.integers(1, 40))
+    parent = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    new = data.draw(st.permutations(range(n)))  # vertex renumbering
+    edges = [(new[i + 1], new[p]) for i, p in enumerate(parent)]
+    values = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    neighbors = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    got = assert_peel_matches_oracle([float(x) for x in values], *csr(neighbors))
+    assert set(got) == {tuple(sorted(e, key=lambda v: (values[v], v))) for e in edges}

@@ -1,6 +1,8 @@
 import ast
+import gc
 import random
 import re
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -571,3 +573,27 @@ def test_long_path_pinned_isomorphism():
     assert tree_isomorphic(path, copy, pin=(0, new[n - 1]))  # the mirror
     assert not tree_isomorphic(path, copy, pin=(0, new[1]))
     assert not tree_isomorphic(path, copy, pin=(1, new[2]))
+
+
+def test_permutation_tuples_return_to_their_free_list():
+    # a tuple built from an iterator of unknown length starts with ten slots
+    # and is resized, so when freed it lands on the free list of another
+    # length; those lists only shrink at a full collection, and between
+    # them they held up to 2.8 MB in a split_corpus round.  Built at their
+    # final length, the tuples go back where they came from.
+    def work():
+        for tree in (star_tree(3), star_tree(5)):
+            group = enumerate_aut(LabeledTree(tree.labels, tree.edges))
+            for g in group.elements:
+                compose(g, g)
+
+    gc.disable()
+    try:
+        work()
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            work()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 100, grown
