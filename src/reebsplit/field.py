@@ -194,7 +194,9 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
     contraction = flat_contract(mesh, field)
     reasons: list[str] = []
 
-    boundary_zone_ids = set()
+    # zones whose flatness is accounted for: whole boundary cycles, and
+    # zones already reported for leaking off one
+    named_zone_ids = set()
     vals = field.values
     u, v = mesh.edge_pairs.T
     for cyc in mesh.boundary_cycles:
@@ -206,12 +208,12 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
             continue
         zid = int(contraction.zone_of[first])
         zone = contraction.zones[zid]
+        named_zone_ids.add(zid)
         if set(zone) != set(cyc):
             reasons.append(
                 f"FlatZone: constant zone of {len(zone)} vertices, smallest "
                 f"vertex {zone[0]}, leaks off a boundary cycle")
             continue
-        boundary_zone_ids.add(zid)
         c = cvals.pop()
         on_cycle = np.zeros(mesh.n_vertices, dtype=bool)
         on_cycle[cyc] = True
@@ -230,7 +232,7 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
 
     sizes = np.bincount(contraction.zone_of)
     for zid in np.flatnonzero(sizes > 1).tolist():
-        if zid not in boundary_zone_ids:
+        if zid not in named_zone_ids:
             reasons.append(
                 f"FlatZone: {sizes[zid]} adjacent vertices share a value, "
                 f"smallest vertex {contraction.zones[zid][0]}")

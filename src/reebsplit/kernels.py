@@ -3,7 +3,7 @@
 ``merge_forest`` is the inner loop of level-set graph construction: nodes of a
 graph are processed in a fixed total order, and whenever a node is reached,
 every component already touched among its neighbours is merged into a single
-component now topped by that node.  The returned array maps each node ``x`` to
+component now topped by that node.  The returned list maps each node ``x`` to
 the node at which the component whose top was ``x`` got extended or merged
 (-1 for the final top).  Running the same routine on the reversed order yields
 the dual forest.
@@ -11,14 +11,14 @@ the dual forest.
 
 from __future__ import annotations
 
-import numpy as np
 
+def merge_forest(order, indptr, indices) -> list[int]:
+    """Merge-forest parents for a sweep of ``order`` over CSR adjacency.
 
-def merge_forest(order, indptr, indices) -> np.ndarray:
-    """Merge-forest parents for a sweep of ``order`` over CSR adjacency."""
-    order = np.asarray(order, dtype=np.int64).tolist()
-    indptr = np.asarray(indptr, dtype=np.int64).tolist()
-    indices = np.asarray(indices, dtype=np.int64).tolist()
+    The three sequences are read one element at a time, so Python lists are
+    the fast input: a caller that sweeps one graph twice converts its arrays
+    once (``tolist``).
+    """
     n = len(order)
     parent = [-1] * n
     uf = list(range(n))
@@ -41,4 +41,4 @@ def merge_forest(order, indptr, indices) -> np.ndarray:
                 uf[r] = v
         top[v] = v
         seen[v] = True
-    return np.asarray(parent, dtype=np.int64)
+    return parent

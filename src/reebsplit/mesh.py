@@ -67,8 +67,7 @@ def distinct(a) -> np.ndarray:
     Plain ``np.unique`` imports ``numpy.ma``, which adds about 1.3 MB of
     resident memory.
     """
-    a = np.ravel(a)
-    a = a[np.argsort(a, kind="stable")]
+    a = np.sort(a, axis=None)
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = a[1:] != a[:-1]
     return a[keep]

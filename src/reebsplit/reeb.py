@@ -1,15 +1,17 @@
 """Level-set tree (Kronrod-Reeb graph) construction for genus-0 surfaces.
 
 The construction peels the join and split trees of two union-find sweeps,
-one ascending and one descending, into the contour tree.  On a sphere (or
-disk with constant regular boundary) the contour tree equals the quotient of
-the surface by connected components of level sets, so no general-genus
-machinery is needed.
+one ascending and one descending, into the contour tree.  The sweeps run
+over the critical nodes only, and the regular nodes are placed on the tree's
+arcs afterwards.  On a sphere (or disk with constant regular boundary) the
+contour tree equals the quotient of the surface by connected components of
+level sets, so no general-genus machinery is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +24,14 @@ from .errors import (
     ValueCollision,
 )
 from .field import FieldClassReport, ScalarField, classify_field
-from .mesh import LevelCycle, SurfaceReport, TriangleMesh, components, validate_surface
+from .mesh import (
+    LevelCycle,
+    SurfaceReport,
+    TriangleMesh,
+    components,
+    distinct,
+    validate_surface,
+)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,11 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
     """Contour tree of a connected, simply connected graph.
 
     ``values`` orders the nodes, ties broken by node id; ``indptr`` and
-    ``indices`` are the graph's CSR adjacency.  Returns the arcs as
-    (lower, upper) node pairs.
+    ``indices`` are the graph's CSR adjacency, as arrays.  Returns the arcs
+    as (lower, upper) node pairs.  Only the join and split trees of the
+    graph matter, so any graph with the same two trees, such as the
+    reduction of a surface's graph to its critical nodes, gives the same
+    arcs.
 
     The join tree (parents from the ascending sweep) and the split tree (from
     the descending one) are peeled as in Carr, Snoeyink and Axen: a node with
@@ -148,7 +160,8 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
     and can even form a tree, so callers check the genus before.
     """
     n = len(values)
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values, kind="stable").tolist()
+    indptr, indices = indptr.tolist(), indices.tolist()
     live = [True] * n
     # every node starts as a candidate; a peel adds the node that lost a child
     stack = list(range(n))
@@ -156,7 +169,11 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
     def tree(sweep):
         """Parents and child counts of the merge forest of one sweep."""
         parent = kernels.merge_forest(sweep, indptr, indices)
-        return parent.tolist(), np.bincount(parent[parent >= 0], minlength=n).tolist()
+        count = [0] * n
+        for p in parent:
+            if p >= 0:
+                count[p] += 1
+        return parent, count
 
     def ancestor(parent, v):
         path = [v]
@@ -204,56 +221,159 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
     return arcs
 
 
+def _jump(pointer: np.ndarray) -> np.ndarray:
+    """Where each node ends when ``pointer`` is followed to a fixed point,
+    by pointer jumping."""
+    while True:
+        jumped = pointer[pointer]
+        if (jumped == pointer).all():
+            return pointer
+        pointer = jumped
+
+
+def _tree_paths(arcs, k: int, pairs) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The paths of a tree between node pairs (a, b), one after the other.
+
+    ``arcs`` are the arcs of a tree on nodes ``0 .. k-1``.  Returns the
+    nodes of all paths in order, the node count of each path, and the arc
+    from each node to the next one (meaningless at the end of a path).  The
+    two ends of a pair climb the tree rooted at node 0 until they meet.
+    """
+    nbrs = [[] for _ in range(k)]
+    for e, (lo, hi) in enumerate(arcs):
+        nbrs[lo].append((hi, e))
+        nbrs[hi].append((lo, e))
+    parent, via, depth = [-1] * k, [-1] * k, [0] * k
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, e in nbrs[v]:
+            if w != parent[v]:
+                parent[w], via[w], depth[w] = v, e, depth[v] + 1
+                stack.append(w)
+
+    nodes, lengths = [], []
+    for a, b in pairs:
+        head, tail = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                head.append(a)
+                a = parent[a]
+            else:
+                tail.append(b)
+                b = parent[b]
+        head.append(a)
+        head += reversed(tail)
+        nodes += head
+        lengths.append(len(head))
+    # consecutive path nodes are a child and its parent, joined by the
+    # child's arc
+    nodes = np.array(nodes, dtype=np.intp)
+    parent, via = np.array(parent), np.array(via)
+    step = np.where(parent[nodes[:-1]] == nodes[1:], via[nodes[:-1]], via[nodes[1:]])
+    return nodes, lengths, step
+
+
 def _tree_from_sweeps(values, indptr, indices, kinds, mults,
                       members) -> tuple[list[ReebVertex], list[ReebEdge]]:
-    """Contour tree of a node graph with degree-2 regular nodes suppressed.
+    """Contour tree of a node graph with its regular nodes suppressed.
 
-    ``indptr`` and ``indices`` are the graph's CSR adjacency; ``members``
-    expands each node back to its mesh vertices for preimage
-    bookkeeping.  Raises InvalidFieldClass when a surviving edge fails to
-    increase the label strictly, which happens exactly when two critical
-    components share a level component.
+    ``indptr`` and ``indices`` are the connected graph's CSR adjacency, as
+    arrays; ``members`` expands each node back to its mesh vertices for
+    preimage bookkeeping.  The sweeps and the peel run over the critical
+    nodes only, joined by monotone paths, and every regular node then goes
+    to the one arc that crosses its level on the tree path between the
+    critical nodes its monotone descent and ascent end on.  Raises
+    InvalidFieldClass when an arc fails to increase the label strictly,
+    which happens exactly when two critical components share a level
+    component, and InternalInconsistency when a node called regular does
+    not behave as one.
     """
     nz = len(values)
-    down = [[] for _ in range(nz)]
-    up = [[] for _ in range(nz)]
-    for lo, hi in _contour_tree(values, indptr, indices):
-        up[lo].append(hi)
-        down[hi].append(lo)
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(nz, dtype=np.intp)
+    rank[order] = np.arange(nz)
+    regular = np.array([kind == "regular" for kind in kinds], dtype=bool)
 
-    # every regular node must be a plain chain link, and only those go
-    for z in range(nz):
-        if kinds[z] == "regular" and not len(down[z]) == len(up[z]) == 1:
-            raise InternalInconsistency(
-                f"regular component {z} has tree degree {len(down[z]) + len(up[z])}")
-    keep = [z for z in range(nz) if kinds[z] != "regular"]
+    # monotone-path pointers: a regular node steps down to its highest
+    # neighbour below it and up to its lowest one above it (-1 and nz mark
+    # none, which only a node wrongly called regular has), and a critical
+    # node stays put.  These gentlest steps keep the two ends close in
+    # value, so the tree path between them is short.  Down and up share one
+    # array, so one pointer jumping ends both on critical nodes
+    nbr = rank[indices]
+    ids = np.arange(nz)
+    row = np.repeat(ids, np.diff(indptr))
+    below = nbr < rank[row]
+    lower = np.maximum.reduceat(np.where(below, nbr, -1), indptr[:-1])
+    upper = np.minimum.reduceat(np.where(below, nz, nbr), indptr[:-1])
+    pointer = _jump(np.concatenate((
+        np.where(regular & (lower >= 0), order[lower], ids),
+        np.where(regular & (upper < nz), order.take(upper, mode="clip"), ids) + nz)))
+    down, up = pointer[:nz], pointer[nz:] - nz
+    if regular[down].any() or regular[up].any():
+        raise InternalInconsistency(
+            "a regular component's monotone path stalls on a regular component")
 
-    vid_of = {}
-    vertices = []
-    for i, z in enumerate(sorted(keep, key=values.__getitem__)):
-        vid_of[z] = i
-        vertices.append(ReebVertex(
-            id=i, label=values[z], kind=kinds[z], multiplicity=mults[z],
-            preimage=tuple(members[z])))
+    # the reduced graph on the critical nodes, numbered in (value, id) order:
+    # critical x is joined to where each lower neighbour descends to and
+    # each upper one ascends to, along a monotone path between the two, so
+    # both sweeps over it give the full graph's trees restricted to them
+    keep = order[~regular[order]]
+    k = len(keep)
+    vid = np.empty(nz, dtype=np.intp)
+    vid[keep] = np.arange(k)
+    crit = ~regular[row]
+    x, u = row[crit], indices[crit]
+    a = vid[x]
+    b = vid[np.where(below[crit], down[u], up[u])]
+    pairs = distinct(np.concatenate((a * k + b, b * k + a)))
+    cindptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(pairs // k, minlength=k), out=cindptr[1:])
 
-    raw_edges = []
-    for z in keep:
-        for cur in up[z]:
-            chain = []
-            while cur not in vid_of:
-                chain.extend(members[cur])
-                cur = up[cur][0]
-            lo, hi = vid_of[z], vid_of[cur]
-            if not vertices[lo].label < vertices[hi].label:
-                raise InvalidFieldClass(
-                    "two critical components share one level value on a "
-                    "common level component")
-            raw_edges.append((lo, hi, tuple(sorted(chain))))
+    zones = keep.tolist()
+    labels = [values[z] for z in zones]
+    vertices = [ReebVertex(id=i, label=labels[i], kind=kinds[z],
+                           multiplicity=mults[z], preimage=tuple(members[z]))
+                for i, z in enumerate(zones)]
+    try:
+        arcs = sorted(_contour_tree(labels, cindptr, pairs % k))
+    except GenusNotZero as exc:
+        # the reduction keeps the join and split trees only when every node
+        # called regular is one
+        raise InternalInconsistency(f"reduced to the critical nodes, {exc}") from None
+    for lo, hi in arcs:
+        if not labels[lo] < labels[hi]:
+            raise InvalidFieldClass(
+                "two critical components share one level value on a "
+                "common level component")
 
-    raw_edges.sort(key=lambda t: ((vertices[t[0]].label, t[0]),
-                                  (vertices[t[1]].label, t[1])))
-    edges = [ReebEdge(id=i, lower=lo, upper=hi, preimage=pre)
-             for i, (lo, hi, pre) in enumerate(raw_edges)]
+    # augmentation: the tree path from down[r] to up[r] is monotone, since
+    # a monotone path in the surface maps to one in the tree, and it
+    # crosses r's level on one arc.  Paths are keyed by their pair's index
+    # times nz plus their nodes' ranks, so one searchsorted places every
+    # regular node
+    reg = np.flatnonzero(regular)
+    ends = vid[down[reg]] * k + vid[up[reg]]
+    pair_keys = distinct(ends)
+    nodes, lengths, step = _tree_paths(
+        arcs, k, [divmod(e, k) for e in pair_keys.tolist()])
+    path_key = np.repeat(np.arange(len(lengths)) * nz, lengths) + rank[keep][nodes]
+    if np.any(path_key[1:] <= path_key[:-1]):
+        raise InternalInconsistency(
+            "the tree path of a regular component is not monotone")
+    # the path node just below r is the lower end of r's arc
+    arc_of = step[np.searchsorted(
+        path_key, np.searchsorted(pair_keys, ends) * nz + rank[reg]) - 1]
+
+    # each edge's preimage: the members of its regular nodes, ascending
+    chains = [members[z] for z in reg.tolist()]
+    arc_of = np.repeat(arc_of, np.fromiter(map(len, chains), np.intp, len(chains)))
+    flat = np.fromiter(chain.from_iterable(chains), np.intp, len(arc_of))
+    flat = flat[np.lexsort((flat, arc_of))].tolist()
+    bounds = np.cumsum(np.bincount(arc_of, minlength=len(arcs))).tolist()
+    edges = [ReebEdge(id=i, lower=lo, upper=hi, preimage=tuple(flat[s:t]))
+             for i, ((lo, hi), s, t) in enumerate(zip(arcs, [0] + bounds, bounds))]
     return vertices, edges
 
 
@@ -263,10 +383,11 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
     """Build the level-set tree of a field on a genus-0 surface.
 
     Flat zones (only whole constant boundary cycles are admissible) are
-    contracted to single nodes first; the two sweeps then run over the
-    contracted adjacency.  Chain nodes that are regular and of degree two are
-    suppressed, so the result keeps exactly the critical components and the
-    boundary components as vertices.  Every edge strictly increases the
+    contracted to single nodes first.  The two sweeps then run over the
+    critical and boundary zones alone, joined by monotone paths through the
+    regular ones, and each regular zone is placed on its edge afterwards, so
+    the result keeps exactly the critical components and the boundary
+    components as vertices.  Every edge strictly increases the
     label; an edge between two events at the same value means two critical
     vertices share a level component, which is rejected.
 

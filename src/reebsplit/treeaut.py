@@ -277,7 +277,12 @@ def close_under_composition(gens, n: int, max_order: int = MAX_GROUP_ORDER) -> l
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Explicit finite permutation group: sorted element list plus generators."""
+    """Explicit finite permutation group: sorted element list plus generators.
+
+    The group checks also wrap a bare list of permutations, which need not
+    be a group, in one without generators, to reach the same cached closure
+    check.
+    """
 
     elements: tuple[Perm, ...]
     generators: tuple[Perm, ...]
@@ -293,6 +298,15 @@ class AutGroup:
     @cached_property
     def element_set(self) -> frozenset[Perm]:
         return frozenset(self.elements)
+
+    @cached_property
+    def closure(self) -> tuple[list[Perm], tuple[Perm, Perm, Perm] | None]:
+        """The greedy generators T of the elements and the first product
+        (g, t, g o t) of their span that leaves the elements, or None when
+        the elements are a group.  Worked out once for every closure check
+        on this group; the span's own element list is not kept."""
+        span = _greedy_span(self.elements, self.n, self.element_set)
+        return span.gens, span.escape
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set
@@ -326,14 +340,9 @@ def verify_group_axioms(group) -> bool:
     missing identity shows up as a product leaving the set.  Costs |G|·|T|
     compositions, with |T| <= log2 |G|.
     """
-    if isinstance(group, AutGroup):
-        elems, within = group.elements, group.element_set
-    else:
-        elems = list(group)
-        within = set(elems)
-    if not elems:
-        return False
-    return _greedy_span(elems, len(elems[0]), within).escape is None
+    if not isinstance(group, AutGroup):
+        group = AutGroup(tuple(group), ())
+    return bool(group.elements) and group.closure[1] is None
 
 
 def _minimal_generators(elements: list[Perm], n: int) -> tuple[Perm, ...]:
@@ -480,9 +489,11 @@ def fixed_set(group, tree: LabeledTree) -> FixedSet:
     flipped invariant edge exists, which would contradict the fixed-point
     property of finite groups acting on trees.
     """
-    elems = list(group.elements if isinstance(group, AutGroup) else group)
-    if not verify_group_axioms(elems):
+    if not isinstance(group, AutGroup):
+        group = AutGroup(tuple(group), ())
+    if not verify_group_axioms(group):
         raise ValueError("fixed_set needs a group (closure check failed)")
+    elems = group.elements
     n = tree.n
     fixed_vertices = [v for v in range(n) if all(p[v] == v for p in elems)]
     if fixed_vertices:
@@ -674,9 +685,12 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     generating set of the elements: the span of T stays inside the set and
     covers it, and pair_of(g o t) = pair_of(g) o pair_of(t) for every g in G
     and t in T, which by induction on word length covers every pair of G.
-    A failing check names its witness in ``notes``.
+    A failing check names its witness in ``notes``.  ``elements`` may be an
+    AutGroup, whose closure check is then made once for all the cuts
+    checked with it.
     """
-    elements = list(elements)
+    group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements), ())
+    elements = group.elements
     notes = []
     pairs = {}
     ok_map = True
@@ -699,16 +713,16 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     injective = all(g == ident for g in elements if pairs[g] == ident_pair)
 
     homomorphism = True
-    elem_set = set(elements)
-    span = _greedy_span(elements, n, elem_set)
-    if span.escape is not None:
+    elem_set = group.element_set
+    gens, escape = group.closure
+    if escape is not None:
         homomorphism = False
-        g, t, gt = span.escape
+        g, t, gt = escape
         notes.append(f"element set not closed under composition: "
                      f"g={g} times t={t} gives {gt}, which is missing")
     else:
         # the trivial group has no generators; its one product is e o e
-        for g, t in product(elements, span.gens or [ident]):
+        for g, t in product(elements, gens or [ident]):
             (ga, gb), (ta, tb) = pairs[g], pairs[t]
             if pairs[compose(g, t)] != (compose(ga, ta), compose(gb, tb)):
                 homomorphism = False
@@ -739,5 +753,5 @@ def verify_isomorphism(cut: TreeCut, group: AutGroup,
     def glue(pa: Perm, pb: Perm):
         return glue_aut(cut, pa, pb)
 
-    return verify_isomorphism_pairs(group.elements, side_a_group, side_b_group,
+    return verify_isomorphism_pairs(group, side_a_group, side_b_group,
                                     pair_of, glue)

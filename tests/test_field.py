@@ -114,6 +114,9 @@ def test_boundary_reasons_name_their_vertices(interior, reason):
     rep = classify_field(TriangleMesh(verts, tris),
                          ScalarField(np.array([0.0] * 4 + list(interior))))
     assert reason in rep.reasons
+    # a leaking zone is reported once, not also as a plain flat zone
+    flat = {r for r in rep.reasons if r.startswith("FlatZone")}
+    assert flat == ({reason} if reason.startswith("FlatZone") else set())
 
 
 def test_boundary_without_collar_named():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 
@@ -5,17 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebsplit import kernels
+from reebsplit import kernels, reeb
 from reebsplit.errors import (
     EdgeNotFound,
     GenusNotZero,
+    InternalInconsistency,
     InvalidFieldClass,
     ValueCollision,
 )
-from reebsplit.field import ScalarField, flat_contract
+from reebsplit.field import Criticality, ScalarField, classify_field, flat_contract
 from reebsplit.gen import random_field, random_realizable_tree, realize_tree
 from reebsplit.mesh import TriangleMesh, cut_along_cycle
 from reebsplit.reeb import (
+    ReebEdge,
+    ReebVertex,
     _contour_tree,
     _tree_from_sweeps,
     build_reeb,
@@ -320,22 +324,31 @@ def assert_peel_matches_oracle(values, indptr, indices):
     return got
 
 
+def sphere_and_disks(mesh, field):
+    """The sphere and the two disks of every cut across one of its edges."""
+    graph = build_reeb(mesh, field)
+    yield mesh, field
+    for eid in range(graph.n_edges):
+        cycle = level_cycle(mesh, field, graph, eid,
+                            choose_cut_value(field, graph, eid))
+        for piece in cut_along_cycle(mesh, field, cycle):
+            yield piece.mesh, piece.field
+
+
+def corpus_pieces(count):
+    """Every sphere and cut disk of the first ``count`` corpus fields."""
+    for seed, n, symmetry in split_corpus_seeds(count):
+        tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
+        yield from sphere_and_disks(*realize_tree(tree, 4))
+
+
 def test_peel_matches_oracle_on_corpus_spheres_and_disks():
     checked = 0
-    for seed, n, symmetry in split_corpus_seeds(40):
-        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry,
-                                                          seed=seed), 4)
-        graph = build_reeb(mesh, field)
-        pieces = [(mesh, field)]
-        for eid in range(graph.n_edges):
-            cycle = level_cycle(mesh, field, graph, eid,
-                                choose_cut_value(field, graph, eid))
-            pieces += [(p.mesh, p.field) for p in cut_along_cycle(mesh, field, cycle)]
-        for m, f in pieces:
-            contraction = flat_contract(m, f)
-            assert_peel_matches_oracle(contraction.zone_values,
-                                       *contraction.zone_neighbors(m))
-            checked += 1
+    for m, f in corpus_pieces(40):
+        contraction = flat_contract(m, f)
+        assert_peel_matches_oracle(contraction.zone_values,
+                                   *contraction.zone_neighbors(m))
+        checked += 1
     assert checked > 40
 
 
@@ -367,3 +380,184 @@ def test_peel_matches_oracle_on_random_trees(data):
         neighbors[b].append(a)
     got = assert_peel_matches_oracle([float(x) for x in values], *csr(neighbors))
     assert set(got) == {tuple(sorted(e, key=lambda v: (values[v], v))) for e in edges}
+
+
+# ----------------------------------------------------------------------
+# the tree from a peel over every node, with regular nodes suppressed by
+# walking their chains, that the critical-node reduction replaced, kept
+# verbatim as an oracle for vertices, edges and preimages
+
+def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
+                            members) -> tuple[list[ReebVertex], list[ReebEdge]]:
+    """Contour tree of a node graph with degree-2 regular nodes suppressed.
+
+    ``indptr`` and ``indices`` are the graph's CSR adjacency; ``members``
+    expands each node back to its mesh vertices for preimage
+    bookkeeping.  Raises InvalidFieldClass when a surviving edge fails to
+    increase the label strictly, which happens exactly when two critical
+    components share a level component.
+    """
+    nz = len(values)
+    down = [[] for _ in range(nz)]
+    up = [[] for _ in range(nz)]
+    for lo, hi in _contour_tree(values, indptr, indices):
+        up[lo].append(hi)
+        down[hi].append(lo)
+
+    # every regular node must be a plain chain link, and only those go
+    for z in range(nz):
+        if kinds[z] == "regular" and not len(down[z]) == len(up[z]) == 1:
+            raise InternalInconsistency(
+                f"regular component {z} has tree degree {len(down[z]) + len(up[z])}")
+    keep = [z for z in range(nz) if kinds[z] != "regular"]
+
+    vid_of = {}
+    vertices = []
+    for i, z in enumerate(sorted(keep, key=values.__getitem__)):
+        vid_of[z] = i
+        vertices.append(ReebVertex(
+            id=i, label=values[z], kind=kinds[z], multiplicity=mults[z],
+            preimage=tuple(members[z])))
+
+    raw_edges = []
+    for z in keep:
+        for cur in up[z]:
+            chain = []
+            while cur not in vid_of:
+                chain.extend(members[cur])
+                cur = up[cur][0]
+            lo, hi = vid_of[z], vid_of[cur]
+            if not vertices[lo].label < vertices[hi].label:
+                raise InvalidFieldClass(
+                    "two critical components share one level value on a "
+                    "common level component")
+            raw_edges.append((lo, hi, tuple(sorted(chain))))
+
+    raw_edges.sort(key=lambda t: ((vertices[t[0]].label, t[0]),
+                                  (vertices[t[1]].label, t[1])))
+    edges = [ReebEdge(id=i, lower=lo, upper=hi, preimage=pre)
+             for i, (lo, hi, pre) in enumerate(raw_edges)]
+    return vertices, edges
+
+
+@pytest.fixture
+def checked_against_oracle(monkeypatch):
+    """Makes every build_reeb compare its tree with the oracle's; the list
+    it returns counts the trees compared."""
+    reduced = reeb._tree_from_sweeps
+    checked = []
+
+    def both(*args):
+        got = reduced(*args)
+        want = oracle_tree_from_sweeps(*args)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        checked.append(len(args[0]))
+        return got
+
+    monkeypatch.setattr(reeb, "_tree_from_sweeps", both)
+    return checked
+
+
+def test_reduced_tree_matches_oracle_on_corpus(checked_against_oracle):
+    pieces = 0
+    for mesh, field in corpus_pieces(200):
+        build_reeb(mesh, field)
+        pieces += 1
+    assert pieces == 3334
+    # each sphere is built once more, to find its cuts
+    assert len(checked_against_oracle) == pieces + 200
+
+
+def test_reduced_tree_matches_oracle_on_large_sphere(checked_against_oracle):
+    tree = random_realizable_tree(n=14, symmetry=2, seed=1)
+    mesh, field = realize_tree(tree, 48)
+    assert mesh.n_vertices == 4148
+    pieces = 0
+    for m, f in sphere_and_disks(mesh, field):
+        build_reeb(m, f)
+        pieces += 1
+    for seed in range(12):
+        graph = build_reeb(mesh, random_field(mesh, seed))
+        assert graph.n_vertices > 2000
+    assert len(checked_against_oracle) == pieces + 1 + 12
+
+
+def relabeled_regular(fclass, vertex):
+    """The classification with one vertex called regular."""
+    per_vertex = list(fclass.per_vertex)
+    per_vertex[vertex] = Criticality("regular", 0, 1, 1)
+    return dataclasses.replace(fclass, per_vertex=tuple(per_vertex))
+
+
+def test_tampered_classification_raises_typed_error():
+    # a critical vertex relabelled regular must end in the typed error,
+    # never in a bare exception from the array code or in GenusNotZero
+    cases = pairs = 0
+    for seed, n, symmetry in split_corpus_seeds(30):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry,
+                                                          seed=seed), 4)
+        fclass = classify_field(mesh, field)
+        kinds = [c.kind for c in fclass.per_vertex]
+        for kind in ("saddle", "maximum", "minimum"):
+            if kind not in kinds:
+                continue
+            with pytest.raises(InternalInconsistency):
+                build_reeb(mesh, field, fclass=relabeled_regular(fclass, kinds.index(kind)))
+            cases += 1
+        # two saddles called regular can leave a reduced graph whose peel
+        # has too few arcs
+        saddles = [v for v, kind in enumerate(kinds) if kind == "saddle"]
+        for i, a in enumerate(saddles):
+            for b in saddles[i + 1:]:
+                tampered = relabeled_regular(relabeled_regular(fclass, a), b)
+                with pytest.raises(InternalInconsistency):
+                    build_reeb(mesh, field, fclass=tampered)
+                pairs += 1
+    assert (cases, pairs) == (88, 105)
+
+
+def test_tampered_random_field_raises_typed_error():
+    # on a random field, a saddle called regular can leave a regular vertex
+    # whose tree path between the ends of its descent and ascent is not
+    # monotone, where searchsorted could place it on any arc
+    mesh, _ = realize_tree(random_realizable_tree(n=6, symmetry=1, seed=3), 8)
+    field = random_field(mesh, 0)
+    fclass = classify_field(mesh, field)
+    messages = set()
+    for vertex, crit in enumerate(fclass.per_vertex):
+        if crit.kind == "saddle":
+            with pytest.raises(InternalInconsistency) as err:
+                build_reeb(mesh, field, fclass=relabeled_regular(fclass, vertex))
+            messages.add(str(err.value))
+    assert "the tree path of a regular component is not monotone" in messages
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduced_tree_matches_oracle_on_random_trees(data):
+    # on a tree graph a node's link runs are its neighbours, so a node is
+    # regular exactly when it has one neighbour below and one above
+    n = data.draw(st.integers(2, 40))
+    parent = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    values = [float(x) for x in data.draw(st.lists(st.integers(0, 5), min_size=n,
+                                                    max_size=n))]
+    neighbors = [[] for _ in range(n)]
+    for i, p in enumerate(parent):
+        neighbors[i + 1].append(p)
+        neighbors[p].append(i + 1)
+    kinds = []
+    for v in range(n):
+        below = sum((values[w], w) < (values[v], v) for w in neighbors[v])
+        above = len(neighbors[v]) - below
+        kinds.append("minimum" if not below else "maximum" if not above
+                     else "regular" if below == above == 1 else "saddle")
+    args = (values, *csr([sorted(nb) for nb in neighbors]), kinds, [0] * n,
+            [(v,) for v in range(n)])
+    try:
+        want = oracle_tree_from_sweeps(*args)
+    except InvalidFieldClass:
+        with pytest.raises(InvalidFieldClass):
+            _tree_from_sweeps(*args)
+    else:
+        assert _tree_from_sweeps(*args) == want

@@ -217,6 +217,25 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
     assert len(calls["verify_group_axioms"]) == 1
 
 
+
+def test_sphere_group_span_built_once_for_all_closure_checks(double_fork_tree,
+                                                            monkeypatch):
+    mesh, field = realize_tree(double_fork_tree, 4)
+    group = enumerate_aut(reeb_to_tree(build_reeb(mesh, field)))
+    assert group.order > 1
+    spans = []
+    greedy = treeaut._greedy_span
+
+    def counted(elements, *args, **kwargs):
+        spans.append(tuple(elements))
+        return greedy(elements, *args, **kwargs)
+
+    monkeypatch.setattr(treeaut, "_greedy_span", counted)
+    assert len(verify_all_fixed_edges(mesh, field)) == 2
+    # one span picks the generators at enumeration; the closure checks of
+    # fixed_set and of both fixed edges share one more
+    assert spans.count(group.elements) == 2
+
 def _cut_disk(mesh, field):
     """The lower disk of the octahedron cut across its only edge."""
     graph = build_reeb(mesh, field)
