@@ -20,12 +20,7 @@ from .field import classify_field
 from .gen import octahedron_height, random_field, random_realizable_tree, realize_tree
 from .mesh import validate_surface
 from .reeb import build_reeb, export_dot
-from .split import (
-    analyze_sphere,
-    reeb_to_tree,
-    verify_all_fixed_edges,
-    verify_theorem,
-)
+from .split import analyze_sphere, verify_all_fixed_edges, verify_theorem
 from .treeaut import AutGroup, element_order_histogram, enumerate_aut
 
 EXIT_OK = 0
@@ -73,7 +68,7 @@ def cmd_reeb(args) -> int:
 def cmd_aut(args) -> int:
     mesh, field = _load(args)
     graph = build_reeb(mesh, field)
-    group = enumerate_aut(reeb_to_tree(graph))
+    group = enumerate_aut(graph.tree)
     hist = element_order_histogram(group)
     print(f"group order: {group.order}")
     print("element-order histogram:",
@@ -85,6 +80,21 @@ def cmd_aut(args) -> int:
     return EXIT_OK
 
 
+def _load_replay(path: str) -> AutGroup:
+    """The element list of a group dump; its other keys are not read.
+    ``verify_theorem`` checks that each element permutes the tree's
+    vertices."""
+    data = json.loads(Path(path).read_text())
+    elems = data.get("elements") if isinstance(data, dict) else None
+    if not isinstance(elems, list) or not elems:
+        raise ValueError("--replay-group needs a JSON object whose "
+                         "\"elements\" is a non-empty list")
+    for i, p in enumerate(elems):
+        if not (isinstance(p, list) and all(type(x) is int for x in p)):
+            raise ValueError(f"replayed element {i} is not a list of integers")
+    return AutGroup(tuple(tuple(p) for p in elems))
+
+
 def cmd_split(args) -> int:
     mesh, field = _load(args)
     replay = None
@@ -92,10 +102,7 @@ def cmd_split(args) -> int:
         if args.all_edges:
             raise ValueError("--replay-group audits a single cut; "
                              "drop --all-edges")
-        data = json.loads(Path(args.replay_group).read_text())
-        elems = tuple(tuple(p) for p in data["elements"])
-        gens = tuple(tuple(p) for p in data.get("generators", []))
-        replay = AutGroup(elements=elems, generators=gens)
+        replay = _load_replay(args.replay_group)
     if args.all_edges:
         sphere = analyze_sphere(mesh, field)
         reports = verify_all_fixed_edges(mesh, field, sphere=sphere)

@@ -21,6 +21,7 @@ from .errors import (
     GenusNotZero,
     InternalInconsistency,
     InvalidFieldClass,
+    InvalidTree,
     ValueCollision,
 )
 from .field import FieldClassReport, ScalarField, classify_field
@@ -32,6 +33,7 @@ from .mesh import (
     distinct,
     validate_surface,
 )
+from .treeaut import LabeledTree, walk
 
 
 @dataclass(frozen=True)
@@ -52,16 +54,17 @@ class ReebEdge:
 
 
 class ReebGraph:
-    """Labeled tree of level-set components with mesh preimage bookkeeping."""
+    """Level-set tree, as the ``LabeledTree`` ``tree``, with the kinds and
+    mesh preimages of its vertices and edges."""
 
     def __init__(self, vertices: list[ReebVertex], edges: list[ReebEdge]):
         self.vertices = vertices
         self.edges = edges
-        self.down_edges = [[] for _ in vertices]
-        self.up_edges = [[] for _ in vertices]
-        for e in edges:
-            self.up_edges[e.lower].append(e.id)
-            self.down_edges[e.upper].append(e.id)
+        # vertex ids ascend with (label, zone) and each edge has lower <
+        # upper, so the tree keeps the edges as they are and its ids are the
+        # graph's; raises InvalidTree unless the edges form a tree
+        self.tree = LabeledTree([v.label for v in vertices],
+                                [(e.lower, e.upper) for e in edges])
 
     @property
     def n_vertices(self) -> int:
@@ -70,39 +73,6 @@ class ReebGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, vid: int) -> int:
-        return len(self.down_edges[vid]) + len(self.up_edges[vid])
-
-    def leaves(self) -> list[int]:
-        return [v.id for v in self.vertices if self.degree(v.id) == 1]
-
-    def is_tree(self) -> bool:
-        if self.n_edges != self.n_vertices - 1:
-            return False
-        seen = [False] * self.n_vertices
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for eid in self.up_edges[v] + self.down_edges[v]:
-                e = self.edges[eid]
-                w = e.upper if e.lower == v else e.lower
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n_vertices
-
-    def edge_between(self, a: int, b: int) -> int | None:
-        for eid in self.up_edges[a]:
-            if self.edges[eid].upper == b:
-                return eid
-        for eid in self.down_edges[a]:
-            if self.edges[eid].lower == b:
-                return eid
-        return None
 
     def to_dict(self) -> dict:
         return {
@@ -234,23 +204,20 @@ def _jump(pointer: np.ndarray) -> np.ndarray:
 def _tree_paths(arcs, k: int, pairs) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The paths of a tree between node pairs (a, b), one after the other.
 
-    ``arcs`` are the arcs of a tree on nodes ``0 .. k-1``.  Returns the
-    nodes of all paths in order, the node count of each path, and the arc
-    from each node to the next one (meaningless at the end of a path).  The
-    two ends of a pair climb the tree rooted at node 0 until they meet.
+    ``arcs`` are the sorted arcs (lo, hi), lo < hi, of a tree on nodes
+    ``0 .. k-1``.  Returns the nodes of all paths in order, the node count
+    of each path, and the arc from each node to the next one (meaningless
+    at the end of a path).  The two ends of a pair climb the tree rooted at
+    node 0 until they meet.
     """
     nbrs = [[] for _ in range(k)]
-    for e, (lo, hi) in enumerate(arcs):
-        nbrs[lo].append((hi, e))
-        nbrs[hi].append((lo, e))
-    parent, via, depth = [-1] * k, [-1] * k, [0] * k
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, e in nbrs[v]:
-            if w != parent[v]:
-                parent[w], via[w], depth[w] = v, e, depth[v] + 1
-                stack.append(w)
+    for lo, hi in arcs:
+        nbrs[lo].append(hi)
+        nbrs[hi].append(lo)
+    order, parent = walk(nbrs, 0)
+    depth = [0] * k
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
 
     nodes, lengths = [], []
     for a, b in pairs:
@@ -266,11 +233,13 @@ def _tree_paths(arcs, k: int, pairs) -> tuple[np.ndarray, list[int], np.ndarray]
         head += reversed(tail)
         nodes += head
         lengths.append(len(head))
-    # consecutive path nodes are a child and its parent, joined by the
-    # child's arc
+    # the arc between consecutive path nodes a, b is the one keyed
+    # min * k + max among the sorted arcs' keys lo * k + hi
     nodes = np.array(nodes, dtype=np.intp)
-    parent, via = np.array(parent), np.array(via)
-    step = np.where(parent[nodes[:-1]] == nodes[1:], via[nodes[:-1]], via[nodes[1:]])
+    lo_hi = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+    a, b = nodes[:-1], nodes[1:]
+    step = np.searchsorted(lo_hi[:, 0] * k + lo_hi[:, 1],
+                           np.minimum(a, b) * k + np.maximum(a, b))
     return nodes, lengths, step
 
 
@@ -420,12 +389,12 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
     vertices, edges = _tree_from_sweeps(contraction.zone_values,
                                         *contraction.zone_neighbors(mesh),
                                         kinds, mults, zones)
-    graph = ReebGraph(vertices, edges)
-
-    if not graph.is_tree():
-        raise GenusNotZero("level-set graph is not a tree")
+    try:
+        graph = ReebGraph(vertices, edges)
+    except InvalidTree:
+        raise GenusNotZero("level-set graph is not a tree") from None
     for v in graph.vertices:
-        deg = graph.degree(v.id)
+        deg = graph.tree.degree(v.id)
         if v.kind in ("minimum", "maximum", "boundary"):
             if deg != 1:
                 raise InternalInconsistency(f"leaf-kind vertex {v.id} has degree {deg}")

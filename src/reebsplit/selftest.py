@@ -18,7 +18,7 @@ from .errors import GroupTooLarge
 from .field import classify_field, euler_identity_holds
 from .gen import octahedron_height, random_realizable_tree, realize_tree
 from .reeb import build_reeb
-from .split import analyze_sphere, reeb_to_tree, verify_all_fixed_edges
+from .split import analyze_sphere, verify_all_fixed_edges
 from .treeaut import (
     LabeledTree,
     close_under_composition,
@@ -27,6 +27,7 @@ from .treeaut import (
     enumerate_general_aut,
     fixed_set,
     tree_isomorphic,
+    walk,
 )
 
 
@@ -82,16 +83,11 @@ def _depth_labels(n: int, edges) -> list[float]:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    depth = [-1] * n
-    depth[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return [float(d) for d in depth]
+    order, parent = walk(adj, 0)
+    depth = [0.0] * n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1.0
+    return depth
 
 
 def star_tree(k: int) -> LabeledTree:
@@ -171,7 +167,7 @@ def criterion_round_trip(quick: bool, ctx: dict) -> CriterionResult:
         if not (fclass.valid and euler_identity_holds(fclass)):
             euler_ok = False
         graph = build_reeb(mesh, field, fclass=fclass)
-        if not tree_isomorphic(tree, reeb_to_tree(graph)):
+        if not tree_isomorphic(tree, graph.tree):
             bad.append(seed)
     ctx["round_trip_euler_ok"] = euler_ok
     dt = time.perf_counter() - t0

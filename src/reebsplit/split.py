@@ -31,11 +31,9 @@ from .treeaut import (
 )
 
 
-def reeb_to_tree(graph: ReebGraph, marked: int | None = None) -> LabeledTree:
-    """Labeled tree sharing vertex and edge ids with a level-set tree."""
-    return LabeledTree([v.label for v in graph.vertices],
-                       [(e.lower, e.upper) for e in graph.edges],
-                       marked=marked)
+def reeb_to_tree(graph: ReebGraph) -> LabeledTree:
+    """The labeled tree of a level-set graph, sharing its vertex and edge ids."""
+    return graph.tree
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def analyze_sphere(mesh: TriangleMesh, field: ScalarField, *,
         surface = validate_surface(mesh)
     fclass = classify_field(mesh, field)
     graph = build_reeb(mesh, field, surface=surface, fclass=fclass)
-    tree = reeb_to_tree(graph)
+    tree = graph.tree
     group = enumerate_aut(tree)
     return SphereAnalysis(surface=surface, fclass=fclass, graph=graph,
                           tree=tree, group=group, fixed=fixed_set(group, tree))
@@ -207,16 +205,24 @@ def check_subtree_group_gap(cut: TreeCut, *,
     """Compare marked-leaf-fixing and unconstrained subtree groups.
 
     ``side_orders`` passes in the orders of the two marked side groups when
-    the caller has already enumerated them.
+    the caller has already enumerated them.  The marked group is the
+    stabilizer of the cut leaf x in the unmarked one, so the unmarked order
+    is the marked order times the size of x's orbit: the vertices y with
+    x's label that an isomorphism of the side tree onto itself can map x to
+    (``tree_isomorphic`` ignores the mark).
     """
     if side_orders is None:
         side_orders = tuple(enumerate_aut(cut.side(name).tree).order
                             for name in ("A", "B"))
-    return tuple(
-        GapNote(side=name, marked_order=marked,
-                unmarked_order=enumerate_aut(
-                    cut.side(name).tree.with_marked(None)).order)
-        for name, marked in zip(("A", "B"), side_orders))
+    notes = []
+    for name, marked in zip(("A", "B"), side_orders):
+        t = cut.side(name).tree
+        x = t.marked
+        orbit = sum(tree_isomorphic(t, t, pin=(x, y))
+                    for y in range(t.n) if t.labels[y] == t.labels[x])
+        notes.append(GapNote(side=name, marked_order=marked,
+                             unmarked_order=marked * orbit))
+    return tuple(notes)
 
 
 def verify_theorem(mesh: TriangleMesh, field: ScalarField,
@@ -230,10 +236,11 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
     fixed set contains no edge the report states that the hypothesis fails,
     which is a clean outcome, not an error.  ``replay_group`` substitutes a
     previously dumped element list for the enumerated group (used to audit
-    external dumps; a tampered dump fails the verdict).  ``sphere`` passes
-    in ``analyze_sphere(mesh, field)`` when the caller already has it.  The
-    surface must be a closed sphere either way, and that is checked before
-    the tree is built.
+    external dumps; a tampered dump fails the verdict, and an element that
+    is no permutation of the tree's vertices raises ValueError).
+    ``sphere`` passes in ``analyze_sphere(mesh, field)`` when the caller
+    already has it.  The surface must be a closed sphere either way, and
+    that is checked before the tree is built.
     """
     t0 = time.perf_counter()
     surface = validate_surface(mesh) if sphere is None else sphere.surface
@@ -245,7 +252,14 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
     graph, tree, fixed = sphere.graph, sphere.tree, sphere.fixed
     # the enumerated group drives the geometry (fixed set, cut choice); a
     # replayed dump is the claimed element list whose pairing gets audited
-    group = sphere.group if replay_group is None else replay_group
+    group = sphere.group
+    if replay_group is not None:
+        group = replay_group
+        vertices = list(range(tree.n))
+        for i, p in enumerate(group.elements):
+            if sorted(p) != vertices:
+                raise ValueError(f"replayed element {i} is not a permutation "
+                                 f"of the {tree.n} tree vertices")
 
     base = dict(
         reeb_vertices=graph.n_vertices,
@@ -298,7 +312,7 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
                                     fclass=fclass)
             boundary_leaf = next(v.id for v in disk_graph.vertices
                                  if v.kind == "boundary")
-            match = tree_isomorphic(reeb_to_tree(disk_graph), expected,
+            match = tree_isomorphic(disk_graph.tree, expected,
                                     pin=(boundary_leaf, side_tree.marked))
         disks.append(DiskCheck(
             side=name,

@@ -2,17 +2,21 @@
 and the cut/restrict/glue machinery used by the splitting pipeline.
 
 Automorphisms are stored as explicit vertex permutations (tuples).  Groups
-are explicit element lists; the supported bound is 10^4 elements, far above
-anything the generators produce.
+are explicit element lists, bounded by 10^4 elements by default; larger
+groups (``bumps --n 8`` has 40320) raise GroupTooLarge unless the caller
+passes a higher ``max_order``.
 
 Group checks run on generators: one incremental span helper (``_Span``)
 grows the subgroup generated by a greedy generating set T, optionally
-confined to a set of permutations.  Closure (``verify_group_axioms``) and
-the splitting homomorphism (``verify_isomorphism_pairs``) are checked on
-G x T, |T| <= log2 |G|, instead of on all |G|^2 pairs.
+confined to a set of permutations.  Each group builds that span once, as
+its cached ``closure``, and takes its generators from it.  Closure
+(``verify_group_axioms``) and the splitting homomorphism
+(``verify_isomorphism_pairs``) are checked on G x T, |T| <= log2 |G|,
+instead of on all |G|^2 pairs.
 
 Enumeration, canonical forms and every walk over a tree are iterative, so
-trees of any depth are handled without recursion.
+trees of any depth are handled without recursion; every walk is the one
+breadth-first ``walk``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,23 @@ MAX_GROUP_ORDER = 10_000
 
 # ----------------------------------------------------------------------
 # trees
+
+def walk(adj, root: int, avoid: int = -1) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the vertices reached from ``root`` without
+    passing ``avoid``, and each vertex's parent (-1 at the root and at the
+    vertices not reached).  ``adj`` lists each vertex's neighbours."""
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
+    seen[root] = True
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if not seen[w] and w != avoid:
+                seen[w] = True
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
 
 class LabeledTree:
     """Tree with one real label per vertex; adjacent labels must differ.
@@ -67,28 +88,11 @@ class LabeledTree:
             self.adj[v].append(u)
         for a in self.adj:
             a.sort()
-        if len(self.edges) != n - 1 or not self._connected():
+        if len(self.edges) != n - 1 or len(walk(self.adj, 0)[0]) != n:
             raise InvalidTree("not a tree")
         for u, v in self.edges:
             if self.labels[u] == self.labels[v]:
                 raise InvalidTree(f"adjacent vertices {(u, v)} share a label")
-
-    def _connected(self) -> bool:
-        n = len(self.labels)
-        if n == 0:
-            return False
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        k = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    k += 1
-                    stack.append(w)
-        return k == n
 
     @property
     def n(self) -> int:
@@ -96,13 +100,6 @@ class LabeledTree:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edges.index(key)
-        except ValueError:
-            raise EdgeNotFound(f"no edge {key}") from None
 
     def with_marked(self, marked: int | None) -> "LabeledTree":
         return LabeledTree(self.labels, self.edges, marked)
@@ -127,13 +124,7 @@ def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
         # bottom-up AHU: a vertex's form is its label and its children's
         # sorted form ids, interned as one int; children precede parents
         # in reverse BFS order
-        parent = {root: -1}
-        order = [root]
-        for v in order:
-            for w in tree.adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
+        order, parent = walk(tree.adj, root)
         kids: dict[int, list[int]] = {}
         form = 0
         for v in reversed(order):
@@ -152,24 +143,15 @@ def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
 
 
 def _centers(tree: LabeledTree) -> list[int]:
-    n = tree.n
-    if n == 1:
-        return [0]
-    deg = [tree.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
-    removed = len(layer)
-    while removed < n:
-        nxt = []
-        for v in layer:
-            for w in tree.adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        if not nxt:
-            break
-        layer = nxt
-        removed += len(layer)
-    return sorted(layer)
+    """The middle one or two vertices of a longest path, which runs from
+    the vertex farthest from any vertex to the one farthest from it."""
+    far = walk(tree.adj, 0)[0][-1]
+    order, parent = walk(tree.adj, far)
+    path = [order[-1]]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    k = len(path)
+    return sorted(path[(k - 1) // 2:k // 2 + 1])
 
 
 # ----------------------------------------------------------------------
@@ -277,15 +259,13 @@ def close_under_composition(gens, n: int, max_order: int = MAX_GROUP_ORDER) -> l
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Explicit finite permutation group: sorted element list plus generators.
+    """Explicit finite permutation group as its sorted element list.
 
     The group checks also wrap a bare list of permutations, which need not
-    be a group, in one without generators, to reach the same cached closure
-    check.
+    be a group, in one, to reach the same cached closure check.
     """
 
     elements: tuple[Perm, ...]
-    generators: tuple[Perm, ...]
 
     @property
     def order(self) -> int:
@@ -307,6 +287,11 @@ class AutGroup:
         on this group; the span's own element list is not kept."""
         span = _greedy_span(self.elements, self.n, self.element_set)
         return span.gens, span.escape
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        """The greedy generators T, read from the cached closure span."""
+        return tuple(self.closure[0])
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set
@@ -341,15 +326,17 @@ def verify_group_axioms(group) -> bool:
     compositions, with |T| <= log2 |G|.
     """
     if not isinstance(group, AutGroup):
-        group = AutGroup(tuple(group), ())
+        group = AutGroup(tuple(group))
     return bool(group.elements) and group.closure[1] is None
 
 
-def _minimal_generators(elements: list[Perm], n: int) -> tuple[Perm, ...]:
-    span = _greedy_span(elements, n, set(elements))
-    if span.escape is not None:
+def _enumerated_group(elements: list[Perm]) -> AutGroup:
+    """The group of enumerated maps, whose closure span is built here once
+    for the generators and every later closure check."""
+    group = AutGroup(tuple(elements))
+    if group.closure[1] is not None:
         raise InternalInconsistency("enumerated maps are not closed under composition")
-    return tuple(span.gens)
+    return group
 
 
 # ----------------------------------------------------------------------
@@ -387,16 +374,7 @@ def _enumerate(tree: LabeledTree, use_labels: bool,
     # search order: BFS from a deterministic root so every later vertex has a
     # mapped neighbour to anchor its candidates
     root = min(range(n), key=lambda v: (len(classes[colors[v]]), colors[v], v))
-    bfs = [root]
-    parent = {root: -1}
-    qi = 0
-    while qi < len(bfs):
-        u = bfs[qi]
-        qi += 1
-        for w in tree.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                bfs.append(w)
+    bfs, parent = walk(tree.adj, root)
 
     # depth-first backtracking over the BFS positions with an explicit
     # stack: level i maps bfs[i], trying its candidates in list order
@@ -446,17 +424,13 @@ def _enumerate(tree: LabeledTree, use_labels: bool,
 
 def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
     """All label-preserving automorphisms (fixing the mark when present)."""
-    elems = _enumerate(tree, use_labels=True, max_order=max_order)
-    return AutGroup(elements=tuple(elems),
-                    generators=_minimal_generators(elems, tree.n))
+    return _enumerated_group(_enumerate(tree, use_labels=True, max_order=max_order))
 
 
 def enumerate_general_aut(tree: LabeledTree,
                           max_order: int = MAX_GROUP_ORDER) -> AutGroup:
     """All cellular automorphisms, labels ignored."""
-    elems = _enumerate(tree, use_labels=False, max_order=max_order)
-    return AutGroup(elements=tuple(elems),
-                    generators=_minimal_generators(elems, tree.n))
+    return _enumerated_group(_enumerate(tree, use_labels=False, max_order=max_order))
 
 
 # ----------------------------------------------------------------------
@@ -490,18 +464,19 @@ def fixed_set(group, tree: LabeledTree) -> FixedSet:
     property of finite groups acting on trees.
     """
     if not isinstance(group, AutGroup):
-        group = AutGroup(tuple(group), ())
+        group = AutGroup(tuple(group))
     if not verify_group_axioms(group):
         raise ValueError("fixed_set needs a group (closure check failed)")
     elems = group.elements
     n = tree.n
-    fixed_vertices = [v for v in range(n) if all(p[v] == v for p in elems)]
+    fixed = [all(p[v] == v for p in elems) for v in range(n)]
+    fixed_vertices = [v for v in range(n) if fixed[v]]
     if fixed_vertices:
-        fixed_edges = []
-        for eid, (u, v) in enumerate(tree.edges):
-            if all(p[u] == u and p[v] == v for p in elems):
-                fixed_edges.append(eid)
-        if not _subtree_connected(tree, fixed_vertices):
+        # the fixed edges are the tree edges inside the fixed vertices, which
+        # span a subtree exactly when they are one fewer than the vertices
+        fixed_edges = [eid for eid, (u, v) in enumerate(tree.edges)
+                       if fixed[u] and fixed[v]]
+        if len(fixed_edges) != len(fixed_vertices) - 1:
             raise InternalInconsistency("fixed vertex set is not connected")
         return FixedSet(variant="subtree",
                         vertices=tuple(fixed_vertices),
@@ -517,20 +492,6 @@ def fixed_set(group, tree: LabeledTree) -> FixedSet:
             f"no fixed vertex and {len(candidates)} flipped invariant edges")
     eid, witness = candidates[0]
     return FixedSet(variant="midpoint", midpoint_edge=eid, flip_witness=witness)
-
-
-def _subtree_connected(tree: LabeledTree, vertices: list[int]) -> bool:
-    vs = set(vertices)
-    start = vertices[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
 
 
 # ----------------------------------------------------------------------
@@ -583,19 +544,8 @@ def cut_tree_at(tree: LabeledTree, edge_id: int,
         cut_label = (tree.labels[u] + tree.labels[v]) / 2.0
     lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
 
-    def component(start: int, banned: int) -> list[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w in tree.adj[x]:
-                if w != banned and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return sorted(seen)
-
     def side_from(start: int, banned: int) -> MarkedSubtree:
-        members = component(start, banned)
+        members = sorted(walk(tree.adj, start, avoid=banned)[0])
         index = {o: i for i, o in enumerate(members)}
         labels = [tree.labels[o] for o in members] + [cut_label]
         x = len(members)
@@ -689,7 +639,7 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     AutGroup, whose closure check is then made once for all the cuts
     checked with it.
     """
-    group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements), ())
+    group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements))
     elements = group.elements
     notes = []
     pairs = {}

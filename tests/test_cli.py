@@ -129,6 +129,28 @@ def test_split_verifies_bumps_seven(tmp_path):
     assert out.startswith("PASS") and "|G| = 5040 = 1 * 5040" in out
 
 
+def test_split_unmarked_side_beyond_the_group_bound(tmp_path):
+    # |G| = 7! = 5040, but on edge 0 the unmarked side B also swaps the cut
+    # leaf with the other label-1 leaf: 10080 elements, an order that comes
+    # from the marked group and the cut leaf's orbit, not from enumeration
+    from reebsplit.gen import realize_tree
+    from reebsplit.treeaut import LabeledTree
+
+    tree = LabeledTree([0.0, 2.0] + [5.0] * 7 + [1.0],
+                       [(0, 1)] + [(1, v) for v in range(2, 9)] + [(1, 9)])
+    path = tmp_path / "wide.json"
+    save_mesh_field(path, *realize_tree(tree, 4))
+    jsn = tmp_path / "wide.split.json"
+    code, out, _ = run(["split", "--input", str(path), "--all-edges",
+                        "--json", str(jsn)])
+    assert code == 0
+    reports = json.loads(jsn.read_text())
+    assert [r["passed"] for r in reports] == [True, True]
+    gap = {g["side"]: g for g in reports[0]["subtree_group_gap"]}
+    assert reports[0]["edge_id"] == 0
+    assert (gap["B"]["marked_order"], gap["B"]["unmarked_order"]) == (5040, 10080)
+
+
 def test_split_hypothesis_failure_exit_zero(tmp_path):
     from reebsplit.gen import realize_tree
     from reebsplit.treeaut import LabeledTree
@@ -183,6 +205,27 @@ def test_replay_group_excludes_all_edges(octa_file, tmp_path):
                         "--replay-group", str(gdump)])
     assert code == 1
     assert "drop --all-edges" in err
+
+
+@pytest.mark.parametrize("dump", [
+    {"order": 6},
+    [],
+    {"elements": []},
+    {"elements": 5},
+    {"elements": [5]},
+    {"elements": [[0, 1, 2, 3, "4"]]},
+    {"elements": [[0, 1, 2, 3, 4], [0, 1, 2]]},
+    {"elements": [[0, 1, 2, 3, 3]]},
+], ids=["no-elements", "top-level-list", "empty-elements", "elements-not-list",
+        "entry-not-list", "string-entry", "short-permutation", "repeated-vertex"])
+def test_replay_group_malformed_file(bumps_file, tmp_path, dump):
+    gdump = tmp_path / "g.json"
+    gdump.write_text(json.dumps(dump))
+    code, _, err = run(["split", "--input", str(bumps_file),
+                        "--replay-group", str(gdump)])
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "Traceback" not in err
 
 
 def test_missing_input_is_invalid(tmp_path):

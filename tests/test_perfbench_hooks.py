@@ -1,17 +1,31 @@
-"""The traced benchmark run wraps program functions by name; every name it
-wraps must still exist, so a refactor cannot silently break that run."""
+"""The benchmark reaches the program through names and call shapes that a
+refactor could break without any program test noticing: the traced run wraps
+program functions by name, and the workloads call the program directly."""
 
+import contextlib
 import importlib
 import importlib.util
+import io as stdio
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from reebsplit.cli import main
+from reebsplit.io import save_mesh_field
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # the workloads' dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_target_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load("tracing")
     assert tracing.TARGETS
     for name, modname, attr, _, _ in tracing.TARGETS:
         owner = importlib.import_module(f"reebsplit.{modname}")
@@ -19,3 +33,16 @@ def test_every_traced_target_resolves():
             assert hasattr(owner, part), (name, modname, attr)
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_workload_operations_match_the_cli(three_bump, octahedron, tmp_path):
+    workloads = load("workloads")
+    for op, argv, (mesh, field) in ((workloads.split_op, ["split", "--all-edges"],
+                                     three_bump),
+                                    (workloads.aut_op, ["aut"], octahedron)):
+        source, report = tmp_path / "in.json", tmp_path / "out.json"
+        save_mesh_field(source, mesh, field)
+        with contextlib.redirect_stdout(stdio.StringIO()):
+            code = main(argv + ["--input", str(source), "--json", str(report)])
+        assert code == 0
+        assert op(source.read_text()) + "\n" == report.read_text(), argv[0]

@@ -122,6 +122,31 @@ def test_subtree_group_gap_detects_marking():
     assert notes["A"].equal
 
 
+def test_unmarked_orders_by_orbit_match_enumeration():
+    trees = [random_realizable_tree(n, symmetry=k, seed=s)
+             for s, n, k in split_corpus_seeds(200)]
+    trees += [random_realizable_tree(2 + s % 9, symmetry=5, seed=s)
+              for s in range(12)]
+    trees += [LabeledTree([0.0, 1.0] + [2.0] * b, [(0, 1)] + [(1, 2 + i) for i in range(b)])
+              for b in range(1, 8)]
+    # besides the midpoint, cut at every vertex label inside the edge, so
+    # that some cut leaves share their label with other vertices
+    sides, gaps = 0, 0
+    for tree in trees:
+        for eid in treeaut.fixed_set(enumerate_aut(tree), tree).edge_ids:
+            lo, hi = sorted(tree.labels[v] for v in tree.edges[eid])
+            for c in [None] + sorted({x for x in tree.labels if lo < x < hi}):
+                cut = cut_tree_at(tree, eid, c)
+                for note in check_subtree_group_gap(cut):
+                    side = cut.side(note.side).tree
+                    assert note.marked_order == enumerate_aut(side).order
+                    assert note.unmarked_order == \
+                        enumerate_aut(side.with_marked(None)).order, (tree, eid, c)
+                    sides += 1
+                    gaps += not note.equal
+    assert sides > 4000 and gaps > 200, (sides, gaps)
+
+
 def test_report_serialization_shape(octahedron):
     mesh, field = octahedron
     report = verify_theorem(mesh, field)
@@ -140,8 +165,7 @@ def test_replay_group_tamper_detected(three_bump):
     mesh, field = three_bump
     graph = build_reeb(mesh, field)
     group = enumerate_aut(reeb_to_tree(graph))
-    tampered = AutGroup(elements=group.elements[:-1],
-                        generators=group.generators)
+    tampered = AutGroup(elements=group.elements[:-1])
     report = verify_theorem(mesh, field, replay_group=tampered)
     assert report.hypothesis_holds
     assert not report.passed
@@ -232,9 +256,9 @@ def test_sphere_group_span_built_once_for_all_closure_checks(double_fork_tree,
 
     monkeypatch.setattr(treeaut, "_greedy_span", counted)
     assert len(verify_all_fixed_edges(mesh, field)) == 2
-    # one span picks the generators at enumeration; the closure checks of
-    # fixed_set and of both fixed edges share one more
-    assert spans.count(group.elements) == 2
+    # one span, built at enumeration, gives the generators and serves the
+    # closure checks of fixed_set and of both fixed edges
+    assert spans.count(group.elements) == 1
 
 def _cut_disk(mesh, field):
     """The lower disk of the octahedron cut across its only edge."""

@@ -17,6 +17,7 @@ from reebsplit.errors import (
 )
 from reebsplit.gen import random_realizable_tree
 from reebsplit.selftest import (
+    _prufer_edges,
     brute_force_aut,
     oracle_corpus,
     split_corpus_seeds,
@@ -25,6 +26,7 @@ from reebsplit.selftest import (
 from reebsplit.treeaut import (
     AutGroup,
     LabeledTree,
+    _centers,
     close_under_composition,
     compose,
     cut_tree_at,
@@ -42,6 +44,7 @@ from reebsplit.treeaut import (
     verify_group_axioms,
     verify_isomorphism,
     verify_isomorphism_pairs,
+    walk,
 )
 
 
@@ -52,6 +55,62 @@ def test_tree_invariants_enforced():
         LabeledTree([0.0, 1.0, 2.0], [(0, 1)])  # disconnected
     with pytest.raises(InvalidTree):
         LabeledTree([0.0, 1.0, 2.0], [(0, 1), (1, 2), (0, 2)])  # cycle
+
+
+def test_tree_check_needs_connection_not_just_the_edge_count():
+    with pytest.raises(InvalidTree, match="not a tree"):
+        # a triangle and an isolated vertex: n - 1 edges, two components
+        LabeledTree([0.0, 1.0, 2.0, 3.0], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InvalidTree, match="duplicate edge"):
+        LabeledTree([0.0, 1.0, 2.0], [(0, 1), (1, 0)])
+
+
+def test_walk_order_parents_and_avoided_vertex():
+    adj = [[1], [0, 2], [1, 3], [2]]  # the path 0 - 1 - 2 - 3
+    assert walk(adj, 1) == ([1, 0, 2, 3], [1, -1, 1, 2])
+    assert walk(adj, 1, avoid=2) == ([1, 0], [1, -1, -1, -1])
+
+
+def peeled_centers(tree):
+    """The centers by peeling leaf layers: the oracle for ``_centers``."""
+    n = tree.n
+    if n == 1:
+        return [0]
+    deg = [tree.degree(v) for v in range(n)]
+    layer = [v for v in range(n) if deg[v] == 1]
+    removed = len(layer)
+    while removed < n:
+        nxt = []
+        for v in layer:
+            for w in tree.adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        if not nxt:
+            break
+        layer = nxt
+        removed += len(layer)
+    return sorted(layer)
+
+
+def unlabeled_tree(n, edges):
+    return LabeledTree([float(v) for v in range(n)], edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32))
+def test_centers_match_leaf_peeling_on_pruefer_trees(n, seed):
+    edges = _prufer_edges(n, random.Random(seed)) if n > 1 else []
+    tree = unlabeled_tree(n, edges)
+    assert _centers(tree) == peeled_centers(tree)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_centers_match_leaf_peeling_on_paths_and_stars(n):
+    path = unlabeled_tree(n, [(v, v + 1) for v in range(n - 1)])
+    assert _centers(path) == peeled_centers(path) == sorted({(n - 1) // 2, n // 2})
+    star = unlabeled_tree(n, [(n // 2, v) for v in range(n) if v != n // 2])
+    assert _centers(star) == peeled_centers(star) == ([n // 2] if n != 2 else [0, 1])
 
 
 def test_path_group_is_trivial():
@@ -497,7 +556,7 @@ def test_multiplicativity_checked_on_every_generator(three_bump_tree):
 def test_trivial_group_with_non_identity_pair_is_no_homomorphism():
     tree = LabeledTree([0.0, 1.0], [(0, 1)])
     cut = cut_tree_at(tree, 0)
-    side = AutGroup(elements=((0, 1), (1, 0)), generators=((1, 0),))
+    side = AutGroup(elements=((0, 1), (1, 0)))
     verdict = verify_isomorphism_pairs([(0, 1)], side, side,
                                        lambda g: ((1, 0), (0, 1)),
                                        lambda a, b: glue_aut(cut, a, b))
