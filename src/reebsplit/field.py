@@ -10,7 +10,6 @@ exactly a whole constant boundary cycle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -46,8 +45,13 @@ class Criticality:
     upper_components: int = 0
 
 
-def _criticality(boundary: bool, lower: int, upper: int) -> Criticality:
-    """Kind of a vertex from the lower and upper runs of its link.
+# kind codes of ``FieldClassReport.kinds``, indexing ``KIND_NAMES``
+REGULAR, MINIMUM, MAXIMUM, SADDLE, BOUNDARY = range(5)
+KIND_NAMES = ("regular", "minimum", "maximum", "saddle", "boundary-regular")
+
+
+def _kinds(boundary: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Kind code of every vertex from the lower and upper runs of its link.
 
     Interior vertices: no lower run is a minimum, no upper run a maximum, one
     of each is regular, and k lower runs (k >= 2) is a saddle of multiplicity
@@ -55,15 +59,13 @@ def _criticality(boundary: bool, lower: int, upper: int) -> Criticality:
     boundary as a whole is admissible is a field-level question handled by
     ``classify_field``.
     """
-    if boundary:
-        return Criticality("boundary-regular", 0, lower, upper)
-    if lower == 0:
-        return Criticality("minimum", 0, 0, upper)
-    if upper == 0:
-        return Criticality("maximum", 0, lower, 0)
-    if lower == 1 and upper == 1:
-        return Criticality("regular", 0, 1, 1)
-    return Criticality("saddle", lower - 1, lower, upper)
+    kinds = np.full(len(lower), SADDLE, dtype=np.int8)
+    # later rules win, so they run from the last case above to the first
+    kinds[(lower == 1) & (upper == 1)] = REGULAR
+    kinds[upper == 0] = MAXIMUM
+    kinds[lower == 0] = MINIMUM
+    kinds[boundary] = BOUNDARY
+    return kinds
 
 
 def _link_runs(mesh: TriangleMesh, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -105,19 +107,37 @@ def _link_runs(mesh: TriangleMesh, field: ScalarField) -> tuple[np.ndarray, np.n
     return lower, changes
 
 
+def csr_rows(flat: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows ``flat[starts[i]:starts[i + 1]]`` of compressed sparse rows,
+    as tuples."""
+    flat, starts = flat.tolist(), starts.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(starts, starts[1:])]
+
+
 @dataclass(frozen=True)
 class FlatContraction:
-    """Maximal connected equal-value subcomplexes contracted to super-vertices."""
+    """Maximal connected equal-value subcomplexes contracted to super-vertices.
+
+    The zones are held as compressed sparse rows: zone ``z`` is
+    ``members[starts[z]:starts[z + 1]]``, its vertices ascending, and zones
+    are numbered by their smallest vertex.
+    """
 
     zone_of: np.ndarray          # vertex -> zone id
-    zones: tuple[tuple[int, ...], ...]
+    members: np.ndarray          # the vertices sorted by zone, ascending in one
+    starts: np.ndarray           # where each zone's members start, and the end
     zone_values: tuple[float, ...]
     identity: bool               # every zone is a single vertex
+
+    @property
+    def zones(self) -> tuple[tuple[int, ...], ...]:
+        """Each zone's vertices, ascending."""
+        return tuple(csr_rows(self.members, self.starts))
 
     def zone_neighbors(self, mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency of the zones: ``indices[indptr[z]:indptr[z + 1]]``
         are the zones next to zone ``z``, ascending."""
-        nz = len(self.zones)
+        nz = len(self.starts) - 1
         zu, zv = self.zone_of[mesh.edge_pairs].T
         apart = zu != zv
         zu, zv = zu[apart], zv[apart]
@@ -138,11 +158,12 @@ def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
     zone_of = np.empty(n, dtype=np.intp)
     zone_of[reps] = np.arange(len(reps))
     zone_of = zone_of[label]
-    members = np.argsort(zone_of, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(zone_of)).tolist()
+    starts = np.zeros(len(reps) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(zone_of), out=starts[1:])
     return FlatContraction(
         zone_of=zone_of,
-        zones=tuple([tuple(members[a:b]) for a, b in zip([0] + ends, ends)]),
+        members=np.argsort(zone_of, kind="stable"),
+        starts=starts,
         zone_values=tuple(vals[reps].tolist()),
         identity=len(reps) == n,
     )
@@ -152,7 +173,6 @@ def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
 class FieldClassReport:
     """Aggregate classification of a field on a validated surface."""
 
-    per_vertex: tuple[Criticality, ...]
     field_class: str  # Morse | F-generic | invalid
     minima: int
     maxima: int
@@ -161,6 +181,23 @@ class FieldClassReport:
     # the flat-zone contraction the classification was made from; build_reeb
     # sweeps over it, so it is computed once per mesh and field
     contraction: FlatContraction = dataclass_field(compare=False, repr=False)
+    # per vertex: the kind code and the lower and upper runs of its link
+    kinds: np.ndarray = dataclass_field(compare=False, repr=False)
+    lower: np.ndarray = dataclass_field(compare=False, repr=False)
+    upper: np.ndarray = dataclass_field(compare=False, repr=False)
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """Per vertex: a saddle's multiplicity, and 0 at every other kind."""
+        return np.where(self.kinds == SADDLE, self.lower - 1, 0)
+
+    @property
+    def per_vertex(self) -> tuple[Criticality, ...]:
+        """The classification of every vertex, as objects."""
+        keys = zip(self.kinds.tolist(), self.multiplicities.tolist(),
+                   self.lower.tolist(), self.upper.tolist())
+        return tuple([Criticality(KIND_NAMES[k], m, lo, up)
+                      for k, m, lo, up in keys])
 
     @property
     def total_multiplicity(self) -> int:
@@ -198,6 +235,7 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
     # zones already reported for leaking off one
     named_zone_ids = set()
     vals = field.values
+    members, starts = contraction.members, contraction.starts
     u, v = mesh.edge_pairs.T
     for cyc in mesh.boundary_cycles:
         first = int(cyc[0])
@@ -207,9 +245,9 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
                 f"CriticalBoundary: boundary cycle at vertex {first} is not constant")
             continue
         zid = int(contraction.zone_of[first])
-        zone = contraction.zones[zid]
+        zone = members[starts[zid]:starts[zid + 1]]
         named_zone_ids.add(zid)
-        if set(zone) != set(cyc):
+        if not np.array_equal(zone, np.sort(cyc)):
             reasons.append(
                 f"FlatZone: constant zone of {len(zone)} vertices, smallest "
                 f"vertex {zone[0]}, leaks off a boundary cycle")
@@ -230,28 +268,16 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
                 f"CriticalBoundary: boundary cycle at vertex {first} has no "
                 "interior collar")
 
-    sizes = np.bincount(contraction.zone_of)
+    sizes = np.diff(starts)
     for zid in np.flatnonzero(sizes > 1).tolist():
         if zid not in named_zone_ids:
             reasons.append(
                 f"FlatZone: {sizes[zid]} adjacent vertices share a value, "
-                f"smallest vertex {contraction.zones[zid][0]}")
+                f"smallest vertex {members[starts[zid]]}")
 
     lower, upper = _link_runs(mesh, field)
-    keys = list(zip(mesh.is_boundary_vertex.tolist(), lower.tolist(), upper.tolist()))
-    tally = Counter(keys)
-    kinds = {key: _criticality(*key) for key in tally}
-    per_vertex = tuple([kinds[key] for key in keys])
-    minima = maxima = 0
-    mults = []
-    for key, count in tally.items():
-        crit = kinds[key]
-        if crit.kind == "minimum":
-            minima += count
-        elif crit.kind == "maximum":
-            maxima += count
-        elif crit.kind == "saddle":
-            mults += [crit.multiplicity] * count
+    kinds = _kinds(mesh.is_boundary_vertex, lower, upper)
+    mults = np.sort(lower[kinds == SADDLE] - 1).tolist()
 
     if reasons:
         field_class = "invalid"
@@ -260,13 +286,15 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
     else:
         field_class = "F-generic"
     return FieldClassReport(
-        per_vertex=per_vertex,
         field_class=field_class,
-        minima=minima,
-        maxima=maxima,
-        saddle_multiplicities=tuple(sorted(mults)),
+        minima=int(np.count_nonzero(kinds == MINIMUM)),
+        maxima=int(np.count_nonzero(kinds == MAXIMUM)),
+        saddle_multiplicities=tuple(mults),
         reasons=tuple(sorted(set(reasons))),
         contraction=contraction,
+        kinds=kinds,
+        lower=lower,
+        upper=upper,
     )
 
 

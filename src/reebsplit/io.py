@@ -8,6 +8,7 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +37,37 @@ def save_mesh_field(path, mesh: TriangleMesh, field: ScalarField) -> None:
     Path(path).write_text(dumps_canonical(mesh_field_to_dict(mesh, field)) + "\n")
 
 
+def _numbers(items) -> bool:
+    """Whether every item is an int or a float; numpy would take booleans
+    and numeric strings for numbers without a trace."""
+    return {int, float}.issuperset(map(type, items))
+
+
 def mesh_field_from_dict(data: dict) -> tuple[TriangleMesh, ScalarField]:
+    """The mesh and field of a mesh+field object; ValueError unless
+    ``values`` is a flat list of numbers, ``vertices`` a list of [x, y, z]
+    number rows of the same length and ``triangles`` a list of vertex index
+    triples."""
+    if not isinstance(data, dict):
+        raise ValueError("a mesh+field object must be a JSON object")
     for key in ("vertices", "triangles", "values"):
         if key not in data:
             raise ValueError(f"mesh+field object lacks '{key}'")
-    if len(data["values"]) != len(data["vertices"]):
+    vertices, values = data["vertices"], data["values"]
+    if type(values) is not list or not _numbers(values):
+        raise ValueError("values must be a flat list of numbers")
+    if (type(vertices) is not list or not {list}.issuperset(map(type, vertices))
+            or not {3}.issuperset(map(len, vertices))
+            or not _numbers(chain.from_iterable(vertices))):
+        raise ValueError("vertices must be a list of [x, y, z] number rows")
+    if len(values) != len(vertices):
         raise ValueError("values and vertices have different lengths")
-    mesh = TriangleMesh(np.asarray(data["vertices"], dtype=float),
-                        data["triangles"])
-    field = ScalarField(np.asarray(data["values"], dtype=float))
-    return mesh, field
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+        values = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError("an integer is too large for a float") from None
+    return TriangleMesh(vertices, data["triangles"]), ScalarField(values)
 
 
 def load_mesh_field(path, values_path=None) -> tuple[TriangleMesh, ScalarField]:

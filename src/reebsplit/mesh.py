@@ -62,7 +62,7 @@ def components(n: int, u, v) -> np.ndarray:
 
 
 def distinct(a) -> np.ndarray:
-    """The sorted distinct values of an int array, as ``np.unique(a)``.
+    """The sorted distinct values of an array, as ``np.unique(a)``.
 
     Plain ``np.unique`` imports ``numpy.ma``, which adds about 1.3 MB of
     resident memory.

@@ -11,7 +11,7 @@ level sets, so no general-genus machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +24,14 @@ from .errors import (
     InvalidTree,
     ValueCollision,
 )
-from .field import FieldClassReport, ScalarField, classify_field
+from .field import (
+    REGULAR,
+    SADDLE,
+    FieldClassReport,
+    ScalarField,
+    classify_field,
+    csr_rows,
+)
 from .mesh import (
     LevelCycle,
     SurfaceReport,
@@ -53,26 +60,54 @@ class ReebEdge:
     preimage: tuple[int, ...]   # regular mesh vertices swept along the edge
 
 
+# the name of a tree vertex's kind code (``field.KIND_NAMES``, with the
+# boundary cycle's zone a boundary vertex); no vertex is regular
+VERTEX_KINDS = ("regular", "minimum", "maximum", "saddle", "boundary")
+
+
 class ReebGraph:
     """Level-set tree, as the ``LabeledTree`` ``tree``, with the kinds and
-    mesh preimages of its vertices and edges."""
+    mesh preimages of its vertices and edges.
 
-    def __init__(self, vertices: list[ReebVertex], edges: list[ReebEdge]):
-        self.vertices = vertices
-        self.edges = edges
-        # vertex ids ascend with (label, zone) and each edge has lower <
-        # upper, so the tree keeps the edges as they are and its ids are the
-        # graph's; raises InvalidTree unless the edges form a tree
-        self.tree = LabeledTree([v.label for v in vertices],
-                                [(e.lower, e.upper) for e in edges])
+    The facts are arrays: ``kinds`` and ``multiplicities`` per vertex, and
+    the preimages as compressed sparse rows ``(flat, starts)`` with one row
+    per vertex and then one per edge.  Tree vertex ids ascend with (label,
+    zone) and every tree edge has lower < upper, so the tree's ids are the
+    graph's.  ``vertices`` and ``edges`` build their objects on first use.
+    """
+
+    def __init__(self, tree: LabeledTree, kinds: np.ndarray,
+                 multiplicities: np.ndarray,
+                 preimages: tuple[np.ndarray, np.ndarray]):
+        self.tree = tree
+        self.kinds = kinds
+        self.multiplicities = multiplicities
+        self.preimages = preimages
+
+    @cached_property
+    def vertices(self) -> list[ReebVertex]:
+        flat, starts = self.preimages
+        rows = zip(self.tree.labels, self.kinds.tolist(),
+                   self.multiplicities.tolist(),
+                   csr_rows(flat, starts[:self.n_vertices + 1]))
+        return [ReebVertex(id=i, label=label, kind=VERTEX_KINDS[kind],
+                           multiplicity=mult, preimage=pre)
+                for i, (label, kind, mult, pre) in enumerate(rows)]
+
+    @cached_property
+    def edges(self) -> list[ReebEdge]:
+        flat, starts = self.preimages
+        rows = zip(self.tree.edges, csr_rows(flat, starts[self.n_vertices:]))
+        return [ReebEdge(id=i, lower=lo, upper=hi, preimage=pre)
+                for i, ((lo, hi), pre) in enumerate(rows)]
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return self.tree.n
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tree.edges)
 
     def to_dict(self) -> dict:
         return {
@@ -201,20 +236,16 @@ def _jump(pointer: np.ndarray) -> np.ndarray:
         pointer = jumped
 
 
-def _tree_paths(arcs, k: int, pairs) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _tree_paths(tree: LabeledTree, pairs) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The paths of a tree between node pairs (a, b), one after the other.
 
-    ``arcs`` are the sorted arcs (lo, hi), lo < hi, of a tree on nodes
-    ``0 .. k-1``.  Returns the nodes of all paths in order, the node count
-    of each path, and the arc from each node to the next one (meaningless
-    at the end of a path).  The two ends of a pair climb the tree rooted at
-    node 0 until they meet.
+    ``tree.edges`` must be sorted pairs (lo, hi), lo < hi.  Returns the nodes
+    of all paths in order, the node count of each path, and the edge from
+    each node to the next one (meaningless at the end of a path).  The two
+    ends of a pair climb the tree rooted at node 0 until they meet.
     """
-    nbrs = [[] for _ in range(k)]
-    for lo, hi in arcs:
-        nbrs[lo].append(hi)
-        nbrs[hi].append(lo)
-    order, parent = walk(nbrs, 0)
+    k = tree.n
+    order, parent = walk(tree.adj, 0)
     depth = [0] * k
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
@@ -233,36 +264,37 @@ def _tree_paths(arcs, k: int, pairs) -> tuple[np.ndarray, list[int], np.ndarray]
         head += reversed(tail)
         nodes += head
         lengths.append(len(head))
-    # the arc between consecutive path nodes a, b is the one keyed
-    # min * k + max among the sorted arcs' keys lo * k + hi
+    # the edge between consecutive path nodes a, b is the one keyed
+    # min * k + max among the sorted edges' keys lo * k + hi
     nodes = np.array(nodes, dtype=np.intp)
-    lo_hi = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+    lo_hi = np.array(tree.edges, dtype=np.intp).reshape(-1, 2)
     a, b = nodes[:-1], nodes[1:]
     step = np.searchsorted(lo_hi[:, 0] * k + lo_hi[:, 1],
                            np.minimum(a, b) * k + np.maximum(a, b))
     return nodes, lengths, step
 
 
-def _tree_from_sweeps(values, indptr, indices, kinds, mults,
-                      members) -> tuple[list[ReebVertex], list[ReebEdge]]:
+def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
+                      members, starts) -> ReebGraph:
     """Contour tree of a node graph with its regular nodes suppressed.
 
-    ``indptr`` and ``indices`` are the connected graph's CSR adjacency, as
-    arrays; ``members`` expands each node back to its mesh vertices for
-    preimage bookkeeping.  The sweeps and the peel run over the critical
-    nodes only, joined by monotone paths, and every regular node then goes
-    to the one arc that crosses its level on the tree path between the
-    critical nodes its monotone descent and ascent end on.  Raises
-    InvalidFieldClass when an arc fails to increase the label strictly,
-    which happens exactly when two critical components share a level
-    component, and InternalInconsistency when a node called regular does
-    not behave as one.
+    ``indptr`` and ``indices`` are the connected graph's CSR adjacency, and
+    ``kinds`` and ``multiplicities`` each node's kind code and multiplicity,
+    as arrays; node ``z`` expands back to the mesh vertices
+    ``members[starts[z]:starts[z + 1]]`` for preimage bookkeeping.  The
+    sweeps and the peel run over the critical nodes only, joined by monotone
+    paths, and every regular node then goes to the one arc that crosses its
+    level on the tree path between the critical nodes its monotone descent
+    and ascent end on.  Raises InvalidFieldClass when an arc fails to
+    increase the label strictly, which happens exactly when two critical
+    components share a level component, and InternalInconsistency when a
+    node called regular does not behave as one.
     """
     nz = len(values)
     order = np.argsort(values, kind="stable")
     rank = np.empty(nz, dtype=np.intp)
     rank[order] = np.arange(nz)
-    regular = np.array([kind == "regular" for kind in kinds], dtype=bool)
+    regular = kinds == REGULAR
 
     # monotone-path pointers: a regular node steps down to its highest
     # neighbour below it and up to its lowest one above it (-1 and nz mark
@@ -300,11 +332,7 @@ def _tree_from_sweeps(values, indptr, indices, kinds, mults,
     cindptr = np.zeros(k + 1, dtype=np.intp)
     np.cumsum(np.bincount(pairs // k, minlength=k), out=cindptr[1:])
 
-    zones = keep.tolist()
-    labels = [values[z] for z in zones]
-    vertices = [ReebVertex(id=i, label=labels[i], kind=kinds[z],
-                           multiplicity=mults[z], preimage=tuple(members[z]))
-                for i, z in enumerate(zones)]
+    labels = [values[z] for z in keep.tolist()]
     try:
         arcs = sorted(_contour_tree(labels, cindptr, pairs % k))
     except GenusNotZero as exc:
@@ -316,6 +344,12 @@ def _tree_from_sweeps(values, indptr, indices, kinds, mults,
             raise InvalidFieldClass(
                 "two critical components share one level value on a "
                 "common level component")
+    # the sorted arcs are kept as they are, so the tree's edge ids are the
+    # arcs' positions
+    try:
+        tree = LabeledTree(labels, arcs)
+    except InvalidTree:
+        raise GenusNotZero("level-set graph is not a tree") from None
 
     # augmentation: the tree path from down[r] to up[r] is monotone, since
     # a monotone path in the surface maps to one in the tree, and it
@@ -326,7 +360,7 @@ def _tree_from_sweeps(values, indptr, indices, kinds, mults,
     ends = vid[down[reg]] * k + vid[up[reg]]
     pair_keys = distinct(ends)
     nodes, lengths, step = _tree_paths(
-        arcs, k, [divmod(e, k) for e in pair_keys.tolist()])
+        tree, [divmod(e, k) for e in pair_keys.tolist()])
     path_key = np.repeat(np.arange(len(lengths)) * nz, lengths) + rank[keep][nodes]
     if np.any(path_key[1:] <= path_key[:-1]):
         raise InternalInconsistency(
@@ -335,15 +369,15 @@ def _tree_from_sweeps(values, indptr, indices, kinds, mults,
     arc_of = step[np.searchsorted(
         path_key, np.searchsorted(pair_keys, ends) * nz + rank[reg]) - 1]
 
-    # each edge's preimage: the members of its regular nodes, ascending
-    chains = [members[z] for z in reg.tolist()]
-    arc_of = np.repeat(arc_of, np.fromiter(map(len, chains), np.intp, len(chains)))
-    flat = np.fromiter(chain.from_iterable(chains), np.intp, len(arc_of))
-    flat = flat[np.lexsort((flat, arc_of))].tolist()
-    bounds = np.cumsum(np.bincount(arc_of, minlength=len(arcs))).tolist()
-    edges = [ReebEdge(id=i, lower=lo, upper=hi, preimage=tuple(flat[s:t]))
-             for i, ((lo, hi), s, t) in enumerate(zip(arcs, [0] + bounds, bounds))]
-    return vertices, edges
+    # the preimages: tree vertex i is row i and arc j row k + j, so with
+    # vid extended to the regular nodes each node's members go to row
+    # vid[node], ascending within a row
+    vid[reg] = k + arc_of
+    key = np.repeat(vid, np.diff(starts))
+    flat = members[np.lexsort((members, key))]
+    bounds = np.zeros(2 * k, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=2 * k - 1), out=bounds[1:])
+    return ReebGraph(tree, kinds[keep], multiplicities[keep], (flat, bounds))
 
 
 def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
@@ -377,31 +411,26 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
     if not fclass.valid:
         raise InvalidFieldClass("; ".join(fclass.reasons) or "unclassifiable field")
 
+    # a zone's kind is its smallest vertex's; on a valid field the only
+    # zones of several vertices are boundary cycles, whose vertices are all
+    # boundary vertices
     contraction = fclass.contraction
-    zones = contraction.zones
-    crits = [fclass.per_vertex[zone[0]] for zone in zones]
-    kinds = [crit.kind for crit in crits]
-    mults = [crit.multiplicity for crit in crits]
-    for cyc in mesh.boundary_cycles:
-        z = int(contraction.zone_of[cyc[0]])
-        kinds[z], mults[z] = "boundary", 0
-
-    vertices, edges = _tree_from_sweeps(contraction.zone_values,
-                                        *contraction.zone_neighbors(mesh),
-                                        kinds, mults, zones)
-    try:
-        graph = ReebGraph(vertices, edges)
-    except InvalidTree:
-        raise GenusNotZero("level-set graph is not a tree") from None
-    for v in graph.vertices:
-        deg = graph.tree.degree(v.id)
-        if v.kind in ("minimum", "maximum", "boundary"):
-            if deg != 1:
-                raise InternalInconsistency(f"leaf-kind vertex {v.id} has degree {deg}")
-        elif v.kind == "saddle":
-            if deg != v.multiplicity + 2:
-                raise InternalInconsistency(
-                    f"saddle {v.id}: degree {deg} vs multiplicity {v.multiplicity}")
+    members, starts = contraction.members, contraction.starts
+    first = members[starts[:-1]]
+    graph = _tree_from_sweeps(contraction.zone_values,
+                              *contraction.zone_neighbors(mesh),
+                              fclass.kinds[first],
+                              fclass.multiplicities[first], members, starts)
+    kinds, mults = graph.kinds, graph.multiplicities
+    degree = np.fromiter(map(len, graph.tree.adj), np.intp, graph.n_vertices)
+    saddle = kinds == SADDLE
+    bad = np.flatnonzero(degree != np.where(saddle, mults + 2, 1))
+    if len(bad):
+        v = int(bad[0])
+        if saddle[v]:
+            raise InternalInconsistency(
+                f"saddle {v}: degree {degree[v]} vs multiplicity {mults[v]}")
+        raise InternalInconsistency(f"leaf-kind vertex {v} has degree {degree[v]}")
     return graph
 
 
@@ -433,7 +462,8 @@ def choose_cut_value(field: ScalarField, graph: ReebGraph, edge_id: int) -> floa
     e = graph.edges[edge_id]
     lo = graph.vertices[e.lower].label
     hi = graph.vertices[e.upper].label
-    inside = sorted({float(v) for v in field.values if lo < v < hi})
+    vals = field.values
+    inside = distinct(vals[(vals > lo) & (vals < hi)]).tolist()
     stops = [lo] + inside + [hi]
     best = 0
     for i in range(1, len(stops)):

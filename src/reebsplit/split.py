@@ -14,8 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInconsistency
-from .field import FieldClassReport, ScalarField, classify_field
+from .field import BOUNDARY, FieldClassReport, ScalarField, classify_field
 from .mesh import SurfaceReport, TriangleMesh, cut_along_cycle, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle
 from .treeaut import (
@@ -310,8 +312,7 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
         if fclass.valid:
             disk_graph = build_reeb(piece.mesh, piece.field, surface=rep,
                                     fclass=fclass)
-            boundary_leaf = next(v.id for v in disk_graph.vertices
-                                 if v.kind == "boundary")
+            boundary_leaf = int(np.flatnonzero(disk_graph.kinds == BOUNDARY)[0])
             match = tree_isomorphic(disk_graph.tree, expected,
                                     pin=(boundary_leaf, side_tree.marked))
         disks.append(DiskCheck(

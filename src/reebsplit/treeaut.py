@@ -343,17 +343,22 @@ def _enumerated_group(elements: list[Perm]) -> AutGroup:
 # enumeration
 
 def _refine_colors(tree: LabeledTree, initial: list) -> list[int]:
-    """Iterated neighbourhood refinement of an initial vertex colouring."""
+    """Iterated neighbourhood refinement of an initial vertex colouring.
+
+    A discrete colouring, one vertex per colour, refines to itself, so the
+    refinement stops there.
+    """
     key = {c: i for i, c in enumerate(sorted(set(initial)))}
     colors = [key[c] for c in initial]
-    while True:
+    while len(key) < len(colors):
         sigs = [(colors[v], tuple(sorted(colors[w] for w in tree.adj[v])))
                 for v in range(tree.n)]
         key = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [key[s] for s in sigs]
         if new == colors:
-            return colors
+            break
         colors = new
+    return colors
 
 
 def _enumerate(tree: LabeledTree, use_labels: bool,

@@ -278,6 +278,48 @@ def test_off_import_truncated(tmp_path, text):
     assert "Traceback" not in err
 
 
+def octa_rows(value):
+    return [[value, 0.0, 0.0]] + [[float(i), 1.0, 0.0] for i in range(5)]
+
+
+@pytest.mark.parametrize("change", [
+    {"values": 5},
+    {"values": [[float(i)] for i in range(6)]},
+    {"values": [True] * 6},
+    {"values": [0.0, 1.0, 2.0, 3.0, 4.0, "5"]},
+    {"values": [10 ** 400] + [1.0] * 5},
+    {"vertices": 5},
+    {"vertices": [[0.0, 0.0, 0.0, 0.0]] * 6},
+    {"vertices": [0.0, 0.0, 0.0] * 6},
+    {"vertices": octa_rows(True)},
+    {"vertices": octa_rows("1")},
+    {"vertices": octa_rows(10 ** 400)},
+], ids=["scalar-values", "nested-values", "bool-values", "string-value",
+        "huge-int-value", "scalar-vertices", "four-coordinate-rows",
+        "flat-vertices", "bool-coordinate", "string-coordinate",
+        "huge-int-coordinate"])
+def test_validate_rejects_malformed_values_and_vertices(octa_file, tmp_path,
+                                                        change):
+    data = json.loads(octa_file.read_text())
+    data.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["validate", "--input", str(path)])
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5", "[]", "\"mesh\""],
+                         ids=["number", "list", "string"])
+def test_validate_rejects_non_object_json(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(["validate", "--input", str(path)])
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+
+
 OCTA_TRIANGLES = [[0, 2, 1], [0, 3, 2], [0, 4, 3], [0, 1, 4],
                   [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
 

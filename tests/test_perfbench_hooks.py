@@ -46,3 +46,21 @@ def test_workload_operations_match_the_cli(three_bump, octahedron, tmp_path):
             code = main(argv + ["--input", str(source), "--json", str(report)])
         assert code == 0
         assert op(source.read_text()) + "\n" == report.read_text(), argv[0]
+
+
+SEED0_DIGESTS = {
+    "split_corpus": "e1d604cb0de401afc422f777438a525e31259e8034f4ca4828ecac0f86eb9064",
+    "large_sphere": "01c12832d156e18d6679141d90c5c60d893beb1dfbd11f3713c30c44bc63cb6d",
+    "symmetric_split": "272d0b495dc97d99e0d380d09e0159307bcc065e616a5876b21d85bd3ab28d87",
+}
+
+
+def test_seed0_output_digests():
+    # one round of each workload at seed 0, hashed as the benchmark's run
+    # record does, so any change to an output shows here
+    workloads, run = load("workloads"), load("run")
+    for name, digest in SEED0_DIGESTS.items():
+        inputs = workloads.WORKLOADS[name](0).make_inputs()
+        rec = run.run_rounds(inputs, workloads.OPS, seconds=0)
+        assert (rec.rounds, rec.failed) == (1, 0), name
+        assert run.output_digest(inputs, rec) == digest, name

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import random
 from collections import deque
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reebsplit import kernels, reeb
+from reebsplit.cli import main
 from reebsplit.errors import (
     EdgeNotFound,
     GenusNotZero,
@@ -14,8 +17,17 @@ from reebsplit.errors import (
     InvalidFieldClass,
     ValueCollision,
 )
-from reebsplit.field import Criticality, ScalarField, classify_field, flat_contract
+from reebsplit.field import (
+    MAXIMUM,
+    MINIMUM,
+    REGULAR,
+    SADDLE,
+    ScalarField,
+    classify_field,
+    flat_contract,
+)
 from reebsplit.gen import random_field, random_realizable_tree, realize_tree
+from reebsplit.io import save_mesh_field
 from reebsplit.mesh import TriangleMesh, cut_along_cycle
 from reebsplit.reeb import (
     ReebEdge,
@@ -29,7 +41,7 @@ from reebsplit.reeb import (
     mesh_vertex_assignment,
 )
 from reebsplit.selftest import split_corpus_seeds
-from reebsplit.split import reeb_to_tree
+from reebsplit.split import analyze_sphere, reeb_to_tree
 from reebsplit.treeaut import tree_isomorphic
 
 
@@ -175,6 +187,96 @@ def test_choose_cut_value_largest_gap():
     assert not np.any(field.values == c)
 
 
+def python_cut_value(field, graph, edge_id):
+    """The pure-Python ``choose_cut_value`` that the numpy one replaced,
+    kept as an oracle."""
+    e = graph.edges[edge_id]
+    lo = graph.vertices[e.lower].label
+    hi = graph.vertices[e.upper].label
+    inside = sorted({float(v) for v in field.values if lo < v < hi})
+    stops = [lo] + inside + [hi]
+    best = 0
+    for i in range(1, len(stops)):
+        if stops[i] - stops[i - 1] > stops[best + 1] - stops[best] + 0.0:
+            best = i - 1
+    return (stops[best] + stops[best + 1]) / 2.0
+
+
+def test_choose_cut_value_matches_python_oracle(octahedron):
+    edges = 0
+    for seed, n, symmetry in split_corpus_seeds(40):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry,
+                                                          seed=seed), 4)
+        sphere = analyze_sphere(mesh, field)
+        for eid in sphere.fixed.edge_ids:
+            got = choose_cut_value(field, sphere.graph, eid)
+            assert got.hex() == python_cut_value(field, sphere.graph, eid).hex()
+            edges += 1
+    assert edges == 202
+    # the gaps inside (0, 4) are 0.5, 1.5, 0.5 and 1.5: the lower of the
+    # two widest wins
+    mesh, _ = octahedron
+    field = ScalarField(np.array([0.0, 0.5, 2.0, 2.5, 2.0, 4.0]))
+    graph = build_reeb(mesh, field)
+    assert graph.n_edges == 1
+    assert choose_cut_value(field, graph, 0) == python_cut_value(field, graph, 0) == 1.25
+
+
+@pytest.fixture
+def built_objects(monkeypatch):
+    """Lists the name of every ReebVertex and ReebEdge built from now on."""
+    built = []
+    for cls in (ReebVertex, ReebEdge):
+        def counted(*args, cls=cls, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        monkeypatch.setattr(reeb, cls.__name__, counted)
+    return built
+
+
+def run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def test_aut_on_large_random_field_builds_no_tree_objects(built_objects, tmp_path):
+    mesh, _ = realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 48)
+    assert mesh.n_vertices == 4148
+    path = tmp_path / "random.json"
+    save_mesh_field(path, mesh, random_field(mesh, 0))
+    assert run_cli(["aut", "--input", str(path)]) == 0
+    assert built_objects == []
+    # the objects are still there on request, built once
+    graph = build_reeb(mesh, random_field(mesh, 0))
+    assert graph.vertices is graph.vertices and graph.edges is graph.edges
+    assert len(built_objects) == graph.n_vertices + graph.n_edges > 4000
+
+
+def test_split_builds_tree_objects_for_the_sphere_only(built_objects, monkeypatch,
+                                                       tmp_path, three_bump):
+    from reebsplit import split
+
+    graphs = []
+
+    def recorded(*args, **kwargs):
+        graphs.append(build_reeb(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(split, "build_reeb", recorded)
+    # fields with one and with nine fixed edges, two disks per edge
+    fields = [(three_bump, 1),
+              (realize_tree(random_realizable_tree(9, symmetry=3, seed=7), 4), 9)]
+    for (mesh, field), fixed_edges in fields:
+        graphs.clear()
+        built_objects.clear()
+        path = tmp_path / "in.json"
+        save_mesh_field(path, mesh, field)
+        assert run_cli(["split", "--all-edges", "--input", str(path)]) == 0
+        sphere, *disks = graphs
+        assert len(disks) == 2 * fixed_edges
+        assert len(built_objects) == sphere.n_vertices + sphere.n_edges
+
+
 def test_torus_rejected(torus):
     mesh, field = torus
     with pytest.raises(GenusNotZero):
@@ -186,16 +288,21 @@ def csr(neighbors):
     return indptr, np.array([w for nb in neighbors for w in nb], dtype=np.intp)
 
 
+def singletons(n):
+    """The members and starts of n nodes that are one mesh vertex each."""
+    return np.arange(n), np.arange(n + 1)
+
+
 def test_shared_level_component_rejected():
     # three basins joined by two necks at one height: the sweep must refuse
     # to split that single critical component into two tree vertices
     values = [0.0, 0.2, 0.4, 1.0, 1.0, 1.5, 2.0]
     neighbors = [[3], [3, 4], [4], [0, 1, 5], [1, 2, 5], [3, 4, 6], [5]]
-    kinds = ["minimum", "minimum", "minimum", "saddle", "saddle", "regular",
-             "maximum"]
+    kinds = np.array([MINIMUM, MINIMUM, MINIMUM, SADDLE, SADDLE, REGULAR,
+                      MAXIMUM])
     with pytest.raises(InvalidFieldClass):
-        _tree_from_sweeps(values, *csr(neighbors), kinds, [1] * 7,
-                          [[i] for i in range(7)])
+        _tree_from_sweeps(values, *csr(neighbors), kinds, np.ones(7, dtype=int),
+                          *singletons(7))
 
 
 def test_equal_labels_on_distinct_components_are_fine(three_bump):
@@ -441,6 +548,15 @@ def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
     return vertices, edges
 
 
+def oracle_args(values, indptr, indices, kinds, multiplicities, members, starts):
+    """The arguments of ``_tree_from_sweeps`` in the oracle's terms: kind
+    names, and each node's members as a list."""
+    return (values, indptr, indices,
+            [reeb.VERTEX_KINDS[k] for k in kinds.tolist()],
+            multiplicities.tolist(),
+            [members[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])])
+
+
 @pytest.fixture
 def checked_against_oracle(monkeypatch):
     """Makes every build_reeb compare its tree with the oracle's; the list
@@ -450,9 +566,9 @@ def checked_against_oracle(monkeypatch):
 
     def both(*args):
         got = reduced(*args)
-        want = oracle_tree_from_sweeps(*args)
-        assert got[0] == want[0]
-        assert got[1] == want[1]
+        want = oracle_tree_from_sweeps(*oracle_args(*args))
+        assert got.vertices == want[0]
+        assert got.edges == want[1]
         checked.append(len(args[0]))
         return got
 
@@ -486,9 +602,9 @@ def test_reduced_tree_matches_oracle_on_large_sphere(checked_against_oracle):
 
 def relabeled_regular(fclass, vertex):
     """The classification with one vertex called regular."""
-    per_vertex = list(fclass.per_vertex)
-    per_vertex[vertex] = Criticality("regular", 0, 1, 1)
-    return dataclasses.replace(fclass, per_vertex=tuple(per_vertex))
+    kinds = fclass.kinds.copy()
+    kinds[vertex] = REGULAR
+    return dataclasses.replace(fclass, kinds=kinds)
 
 
 def test_tampered_classification_raises_typed_error():
@@ -551,14 +667,15 @@ def test_reduced_tree_matches_oracle_on_random_trees(data):
     for v in range(n):
         below = sum((values[w], w) < (values[v], v) for w in neighbors[v])
         above = len(neighbors[v]) - below
-        kinds.append("minimum" if not below else "maximum" if not above
-                     else "regular" if below == above == 1 else "saddle")
-    args = (values, *csr([sorted(nb) for nb in neighbors]), kinds, [0] * n,
-            [(v,) for v in range(n)])
+        kinds.append(MINIMUM if not below else MAXIMUM if not above
+                     else REGULAR if below == above == 1 else SADDLE)
+    args = (values, *csr([sorted(nb) for nb in neighbors]), np.array(kinds),
+            np.zeros(n, dtype=int), *singletons(n))
     try:
-        want = oracle_tree_from_sweeps(*args)
+        want = oracle_tree_from_sweeps(*oracle_args(*args))
     except InvalidFieldClass:
         with pytest.raises(InvalidFieldClass):
             _tree_from_sweeps(*args)
     else:
-        assert _tree_from_sweeps(*args) == want
+        got = _tree_from_sweeps(*args)
+        assert (got.vertices, got.edges) == want

@@ -27,6 +27,7 @@ from reebsplit.treeaut import (
     AutGroup,
     LabeledTree,
     _centers,
+    _refine_colors,
     close_under_composition,
     compose,
     cut_tree_at,
@@ -141,6 +142,37 @@ def test_star_orders(k, order):
 def test_enumeration_matches_oracle_on_corpus():
     for tree in oracle_corpus(60):
         assert list(enumerate_aut(tree).elements) == brute_force_aut(tree)
+
+
+def refine_to_fixed_point(tree, initial):
+    """The colour refinement without its stop at a discrete colouring, kept
+    as an oracle."""
+    key = {c: i for i, c in enumerate(sorted(set(initial)))}
+    colors = [key[c] for c in initial]
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in tree.adj[v])))
+                for v in range(tree.n)]
+        key = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [key[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def test_refinement_stop_at_discrete_colouring_changes_nothing():
+    # the initial colourings of enumerate_aut and enumerate_general_aut, on
+    # each tree and with its vertex 0 marked
+    discrete = 0
+    for tree in oracle_corpus(200):
+        for t in (tree, tree.with_marked(0)):
+            for initial in ([(t.labels[v], t.degree(v), v == t.marked)
+                             for v in range(t.n)],
+                            [(t.degree(v), v == t.marked) for v in range(t.n)]):
+                want = refine_to_fixed_point(t, initial)
+                assert _refine_colors(t, initial) == want
+                discrete += len(set(want)) == t.n
+        assert list(enumerate_aut(tree).elements) == brute_force_aut(tree)
+    assert discrete == 465  # of 800 colourings
 
 
 def test_marked_vertex_restricts_group(three_bump_tree):
