@@ -24,7 +24,9 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
+        vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise ValueError(f"field values must be a 1-D array, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)

@@ -43,21 +43,24 @@ def components(n: int, u, v) -> np.ndarray:
     ``(u[i], v[i])``; each node is labelled with the smallest node of its
     component.
 
-    Min-label propagation with pointer jumping: in every round each root
-    hooks under the smallest root it shares an edge with, and every node
-    then jumps to its root.  Rounds repeat until no edge joins two roots.
+    Min-label propagation with pointer jumping: every round carries the edges
+    to their endpoints' roots, drops those inside one component and hooks
+    the larger root of each other edge under the smaller (any one of them,
+    so labels only fall); every node then jumps to its root.  Rounds repeat
+    until no edge joins two roots.
     """
     label = np.arange(n)
     u = np.asarray(u, dtype=np.intp)
     v = np.asarray(v, dtype=np.intp)
     while True:
-        lu, lv = label[u], label[v]
-        if np.array_equal(lu, lv):
+        u, v = label[u], label[v]
+        apart = u != v
+        if not apart.any():
             return label
-        hi = np.maximum(lu, lv)
-        np.minimum.at(label, hi, np.minimum(lu, lv, out=lu))
+        u, v = u[apart], v[apart]
+        label[np.maximum(u, v)] = np.minimum(u, v)
         jumped = label[label]
-        while not np.array_equal(jumped, label):
+        while not (jumped == label).all():
             label, jumped = jumped, jumped[jumped]
 
 
@@ -117,10 +120,12 @@ class TriangleMesh:
     """
 
     def __init__(self, vertices, triangles):
-        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
-        nv = len(self.vertices)
-        if nv == 0:
+        self.vertices = np.asarray(vertices, dtype=float)
+        if self.vertices.size == 0:
             raise ValueError("empty vertex list")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise ValueError(f"vertices must be an (n, 3) array, got shape {self.vertices.shape}")
+        nv = len(self.vertices)
         tris = _triangle_array(triangles)
         if tris.min() < 0 or tris.max() >= nv or any(
                 np.any(tris[:, i] == tris[:, i - 1]) for i in range(3)):
@@ -133,7 +138,6 @@ class TriangleMesh:
         self._build_edges()
         self._check_links()
         self._build_boundary_cycles()
-        self._orientable = None  # computed lazily
 
     # ------------------------------------------------------------------
     # derived structure
@@ -145,8 +149,11 @@ class TriangleMesh:
         key = np.minimum(heads, tails) * nv + np.maximum(heads, tails)
         by_edge = np.argsort(key, kind="stable")  # sides grouped by edge, in side order
         key = key[by_edge]
-        start = np.flatnonzero(np.diff(key, prepend=-1))  # of each edge in by_edge
-        counts = np.diff(start, append=len(key))
+        first = np.ones(len(key) + 1, dtype=bool)  # side opens an edge; a sentinel
+        np.not_equal(key[1:], key[:-1], out=first[1:-1])
+        start = np.flatnonzero(first)  # of each edge in by_edge, then len(key)
+        counts = start[1:] - start[:-1]
+        start = start[:-1]
         if counts.max() > 2:
             # report the edge a walk over the triangles meets first
             e = min(np.flatnonzero(counts > 2).tolist(), key=lambda e: by_edge[start[e]])
@@ -155,26 +162,28 @@ class TriangleMesh:
         inner = np.flatnonzero(counts - 1)
         p, q = by_edge[start[inner]], by_edge[start[inner] + 1]
         key = key[start]
-        self.edge_pairs = np.stack((key // nv, key % nv), axis=1)
+        self.edge_pairs = np.empty((len(start), 2), dtype=np.intp)
+        np.divmod(key, nv, out=(self.edge_pairs[:, 0], self.edge_pairs[:, 1]))
         self.edge_triangles = np.full((len(start), 2), -1)
         self.edge_triangles[:, 0] = by_edge[start] // 3
         self.edge_triangles[inner, 1] = q // 3
         self.boundary_edges = self.edge_pairs[counts == 1]
 
-        # glue the two sides of every interior edge: the corners at each of
-        # its ends, and the two windings of its triangles (``_cover_links``,
-        # on the double cover whose nodes t and t + T are triangle t kept
-        # and flipped)
-        after_p, after_q = _next_corner(p), _next_corner(q)
+        # glue the corners at each end of every interior edge; sides p and q
+        # run opposite ways unless the winding flips across the edge
+        m = len(p)
+        self.corner_links = links = np.empty((2 * m, 2), dtype=np.intp)
+        links[:m, 0] = p
+        links[m:, 0] = _next_corner(p)
+        links[:m, 1] = _next_corner(q)
+        links[m:, 1] = q
         same_way = heads[p] == heads[q]
-        self.corner_links = np.concatenate((
-            np.stack((p, np.where(same_way, q, after_q)), axis=1),
-            np.stack((after_p, np.where(same_way, after_q, q)), axis=1)))
-        nt = len(tris)
-        flip = same_way * nt
-        self._cover_links = np.concatenate((
-            np.stack((p // 3, q // 3 + flip), axis=1),
-            np.stack((p // 3 + nt, q // 3 + nt - flip), axis=1)))
+        self._interior_sides = (p, q, same_way)
+        if same_way.any():  # then q's corner at p's head is q itself
+            links[:m, 1][same_way], links[m:, 1][same_way] = q[same_way], _next_corner(q[same_way])
+            self._orientable = None  # labelled on demand
+        else:
+            self._orientable = True
 
     def _check_links(self):
         """Raise PinchedVertex unless every link is one cycle or one path.
@@ -257,12 +266,17 @@ class TriangleMesh:
     def check_orientable(self) -> bool:
         """True when triangles admit a globally consistent winding.
 
-        A consistent winding exists exactly when no triangle is joined to
-        its own flip on the double cover.
+        The given winding is consistent when every interior edge runs
+        opposite ways in its two triangles.  Otherwise a consistent winding
+        exists exactly when no triangle is joined to its own flip on the
+        double cover, whose nodes t and t + T are triangle t kept and flipped.
         """
         if self._orientable is None:
+            p, q, same_way = self._interior_sides
             nt = self.n_triangles
-            label = components(2 * nt, self._cover_links[:, 0], self._cover_links[:, 1])
+            s, t, flip = p // 3, q // 3, same_way * nt
+            label = components(2 * nt, np.concatenate((s, s + nt)),
+                               np.concatenate((t + flip, t + nt - flip)))
             self._orientable = not np.any(label[:nt] == label[nt:])
         return self._orientable
 
@@ -417,17 +431,17 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
 
     nv, nt = mesh.n_vertices, mesh.n_triangles
     ncross = len(cycle)
-    ends = mesh.edge_pairs[[e for e, _ in cycle.crossings]]
+    eids = [e for e, _ in cycle.crossings]
+    ends = mesh.edge_pairs[eids]
     # crossed triangle i lies between crossings i and i + 1, which sit on
     # its two sides at its lone vertex, the apex.  Crossing vertex i is
     # numbered nv + i until the pieces are renumbered; p1 is the one on side
     # (apex, a), p2 the one on side (b, apex).  The triangle becomes the apex
     # triangle (apex, p1, p2) and the quad split from p1 as (p1, a, b),
-    # (p1, b, p2); its corners at a and b go to the quad.
+    # (p1, b, p2).
     cut_rows = []
-    quad_corners = []
     pairs = ends.tolist()
-    for i, (ti, tri) in enumerate(zip(crossed_tris, mesh.triangles[crossed_tris].tolist())):
+    for i, tri in enumerate(mesh.triangles[crossed_tris].tolist()):
         e1, e2 = pairs[i], pairs[(i + 1) % ncross]
         k = tri.index((set(e1) & set(e2)).pop())
         apex, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
@@ -435,33 +449,26 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
         if a not in e1:
             p1, p2 = p2, p1
         cut_rows += [(apex, p1, p2), (p1, a, b), (p1, b, p2)]
-        quad_corners += [3 * ti + (k + 1) % 3, 3 * ti + (k + 2) % 3]
 
-    # piece nodes: an uncrossed triangle keeps one node, a crossed one gets
-    # its apex node and after it its quad node
-    crossed = np.zeros(nt, dtype=np.intp)
-    crossed[crossed_tris] = 1
-    before = np.cumsum(crossed) - crossed  # crossed triangles before each one
-    node = np.arange(nt) + before
-    corner_node = node[np.arange(3 * nt) // 3]
-    corner_node[quad_corners] += 1
-    label = components(nt + ncross, corner_node[mesh.corner_links[:, 0]],
-                       corner_node[mesh.corner_links[:, 1]])
+    # on a sphere the cycle separates exactly its crossed edges: the pieces
+    # are the components of the vertex graph without them
+    kept = np.ones(mesh.n_edges, dtype=bool)
+    kept[eids] = False
+    label = components(nv, mesh.edge_pairs[kept, 0], mesh.edge_pairs[kept, 1])
     roots = np.flatnonzero(np.bincount(label))
     if len(roots) != 2:
         raise CutNotSeparating(f"cut produced {len(roots)} pieces")
 
-    # new triangles in node order, each with the node it belongs to
-    first_row = np.arange(nt) + 2 * before
+    # new triangles in triangle order, a crossed triangle's three rows in
+    # its place; each row goes to the piece of its first original corner
+    crossed = np.zeros(nt, dtype=np.intp)
+    crossed[crossed_tris] = 1
+    first_row = np.arange(nt) + 2 * (np.cumsum(crossed) - crossed)
     new_tris = np.empty((nt + 2 * ncross, 3), dtype=np.intp)
-    row_node = np.empty(nt + 2 * ncross, dtype=np.intp)
     plain = np.flatnonzero(crossed == 0)
     new_tris[first_row[plain]] = mesh.triangles[plain]
-    row_node[first_row[plain]] = node[plain]
-    cut_at = (first_row[crossed_tris, None] + [0, 1, 2]).ravel()
-    new_tris[cut_at] = cut_rows
-    row_node[cut_at] = (node[crossed_tris, None] + [0, 1, 1]).ravel()
-    tri_piece = label[row_node]
+    new_tris[(first_row[crossed_tris, None] + [0, 1, 2]).ravel()] = cut_rows
+    tri_piece = label[np.where(new_tris[:, 0] < nv, new_tris[:, 0], new_tris[:, 1])]
 
     ts = np.array([t for _, t in cycle.crossings])[:, None]
     coords = np.concatenate((mesh.vertices, (1.0 - ts) * mesh.vertices[ends[:, 0]]
@@ -471,15 +478,15 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     for root in roots:
         # original vertices first, in ascending order, then the crossings in
         # cycle order
-        mine = new_tris[tri_piece == root]
-        used = distinct(mine)
+        orig = np.flatnonzero(label == root)
+        used = np.concatenate((orig, np.arange(nv, nv + ncross)))
         renumber = np.empty(nv + ncross, dtype=np.intp)
         renumber[used] = np.arange(len(used))
         pieces.append(CutPiece(
-            mesh=TriangleMesh(coords[used], renumber[mine]),
+            mesh=TriangleMesh(coords[used], renumber[new_tris[tri_piece == root]]),
             field=ScalarField(vals[used]),
-            orig_vertex=np.where(used < nv, used, -1),
-            boundary=tuple(renumber[used[used >= nv]].tolist()),
+            orig_vertex=np.concatenate((orig, np.full(ncross, -1))),
+            boundary=tuple(range(len(orig), len(used))),
         ))
 
     u0, v0 = pairs[0]

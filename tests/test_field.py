@@ -301,3 +301,9 @@ def test_classify_field_wrong_length(octahedron):
 def test_nonfinite_values_rejected():
     with pytest.raises(ValueError):
         ScalarField(np.array([0.0, np.nan]))
+
+
+def test_misshaped_values_rejected():
+    for values in (np.zeros((2, 3)), np.zeros((6, 1)), 5.0):
+        with pytest.raises(ValueError, match="1-D"):
+            ScalarField(values)

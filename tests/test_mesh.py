@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reebsplit.mesh
 from reebsplit.errors import (
+    CutNotSeparating,
     CycleNotLevel,
     DegenerateTriangle,
     NonManifoldEdge,
@@ -11,15 +13,18 @@ from reebsplit.errors import (
     PinchedVertex,
 )
 from reebsplit.field import ScalarField, classify_field
-from reebsplit.gen import octahedron_height, realize_tree
+from reebsplit.gen import octahedron_height, random_realizable_tree, realize_tree
 from reebsplit.mesh import (
     LevelCycle,
     TriangleMesh,
+    check_level_cycle,
     components,
     cut_along_cycle,
     validate_surface,
 )
 from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
+from reebsplit.selftest import split_corpus_seeds
+from reebsplit.split import analyze_sphere
 
 
 def test_octahedron_is_a_sphere(octahedron):
@@ -51,6 +56,16 @@ def test_two_triangle_pillow_counts():
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangle):
         TriangleMesh([(0, 0, 0), (1, 0, 0)], [(0, 1, 1)])
+
+
+def test_misshaped_vertices_rejected():
+    tris = [(0, 1, 2), (0, 2, 3)]
+    for verts in (np.zeros((6, 2)), np.zeros(12), np.zeros((4, 4)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+            TriangleMesh(verts, tris)
+    for empty in ([], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="empty vertex list"):
+            TriangleMesh(empty, tris)
 
 
 def test_nonmanifold_edge_rejected():
@@ -124,10 +139,78 @@ def test_components_matches_dfs(graph):
     assert components(n, u, v).tolist() == dfs_labels(n, edges)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_components_matches_dfs_on_long_paths_and_cycles(seed):
+    # long paths through shuffled nodes take many hooking rounds
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1000, 2001))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=seed % 4, replace=False))
+    edges = []
+    for walk in np.split(rng.permutation(n), cuts):
+        walk = walk.tolist()
+        edges += zip(walk, walk[1:])
+        if seed % 2 and len(walk) > 2:
+            edges.append((walk[-1], walk[0]))
+    edges = [e if flip else e[::-1] for e, flip in zip(edges, rng.random(len(edges)) < 0.5)]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    u = [a for a, _ in edges]
+    v = [b for _, b in edges]
+    assert components(n, u, v).tolist() == dfs_labels(n, edges)
+
+
+def counted_components(monkeypatch):
+    """The node counts of every ``components`` call the mesh module makes."""
+    sizes = []
+    labelled = reebsplit.mesh.components
+
+    def counted(n, u, v):
+        sizes.append(n)
+        return labelled(n, u, v)
+
+    monkeypatch.setattr(reebsplit.mesh, "components", counted)
+    return sizes
+
+
+def test_mesh_and_cut_labelling_budget(three_bump, monkeypatch):
+    mesh, field = three_bump
+    graph = build_reeb(mesh, field)
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    sizes = counted_components(monkeypatch)
+    # a consistently wound mesh: the corner graph and the vertex graph
+    validate_surface(TriangleMesh(mesh.vertices, mesh.triangles))
+    assert sizes == [3 * mesh.n_triangles, mesh.n_vertices]
+    sizes.clear()
+    # the cut labels the vertex graph, then each piece its corner graph
+    a, b = cut_along_cycle(mesh, field, cycle)
+    assert sizes[0] == mesh.n_vertices
+    assert sorted(sizes[1:]) == sorted(3 * p.mesh.n_triangles for p in (a, b))
+
+
 def test_moebius_band_not_orientable():
     verts = [(np.cos(a), np.sin(a), 0.0) for a in np.linspace(0, 4, 5)]
     tris = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
     mesh = TriangleMesh(verts, tris)
+    with pytest.raises(NonOrientable):
+        validate_surface(mesh)
+
+
+def test_reversed_triangles_labelled_on_double_cover(octahedron, monkeypatch):
+    mesh, _ = octahedron
+    tris = mesh.triangles.copy()
+    tris[::2] = tris[::2, ::-1]
+    sizes = counted_components(monkeypatch)
+    flipped = TriangleMesh(mesh.vertices, tris)
+    assert validate_surface(flipped) == validate_surface(mesh)
+    nt = mesh.n_triangles
+    # the flipped mesh also labels its double cover
+    assert sizes == [3 * nt, 2 * nt, mesh.n_vertices, mesh.n_vertices]
+
+
+def test_projective_plane_not_orientable():
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    mesh = TriangleMesh(np.eye(6, 3), tris)
+    assert mesh.closed and mesh.euler == 1
     with pytest.raises(NonOrientable):
         validate_surface(mesh)
 
@@ -218,8 +301,6 @@ def test_cut_requires_closed_surface():
 
 
 def test_generated_cuts_validate_everywhere():
-    from reebsplit.gen import random_realizable_tree
-
     for seed in (1, 4, 9):
         tree = random_realizable_tree(8, symmetry=2, seed=seed)
         mesh, field = realize_tree(tree, 4)
@@ -231,3 +312,104 @@ def test_generated_cuts_validate_everywhere():
             for piece in (a, b):
                 rep = validate_surface(piece.mesh)
                 assert rep.euler == 1 and rep.boundary_count == 1
+
+
+def corner_node_pieces(mesh, field, cycle):
+    """The pieces of a cut as (triangles, orig_vertex, boundary) lists, in
+    ``cut_along_cycle``'s order, labelled on triangle nodes instead of the
+    vertex graph.
+
+    An uncrossed triangle is one node, a crossed one an apex node and a quad
+    node; two nodes are joined where ``corner_links`` glue their corners.
+    """
+    values = field.values
+    crossed_tris = check_level_cycle(mesh, values, cycle)
+    nv, nt, ncross = mesh.n_vertices, mesh.n_triangles, len(cycle)
+    pairs = mesh.edge_pairs[[e for e, _ in cycle.crossings]].tolist()
+    rows_of = {}
+    quad_corners = []
+    for i, ti in enumerate(crossed_tris):
+        tri = mesh.triangles[ti].tolist()
+        e1, e2 = pairs[i], pairs[(i + 1) % ncross]
+        k = tri.index((set(e1) & set(e2)).pop())
+        apex, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        p1, p2 = nv + i, nv + (i + 1) % ncross
+        if a not in e1:
+            p1, p2 = p2, p1
+        rows_of[ti] = [(apex, p1, p2), (p1, a, b), (p1, b, p2)]
+        quad_corners += [3 * ti + (k + 1) % 3, 3 * ti + (k + 2) % 3]
+    node, rows, row_node = [], [], []
+    next_node = 0
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        node.append(next_node)
+        if t in rows_of:
+            rows += rows_of[t]
+            row_node += [next_node, next_node + 1, next_node + 1]
+            next_node += 2
+        else:
+            rows.append(tuple(tri))
+            row_node.append(next_node)
+            next_node += 1
+    corner_node = [node[k // 3] for k in range(3 * nt)]
+    for k in quad_corners:
+        corner_node[k] += 1
+    label = dfs_labels(nt + ncross, [(corner_node[a], corner_node[b])
+                                     for a, b in mesh.corner_links.tolist()])
+    roots = sorted(set(label))
+    if len(roots) != 2:
+        raise CutNotSeparating(f"cut produced {len(roots)} pieces")
+    pieces = []
+    for root in roots:
+        mine = [r for r, n in zip(rows, row_node) if label[n] == root]
+        used = sorted({x for r in mine for x in r})
+        renumber = {x: i for i, x in enumerate(used)}
+        pieces.append(([[renumber[x] for x in r] for r in mine],
+                       [x if x < nv else -1 for x in used],
+                       tuple(renumber[x] for x in used if x >= nv)))
+    u0, v0 = pairs[0]
+    if (u0 if values[u0] < cycle.value else v0) not in pieces[0][1]:
+        pieces.reverse()
+    return pieces
+
+
+def assert_cut_matches_corner_node_pieces(mesh, field):
+    """Cut across every fixed edge; return how many were cut."""
+    sphere = analyze_sphere(mesh, field)
+    for eid in sphere.fixed.edge_ids:
+        c = choose_cut_value(field, sphere.graph, eid)
+        cycle = level_cycle(mesh, field, sphere.graph, eid, c)
+        got = [(p.mesh.triangles.tolist(), p.orig_vertex.tolist(), p.boundary)
+               for p in cut_along_cycle(mesh, field, cycle)]
+        assert got == corner_node_pieces(mesh, field, cycle)
+    return len(sphere.fixed.edge_ids)
+
+
+def test_cut_matches_corner_node_pieces_on_corpus():
+    cut = 0
+    for seed, n, symmetry in split_corpus_seeds(30):
+        tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
+        cut += assert_cut_matches_corner_node_pieces(*realize_tree(tree, 4))
+    assert cut > 30
+
+
+def test_cut_matches_corner_node_pieces_on_large_sphere():
+    tree = random_realizable_tree(n=14, symmetry=2, seed=1)
+    mesh, field = realize_tree(tree, 48)
+    assert mesh.n_vertices == 4148
+    assert assert_cut_matches_corner_node_pieces(mesh, field) == 13
+
+
+def test_cut_along_a_torus_meridian_not_separating(torus):
+    # level 3.5 on the 4x4 torus is two meridians, either side of row 0;
+    # cutting along one leaves the torus in one piece
+    mesh, field = torus
+    index = {pair: e for e, pair in enumerate(map(tuple, mesh.edge_pairs.tolist()))}
+    crossings = []
+    for j in range(4):
+        for u, v in ((j, 4 + j), (4 + j, (j + 1) % 4)):
+            u, v = min(u, v), max(u, v)
+            crossings.append((index[u, v], (3.5 - u) / (v - u)))  # value = vertex id
+    cycle = LevelCycle(crossings=tuple(crossings), closed=True, value=3.5)
+    for cut in (cut_along_cycle, corner_node_pieces):
+        with pytest.raises(CutNotSeparating, match="1 pieces"):
+            cut(mesh, field, cycle)
