@@ -31,7 +31,6 @@ from .treeaut import (
     enumerate_general_aut,
     fixed_set,
     glue_aut,
-    group_order,
     restrict_aut,
     tree_isomorphic,
     verify_group_axioms,
@@ -65,7 +64,6 @@ __all__ = [
     "fixed_set",
     "flat_contract",
     "glue_aut",
-    "group_order",
     "level_cycle",
     "octahedron_height",
     "random_field",

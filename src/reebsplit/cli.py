@@ -3,7 +3,8 @@
 Exit codes: 0 success (including a clean hypothesis failure), 1 invalid
 input, 2 verification failure, 3 internal inconsistency.  All canonical
 output (stdout text and JSON files) is deterministic for fixed inputs,
-flags and seeds; timings go to stderr.
+flags and seeds, except for the timings that ``selftest`` prints, which
+its JSON file leaves out.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def cmd_gen(args) -> int:
         rio.save_mesh_field(out, mesh, field)
     elif args.kind == "bumps":
         n = args.n
+        if n < 0:
+            raise ValueError("--n must not be negative")
         labels = [0.0, 1.0] + [2.0] * n
         edges = [(0, 1)] + [(1, 2 + i) for i in range(n)]
         from .treeaut import LabeledTree
@@ -142,9 +145,13 @@ def cmd_gen(args) -> int:
         mesh, field = realize_tree(tree, args.resolution)
         rio.save_mesh_field(out, mesh, field)
     elif args.kind == "random-field":
+        if args.input is None:
+            raise ValueError("gen random-field needs --input")
         mesh, _ = rio.load_mesh_field(args.input)
         rio.save_mesh_field(out, mesh, random_field(mesh, args.seed))
     elif args.kind == "corpus":
+        if args.size < 0:
+            raise ValueError("--size must not be negative")
         out.mkdir(parents=True, exist_ok=True)
         manifest = []
         for i in range(args.size):

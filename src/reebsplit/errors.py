@@ -51,7 +51,8 @@ class CriticalBoundary(InvalidFieldClass):
 
 
 class GenusNotZero(ReebSplitError):
-    """Surface is not genus zero; its level-set graph would contain cycles."""
+    """Surface is not a connected genus-zero one, whose level-set graph is a
+    tree, or not closed where a sphere is needed."""
 
 
 class ValueCollision(ReebSplitError):

@@ -31,25 +31,12 @@ class ScalarField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def tie(self, v: int) -> tuple[float, int]:
-        """Total order on vertices: (value, index) lexicographic."""
-        return (float(self.values[v]), v)
-
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class Criticality:
-    kind: str  # minimum | maximum | regular | saddle | boundary-regular
-    multiplicity: int = 0
-    lower_components: int = 0
-    upper_components: int = 0
-
-
-# kind codes of ``FieldClassReport.kinds``, indexing ``KIND_NAMES``
+# kind codes of ``FieldClassReport.kinds``
 REGULAR, MINIMUM, MAXIMUM, SADDLE, BOUNDARY = range(5)
-KIND_NAMES = ("regular", "minimum", "maximum", "saddle", "boundary-regular")
 
 
 def _kinds(boundary: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -57,7 +44,7 @@ def _kinds(boundary: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.nda
 
     Interior vertices: no lower run is a minimum, no upper run a maximum, one
     of each is regular, and k lower runs (k >= 2) is a saddle of multiplicity
-    k - 1.  Boundary vertices are reported as boundary-regular; whether the
+    k - 1.  Boundary vertices get the code BOUNDARY; whether the
     boundary as a whole is admissible is a field-level question handled by
     ``classify_field``.
     """
@@ -109,13 +96,6 @@ def _link_runs(mesh: TriangleMesh, field: ScalarField) -> tuple[np.ndarray, np.n
     return lower, changes
 
 
-def csr_rows(flat: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows ``flat[starts[i]:starts[i + 1]]`` of compressed sparse rows,
-    as tuples."""
-    flat, starts = flat.tolist(), starts.tolist()
-    return [tuple(flat[a:b]) for a, b in zip(starts, starts[1:])]
-
-
 @dataclass(frozen=True)
 class FlatContraction:
     """Maximal connected equal-value subcomplexes contracted to super-vertices.
@@ -129,12 +109,6 @@ class FlatContraction:
     members: np.ndarray          # the vertices sorted by zone, ascending in one
     starts: np.ndarray           # where each zone's members start, and the end
     zone_values: tuple[float, ...]
-    identity: bool               # every zone is a single vertex
-
-    @property
-    def zones(self) -> tuple[tuple[int, ...], ...]:
-        """Each zone's vertices, ascending."""
-        return tuple(csr_rows(self.members, self.starts))
 
     def zone_neighbors(self, mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency of the zones: ``indices[indptr[z]:indptr[z + 1]]``
@@ -167,7 +141,6 @@ def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
         members=np.argsort(zone_of, kind="stable"),
         starts=starts,
         zone_values=tuple(vals[reps].tolist()),
-        identity=len(reps) == n,
     )
 
 
@@ -192,18 +165,6 @@ class FieldClassReport:
     def multiplicities(self) -> np.ndarray:
         """Per vertex: a saddle's multiplicity, and 0 at every other kind."""
         return np.where(self.kinds == SADDLE, self.lower - 1, 0)
-
-    @property
-    def per_vertex(self) -> tuple[Criticality, ...]:
-        """The classification of every vertex, as objects."""
-        keys = zip(self.kinds.tolist(), self.multiplicities.tolist(),
-                   self.lower.tolist(), self.upper.tolist())
-        return tuple([Criticality(KIND_NAMES[k], m, lo, up)
-                      for k, m, lo, up in keys])
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.saddle_multiplicities)
 
     @property
     def valid(self) -> bool:
@@ -302,4 +263,4 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
 
 def euler_identity_holds(report: FieldClassReport) -> bool:
     """Extrema minus total saddle multiplicity equals 2 on a closed sphere."""
-    return report.minima + report.maxima - report.total_multiplicity == 2
+    return report.minima + report.maxima - sum(report.saddle_multiplicities) == 2

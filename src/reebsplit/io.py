@@ -75,6 +75,8 @@ def load_mesh_field(path, values_path=None) -> tuple[TriangleMesh, ScalarField]:
     path = Path(path)
     if path.suffix.lower() == ".off":
         return load_off(path, values_path)
+    if values_path is not None:
+        raise ValueError("a sidecar value file is read only with OFF input")
     data = json.loads(path.read_text())
     return mesh_field_from_dict(data)
 

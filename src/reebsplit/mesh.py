@@ -402,12 +402,8 @@ class CutPiece:
     orig_vertex: np.ndarray
     boundary: tuple[int, ...]
 
-    def new_index(self, orig: int) -> int | None:
-        hits = np.nonzero(self.orig_vertex == orig)[0]
-        return int(hits[0]) if len(hits) else None
-
     def contains_orig(self, orig: int) -> bool:
-        return self.new_index(orig) is not None
+        return bool((self.orig_vertex == orig).any())
 
 
 def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",

@@ -30,7 +30,6 @@ from .field import (
     FieldClassReport,
     ScalarField,
     classify_field,
-    csr_rows,
 )
 from .mesh import (
     LevelCycle,
@@ -60,8 +59,15 @@ class ReebEdge:
     preimage: tuple[int, ...]   # regular mesh vertices swept along the edge
 
 
-# the name of a tree vertex's kind code (``field.KIND_NAMES``, with the
-# boundary cycle's zone a boundary vertex); no vertex is regular
+def csr_rows(flat: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows ``flat[starts[i]:starts[i + 1]]`` of compressed sparse rows,
+    as tuples."""
+    flat, starts = flat.tolist(), starts.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+# the name of each kind code of ``field`` (``REGULAR`` to ``BOUNDARY``, with
+# a boundary cycle's zone a boundary vertex); no tree vertex is regular
 VERTEX_KINDS = ("regular", "minimum", "maximum", "saddle", "boundary")
 
 
@@ -100,6 +106,16 @@ class ReebGraph:
         rows = zip(self.tree.edges, csr_rows(flat, starts[self.n_vertices:]))
         return [ReebEdge(id=i, lower=lo, upper=hi, preimage=pre)
                 for i, ((lo, hi), pre) in enumerate(rows)]
+
+    def edge_ends(self, edge_id: int) -> tuple[tuple[float, float], tuple[int, int]]:
+        """The labels of a tree edge's lower and upper end, and the smallest
+        mesh vertex of each end's preimage."""
+        if not 0 <= edge_id < self.n_edges:
+            raise EdgeNotFound(f"no edge {edge_id}")
+        lo, hi = self.tree.edges[edge_id]
+        labels = self.tree.labels
+        flat, starts = self.preimages
+        return (labels[lo], labels[hi]), (int(flat[starts[lo]]), int(flat[starts[hi]]))
 
     @property
     def n_vertices(self) -> int:
@@ -437,31 +453,13 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
 # ----------------------------------------------------------------------
 # level cycles
 
-def mesh_vertex_assignment(graph: ReebGraph, n_vertices: int) -> list[tuple[str, int]]:
-    """Map every mesh vertex to its tree element ('v', id) or ('e', id)."""
-    where: list[tuple[str, int] | None] = [None] * n_vertices
-    for v in graph.vertices:
-        for w in v.preimage:
-            where[w] = ("v", v.id)
-    for e in graph.edges:
-        for w in e.preimage:
-            where[w] = ("e", e.id)
-    if any(x is None for x in where):
-        raise InternalInconsistency("preimages do not cover the mesh")
-    return where  # type: ignore[return-value]
-
-
 def choose_cut_value(field: ScalarField, graph: ReebGraph, edge_id: int) -> float:
     """Midpoint of the largest value gap strictly inside an edge's label span.
 
     Ties between equally large gaps resolve to the lowest one, so the choice
     is deterministic and never collides with a vertex value.
     """
-    if not 0 <= edge_id < graph.n_edges:
-        raise EdgeNotFound(f"no edge {edge_id}")
-    e = graph.edges[edge_id]
-    lo = graph.vertices[e.lower].label
-    hi = graph.vertices[e.upper].label
+    (lo, hi), _ = graph.edge_ends(edge_id)
     vals = field.values
     inside = distinct(vals[(vals > lo) & (vals < hi)]).tolist()
     stops = [lo] + inside + [hi]
@@ -483,11 +481,7 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     component of the strict superlevel graph holding the upper endpoint's);
     on a tree that pair is unique to the edge.
     """
-    if not 0 <= edge_id < graph.n_edges:
-        raise EdgeNotFound(f"no edge {edge_id}")
-    e = graph.edges[edge_id]
-    lo = graph.vertices[e.lower].label
-    hi = graph.vertices[e.upper].label
+    (lo, hi), (lo_rep, hi_rep) = graph.edge_ends(edge_id)
     vals = field.values
     if not lo < c < hi:
         raise ValueCollision(f"{c} is outside the edge span ({lo}, {hi})")
@@ -504,8 +498,7 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     level = np.flatnonzero(~crosses)
     crossed = np.flatnonzero(crosses)
     comp = components(mesh.n_vertices, u[level], v[level])
-    lo_comp = comp[graph.vertices[e.lower].preimage[0]]
-    hi_comp = comp[graph.vertices[e.upper].preimage[0]]
+    lo_comp, hi_comp = comp[lo_rep], comp[hi_rep]
     ends = mesh.edge_pairs[crossed].tolist()
     for start, (a, b) in enumerate(ends):
         if above[a]:

@@ -11,12 +11,11 @@ classification, tree, group, fixed set) are computed once per field in a
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency
+from .errors import GenusNotZero, InternalInconsistency
 from .field import BOUNDARY, FieldClassReport, ScalarField, classify_field
 from .mesh import SurfaceReport, TriangleMesh, cut_along_cycle, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle
@@ -50,7 +49,6 @@ class SphereAnalysis:
     surface: SurfaceReport
     fclass: FieldClassReport
     graph: ReebGraph
-    tree: LabeledTree
     group: AutGroup     # the enumerated group, never a replayed dump
     fixed: FixedSet
 
@@ -60,16 +58,20 @@ def analyze_sphere(mesh: TriangleMesh, field: ScalarField, *,
     """Validate, classify and build the tree, group and fixed set of a field.
 
     ``surface`` passes in ``validate_surface(mesh)`` when the caller already
-    has it.  Errors are those of ``build_reeb`` on the field.
+    has it.  A surface other than a closed connected genus-0 one raises
+    GenusNotZero before the field is classified; other errors are those of
+    ``build_reeb`` on the field.
     """
     if surface is None:
         surface = validate_surface(mesh)
+    if not (surface.closed and surface.genus == 0 and surface.connected):
+        raise GenusNotZero(
+            f"need a closed connected genus-0 surface, got {surface}")
     fclass = classify_field(mesh, field)
     graph = build_reeb(mesh, field, surface=surface, fclass=fclass)
-    tree = graph.tree
-    group = enumerate_aut(tree)
+    group = enumerate_aut(graph.tree)
     return SphereAnalysis(surface=surface, fclass=fclass, graph=graph,
-                          tree=tree, group=group, fixed=fixed_set(group, tree))
+                          group=group, fixed=fixed_set(group, graph.tree))
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,9 @@ class SplitReport:
     subtree_group_gap: tuple[GapNote, ...] = ()
     passed: bool = False
     notes: tuple[str, ...] = ()
-    seconds: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema": "reeb-split/1",
             "reeb_vertices": self.reeb_vertices,
             "reeb_edges": self.reeb_edges,
@@ -183,9 +184,6 @@ class SplitReport:
             "passed": self.passed,
             "notes": list(self.notes),
         }
-        if include_timing:
-            out["seconds"] = self.seconds
-        return out
 
     def summary(self) -> str:
         if not self.hypothesis_holds:
@@ -202,20 +200,15 @@ class SplitReport:
 
 
 def check_subtree_group_gap(cut: TreeCut, *,
-                            side_orders: tuple[int, int] | None = None
-                            ) -> tuple[GapNote, ...]:
+                            side_orders: tuple[int, int]) -> tuple[GapNote, ...]:
     """Compare marked-leaf-fixing and unconstrained subtree groups.
 
-    ``side_orders`` passes in the orders of the two marked side groups when
-    the caller has already enumerated them.  The marked group is the
-    stabilizer of the cut leaf x in the unmarked one, so the unmarked order
-    is the marked order times the size of x's orbit: the vertices y with
-    x's label that an isomorphism of the side tree onto itself can map x to
-    (``tree_isomorphic`` ignores the mark).
+    ``side_orders`` are the orders of the two marked side groups.  The
+    marked group is the stabilizer of the cut leaf x in the unmarked one, so
+    the unmarked order is the marked order times the size of x's orbit: the
+    vertices y with x's label that an isomorphism of the side tree onto
+    itself can map x to (``tree_isomorphic`` ignores the mark).
     """
-    if side_orders is None:
-        side_orders = tuple(enumerate_aut(cut.side(name).tree).order
-                            for name in ("A", "B"))
     notes = []
     for name, marked in zip(("A", "B"), side_orders):
         t = cut.side(name).tree
@@ -241,17 +234,11 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
     external dumps; a tampered dump fails the verdict, and an element that
     is no permutation of the tree's vertices raises ValueError).
     ``sphere`` passes in ``analyze_sphere(mesh, field)`` when the caller
-    already has it.  The surface must be a closed sphere either way, and
-    that is checked before the tree is built.
+    already has it; otherwise it is made here, with its errors.
     """
-    t0 = time.perf_counter()
-    surface = validate_surface(mesh) if sphere is None else sphere.surface
-    if not (surface.closed and surface.genus == 0 and surface.connected):
-        raise InternalInconsistency(
-            f"pipeline needs a closed connected genus-0 surface, got {surface}")
     if sphere is None:
-        sphere = analyze_sphere(mesh, field, surface=surface)
-    graph, tree, fixed = sphere.graph, sphere.tree, sphere.fixed
+        sphere = analyze_sphere(mesh, field)
+    graph, tree, fixed = sphere.graph, sphere.graph.tree, sphere.fixed
     # the enumerated group drives the geometry (fixed set, cut choice); a
     # replayed dump is the claimed element list whose pairing gets audited
     group = sphere.group
@@ -273,25 +260,21 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
     )
     if not fixed.has_edge:
         return SplitReport(**base, hypothesis_holds=False, passed=False,
-                           notes=("fixed set has no edge; nothing to cut",),
-                           seconds=time.perf_counter() - t0)
+                           notes=("fixed set has no edge; nothing to cut",))
 
     eid = fixed.edge_ids[0] if edge_id is None else edge_id
     if eid not in fixed.edge_ids:
         raise InternalInconsistency(f"edge {eid} is not in the fixed set")
-    e = graph.edges[eid]
-    lo_label = graph.vertices[e.lower].label
-    hi_label = graph.vertices[e.upper].label
+    edge_labels, (lower_rep, upper_rep) = graph.edge_ends(eid)
     c = choose_cut_value(field, graph, eid) if cut_value is None else cut_value
 
     cycle = level_cycle(mesh, field, graph, eid, c)
     piece_first, piece_second = cut_along_cycle(mesh, field, cycle)
-    lower_rep = graph.vertices[e.lower].preimage[0]
     if piece_first.contains_orig(lower_rep):
         piece_a, piece_b = piece_first, piece_second
     else:
         piece_a, piece_b = piece_second, piece_first
-    if not piece_b.contains_orig(graph.vertices[e.upper].preimage[0]):
+    if not piece_b.contains_orig(upper_rep):
         raise InternalInconsistency("cut pieces do not separate the edge ends")
 
     cut = cut_tree_at(tree, eid)
@@ -356,7 +339,7 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
         **base,
         hypothesis_holds=True,
         edge_id=eid,
-        edge_labels=(lo_label, hi_label),
+        edge_labels=edge_labels,
         cut_value=float(c),
         crossings=len(cycle),
         disks=tuple(disks),
@@ -368,7 +351,6 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
         subtree_group_gap=gap,
         passed=passed,
         notes=tuple(notes),
-        seconds=time.perf_counter() - t0,
     )
 
 

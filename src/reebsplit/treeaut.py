@@ -101,9 +101,6 @@ class LabeledTree:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def with_marked(self, marked: int | None) -> "LabeledTree":
-        return LabeledTree(self.labels, self.edges, marked)
-
     def __repr__(self):
         mk = f", marked={self.marked}" if self.marked is not None else ""
         return f"LabeledTree(n={self.n}{mk})"
@@ -169,13 +166,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     free list of another length until the next full garbage collection.
     """
     return tuple([p[i] for i in q])
-
-
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def perm_order(p: Perm) -> int:
@@ -305,10 +295,6 @@ class AutGroup:
             "generators": [list(g) for g in self.generators],
             "elements": [list(p) for p in self.elements],
         }
-
-
-def group_order(group: AutGroup) -> int:
-    return group.order
 
 
 def element_order_histogram(group) -> dict[int, int]:

@@ -228,6 +228,46 @@ def test_replay_group_malformed_file(bumps_file, tmp_path, dump):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def cut_disk(octahedron):
+    """The lower disk of the octahedron cut across its only edge."""
+    from reebsplit.mesh import cut_along_cycle
+    from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
+
+    mesh, field = octahedron
+    graph = build_reeb(mesh, field)
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    piece = cut_along_cycle(mesh, field, cycle)[0]
+    return piece.mesh, piece.field
+
+
+@pytest.mark.parametrize("surface", ["torus", "cut_disk"])
+@pytest.mark.parametrize("flags", [[], ["--all-edges"]], ids=["first-edge", "all-edges"])
+def test_split_rejects_a_surface_that_is_no_sphere(request, tmp_path, surface, flags):
+    path = tmp_path / "surface.json"
+    save_mesh_field(path, *request.getfixturevalue(surface))
+    code, out, err = run(["split", "--input", str(path), *flags])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: GenusNotZero: need a closed connected genus-0 surface")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "random-field", "--out", "{out}"], "gen random-field needs --input"),
+    (["gen", "bumps", "--n", "-1", "--out", "{out}"], "--n must not be negative"),
+    (["gen", "corpus", "--size", "-1", "--out", "{out}"], "--size must not be negative"),
+    (["validate", "--input", "{octa}", "--values", "{octa}"],
+     "a sidecar value file is read only with OFF input"),
+], ids=["random-field-without-input", "negative-bumps", "negative-corpus-size",
+        "values-with-json-input"])
+def test_bad_arguments_are_invalid(octa_file, tmp_path, argv, message):
+    out = tmp_path / "out"
+    code, _, err = run([a.format(octa=octa_file, out=out) for a in argv])
+    assert code == 1
+    assert err == f"error: ValueError: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_input_is_invalid(tmp_path):
     code, _, err = run(["reeb", "--input", str(tmp_path / "nope.json")])
     assert code == 1

@@ -55,12 +55,16 @@ SEED0_DIGESTS = {
 }
 
 
-def test_seed0_output_digests():
+def test_seed0_output_digests(monkeypatch):
     # one round of each workload at seed 0, hashed as the benchmark's run
-    # record does, so any change to an output shows here
+    # record does, so any change to an output shows here; the benchmark's
+    # own correctness checks then judge that round, as a run does
+    monkeypatch.syspath_prepend(str(PERFBENCH))    # run.py imports checks
     workloads, run = load("workloads"), load("run")
     for name, digest in SEED0_DIGESTS.items():
         inputs = workloads.WORKLOADS[name](0).make_inputs()
         rec = run.run_rounds(inputs, workloads.OPS, seconds=0)
         assert (rec.rounds, rec.failed) == (1, 0), name
         assert run.output_digest(inputs, rec) == digest, name
+        counts, shown, bad = run.check_outputs(inputs, rec, rec.later)
+        assert (sum(counts.values()), shown, bad) == (0, [], set()), name

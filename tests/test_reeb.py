@@ -38,7 +38,6 @@ from reebsplit.reeb import (
     choose_cut_value,
     export_dot,
     level_cycle,
-    mesh_vertex_assignment,
 )
 from reebsplit.selftest import split_corpus_seeds
 from reebsplit.split import analyze_sphere, reeb_to_tree
@@ -92,8 +91,6 @@ def test_tree_property_and_leaf_count():
 def test_preimages_partition_the_mesh(three_bump):
     mesh, field = three_bump
     g = build_reeb(mesh, field)
-    where = mesh_vertex_assignment(g, mesh.n_vertices)
-    assert len(where) == mesh.n_vertices
     counts = {}
     for v in g.vertices:
         for w in v.preimage:
@@ -252,8 +249,8 @@ def test_aut_on_large_random_field_builds_no_tree_objects(built_objects, tmp_pat
     assert len(built_objects) == graph.n_vertices + graph.n_edges > 4000
 
 
-def test_split_builds_tree_objects_for_the_sphere_only(built_objects, monkeypatch,
-                                                       tmp_path, three_bump):
+def test_split_builds_no_tree_objects(built_objects, monkeypatch, tmp_path,
+                                      three_bump):
     from reebsplit import split
 
     graphs = []
@@ -266,15 +263,15 @@ def test_split_builds_tree_objects_for_the_sphere_only(built_objects, monkeypatc
     # fields with one and with nine fixed edges, two disks per edge
     fields = [(three_bump, 1),
               (realize_tree(random_realizable_tree(9, symmetry=3, seed=7), 4), 9)]
+    path = tmp_path / "in.json"
     for (mesh, field), fixed_edges in fields:
-        graphs.clear()
-        built_objects.clear()
-        path = tmp_path / "in.json"
         save_mesh_field(path, mesh, field)
-        assert run_cli(["split", "--all-edges", "--input", str(path)]) == 0
-        sphere, *disks = graphs
-        assert len(disks) == 2 * fixed_edges
-        assert len(built_objects) == sphere.n_vertices + sphere.n_edges
+        for flags, cuts in (([], 1), (["--all-edges"], fixed_edges)):
+            graphs.clear()
+            assert run_cli(["split", *flags, "--input", str(path)]) == 0
+            # the sphere's tree, then one per disk
+            assert len(graphs) == 1 + 2 * cuts
+            assert built_objects == []
 
 
 def test_torus_rejected(torus):
@@ -465,7 +462,7 @@ def test_peel_matches_oracle_on_random_fields_of_large_sphere():
     mesh, _ = realize_tree(tree, 48)
     assert mesh.n_vertices == 4148
     contraction = flat_contract(mesh, random_field(mesh, 0))
-    assert contraction.identity
+    assert len(contraction.starts) == mesh.n_vertices + 1   # one vertex per zone
     indptr, indices = contraction.zone_neighbors(mesh)
     for seed in range(3):
         values = random_field(mesh, seed).values.tolist()
@@ -615,8 +612,8 @@ def test_tampered_classification_raises_typed_error():
         mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry,
                                                           seed=seed), 4)
         fclass = classify_field(mesh, field)
-        kinds = [c.kind for c in fclass.per_vertex]
-        for kind in ("saddle", "maximum", "minimum"):
+        kinds = fclass.kinds.tolist()
+        for kind in (SADDLE, MAXIMUM, MINIMUM):
             if kind not in kinds:
                 continue
             with pytest.raises(InternalInconsistency):
@@ -624,7 +621,7 @@ def test_tampered_classification_raises_typed_error():
             cases += 1
         # two saddles called regular can leave a reduced graph whose peel
         # has too few arcs
-        saddles = [v for v, kind in enumerate(kinds) if kind == "saddle"]
+        saddles = [v for v, kind in enumerate(kinds) if kind == SADDLE]
         for i, a in enumerate(saddles):
             for b in saddles[i + 1:]:
                 tampered = relabeled_regular(relabeled_regular(fclass, a), b)
@@ -642,11 +639,10 @@ def test_tampered_random_field_raises_typed_error():
     field = random_field(mesh, 0)
     fclass = classify_field(mesh, field)
     messages = set()
-    for vertex, crit in enumerate(fclass.per_vertex):
-        if crit.kind == "saddle":
-            with pytest.raises(InternalInconsistency) as err:
-                build_reeb(mesh, field, fclass=relabeled_regular(fclass, vertex))
-            messages.add(str(err.value))
+    for vertex in np.flatnonzero(fclass.kinds == SADDLE).tolist():
+        with pytest.raises(InternalInconsistency) as err:
+            build_reeb(mesh, field, fclass=relabeled_regular(fclass, vertex))
+        messages.add(str(err.value))
     assert "the tree path of a regular component is not monotone" in messages
 
 

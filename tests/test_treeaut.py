@@ -36,9 +36,7 @@ from reebsplit.treeaut import (
     enumerate_general_aut,
     fixed_set,
     glue_aut,
-    group_order,
     identity_perm,
-    invert,
     perm_order,
     restrict_aut,
     tree_isomorphic,
@@ -47,6 +45,13 @@ from reebsplit.treeaut import (
     verify_isomorphism_pairs,
     walk,
 )
+
+
+def invert(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
 
 
 def test_tree_invariants_enforced():
@@ -164,7 +169,7 @@ def test_refinement_stop_at_discrete_colouring_changes_nothing():
     # each tree and with its vertex 0 marked
     discrete = 0
     for tree in oracle_corpus(200):
-        for t in (tree, tree.with_marked(0)):
+        for t in (tree, LabeledTree(tree.labels, tree.edges, marked=0)):
             for initial in ([(t.labels[v], t.degree(v), v == t.marked)
                              for v in range(t.n)],
                             [(t.degree(v), v == t.marked) for v in range(t.n)]):
@@ -176,7 +181,8 @@ def test_refinement_stop_at_discrete_colouring_changes_nothing():
 
 
 def test_marked_vertex_restricts_group(three_bump_tree):
-    marked = three_bump_tree.with_marked(2)  # pin one peak
+    marked = LabeledTree(three_bump_tree.labels, three_bump_tree.edges,
+                         marked=2)  # pin one peak
     group = enumerate_aut(marked)
     assert group.order == 2
     assert list(group.elements) == brute_force_aut(marked)
@@ -185,7 +191,7 @@ def test_marked_vertex_restricts_group(three_bump_tree):
 def test_group_axioms_and_generators(three_bump_tree):
     group = enumerate_aut(three_bump_tree)
     assert verify_group_axioms(group)
-    assert group_order(group) == 6
+    assert group.order == 6
     regenerated = close_under_composition(list(group.generators), group.n)
     assert tuple(regenerated) == group.elements
     assert not verify_group_axioms([group.elements[-1]])  # no identity
