@@ -21,7 +21,7 @@ from .field import classify_field
 from .gen import octahedron_height, random_field, random_realizable_tree, realize_tree
 from .mesh import validate_surface
 from .reeb import build_reeb, export_dot
-from .split import analyze_sphere, verify_all_fixed_edges, verify_theorem
+from .split import analyze_sphere, verify_fixed_edges, verify_theorem
 from .treeaut import AutGroup, element_order_histogram, enumerate_aut
 
 EXIT_OK = 0
@@ -105,14 +105,9 @@ def cmd_split(args) -> int:
                              "drop --all-edges")
         replay = _load_replay(args.replay_group)
     if args.all_edges:
+        # one report per fixed edge, or the one saying there is none
         sphere = analyze_sphere(mesh, field)
-        reports = verify_all_fixed_edges(mesh, field, sphere=sphere)
-        if not reports:
-            single = verify_theorem(mesh, field, sphere=sphere)
-            print(single.summary())
-            if args.json:
-                _write_json(args.json, [single.to_dict()])
-            return EXIT_OK
+        reports = verify_fixed_edges(mesh, field, sphere.fixed.edge_ids, sphere=sphere)
     else:
         reports = [verify_theorem(mesh, field, replay_group=replay)]
     for r in reports:

@@ -180,7 +180,7 @@ class FieldClassReport:
         }
 
 
-def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
+def classify_field(mesh: TriangleMesh, field: ScalarField, parts=None):
     """Classify every vertex and check global admissibility.
 
     The field is invalid when a flat zone is not exactly a whole boundary
@@ -188,77 +188,87 @@ def classify_field(mesh: TriangleMesh, field: ScalarField) -> FieldClassReport:
     interior collar sits on both sides of its value.  Otherwise the class is
     Morse when all saddles are simple and F-generic when degenerate saddles
     (multiplicity >= 2) occur.
-    """
-    if len(field) != mesh.n_vertices:
-        raise ValueError("field length does not match vertex count")
-    contraction = flat_contract(mesh, field)
-    reasons: list[str] = []
 
-    # zones whose flatness is accounted for: whole boundary cycles, and
-    # zones already reported for leaking off one
-    named_zone_ids = set()
+    With ``parts``, as in ``validate_surface``, one report per part, which
+    shares the union's contraction and per-vertex arrays; a reason counts
+    against the part of the vertex it names, in that part's vertex ids.
+    """
+    n = mesh.n_vertices
+    if len(field) != n:
+        raise ValueError("field length does not match vertex count")
+    bounds = np.array([0, n]) if parts is None else np.asarray(parts)
+    part_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    reasons = [set() for _ in bounds[1:]]
+
+    def name(reason, *vertices):
+        i = part_of[vertices[0]]
+        reasons[i].add(reason.format(*(int(v - bounds[i]) for v in vertices)))
+
+    contraction = flat_contract(mesh, field)
     vals = field.values
     members, starts = contraction.members, contraction.starts
-    u, v = mesh.edge_pairs.T
-    for cyc in mesh.boundary_cycles:
-        first = int(cyc[0])
-        cvals = set(vals[cyc].tolist())
-        if len(cvals) != 1:
-            reasons.append(
-                f"CriticalBoundary: boundary cycle at vertex {first} is not constant")
-            continue
-        zid = int(contraction.zone_of[first])
-        zone = members[starts[zid]:starts[zid + 1]]
-        named_zone_ids.add(zid)
-        if not np.array_equal(zone, np.sort(cyc)):
-            reasons.append(
-                f"FlatZone: constant zone of {len(zone)} vertices, smallest "
-                f"vertex {zone[0]}, leaks off a boundary cycle")
-            continue
-        c = cvals.pop()
-        on_cycle = np.zeros(mesh.n_vertices, dtype=bool)
-        on_cycle[cyc] = True
-        collar = np.concatenate((u[on_cycle[v]], v[on_cycle[u]]))
-        collar = collar[~mesh.is_boundary_vertex[collar]]
-        above = vals[collar] > c
-        if above.any() and not above.all():
-            reasons.append(
-                "CriticalBoundary: collar sits on both sides of the boundary "
-                f"value (vertex {collar[~above].min()} below, "
-                f"{collar[above].min()} above)")
-        elif not len(collar):
-            reasons.append(
-                f"CriticalBoundary: boundary cycle at vertex {first} has no "
-                "interior collar")
-
     sizes = np.diff(starts)
-    for zid in np.flatnonzero(sizes > 1).tolist():
-        if zid not in named_zone_ids:
-            reasons.append(
-                f"FlatZone: {sizes[zid]} adjacent vertices share a value, "
-                f"smallest vertex {members[starts[zid]]}")
+    # a boundary cycle must be constant, and then its zone must be the cycle
+    # alone and its collar, the interior vertices next to it, on one side of
+    # its value; a constant cycle's zone is reported here or not at all
+    accounted = np.zeros(len(sizes), dtype=bool)
+    if mesh.boundary_cycles:
+        lengths = np.fromiter(map(len, mesh.boundary_cycles), np.intp)
+        on_cycles = np.concatenate(mesh.boundary_cycles)
+        heads = np.cumsum(lengths) - lengths
+        first, level = on_cycles[heads], vals[on_cycles[heads]]
+        constant = (np.minimum.reduceat(vals[on_cycles], heads) == level) \
+            & (np.maximum.reduceat(vals[on_cycles], heads) == level)
+        zone = contraction.zone_of[first]
+        accounted[zone[constant]] = True
+        cycle_of = np.empty(n, dtype=np.intp)
+        cycle_of[on_cycles] = np.repeat(np.arange(len(lengths)), lengths)
+        # an edge from a boundary to an interior vertex joins a cycle to its collar
+        u, v = mesh.edge_pairs.T
+        at = np.flatnonzero(mesh.is_boundary_vertex[u] != mesh.is_boundary_vertex[v])
+        on = mesh.is_boundary_vertex[u[at]]
+        cyc = cycle_of[np.where(on, u[at], v[at])]
+        collar = np.where(on, v[at], u[at])
+        above = vals[collar] > level[cyc]
+        n_above = np.bincount(cyc[above], minlength=len(lengths))
+        n_collar = np.bincount(cyc, minlength=len(lengths))
+        for j, f in enumerate(first.tolist()):
+            if not constant[j]:
+                name("CriticalBoundary: boundary cycle at vertex {} is not constant", f)
+            elif sizes[zone[j]] != lengths[j]:
+                name(f"FlatZone: constant zone of {sizes[zone[j]]} vertices, smallest "
+                     "vertex {}, leaks off a boundary cycle", members[starts[zone[j]]])
+            elif 0 < n_above[j] < n_collar[j]:
+                mine, up = collar[cyc == j], above[cyc == j]
+                name("CriticalBoundary: collar sits on both sides of the boundary "
+                     "value (vertex {} below, {} above)", mine[~up].min(), mine[up].min())
+            elif not n_collar[j]:
+                name("CriticalBoundary: boundary cycle at vertex {} has no interior "
+                     "collar", f)
+
+    for zid in np.flatnonzero((sizes > 1) & ~accounted).tolist():
+        name(f"FlatZone: {sizes[zid]} adjacent vertices share a value, smallest "
+             "vertex {}", members[starts[zid]])
 
     lower, upper = _link_runs(mesh, field)
     kinds = _kinds(mesh.is_boundary_vertex, lower, upper)
-    mults = np.sort(lower[kinds == SADDLE] - 1).tolist()
-
-    if reasons:
-        field_class = "invalid"
-    elif all(m == 1 for m in mults):
-        field_class = "Morse"
-    else:
-        field_class = "F-generic"
-    return FieldClassReport(
-        field_class=field_class,
-        minima=int(np.count_nonzero(kinds == MINIMUM)),
-        maxima=int(np.count_nonzero(kinds == MAXIMUM)),
-        saddle_multiplicities=tuple(mults),
-        reasons=tuple(sorted(set(reasons))),
-        contraction=contraction,
-        kinds=kinds,
-        lower=lower,
-        upper=upper,
-    )
+    reports = []
+    for why, a, b in zip(reasons, bounds[:-1].tolist(), bounds[1:].tolist()):
+        part = kinds[a:b]
+        mults = np.sort(lower[a:b][part == SADDLE] - 1).tolist()
+        reports.append(FieldClassReport(
+            field_class="invalid" if why else
+            "Morse" if all(m == 1 for m in mults) else "F-generic",
+            minima=int(np.count_nonzero(part == MINIMUM)),
+            maxima=int(np.count_nonzero(part == MAXIMUM)),
+            saddle_multiplicities=tuple(mults),
+            reasons=tuple(sorted(why)),
+            contraction=contraction,
+            kinds=kinds,
+            lower=lower,
+            upper=upper,
+        ))
+    return reports[0] if parts is None else reports
 
 
 def euler_identity_holds(report: FieldClassReport) -> bool:

@@ -255,6 +255,8 @@ def random_realizable_tree(n: int, symmetry: int = 1,
     """
     if n < 2:
         raise InvalidTree("need n >= 2")
+    if symmetry < 1:
+        raise ValueError(f"symmetry must be at least 1, got {symmetry}")
     rng = random.Random(seed)
     taken: set[float] = set()
     l0 = _fresh_label(rng, taken, 0.0, 1.0)

@@ -8,6 +8,7 @@ module is purely combinatorial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -89,7 +90,7 @@ def _triangle_array(triangles) -> np.ndarray:
             not isinstance(triangles, np.ndarray)
             and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(triangles)))):
         raise ValueError("triangle vertex indices must be integers")
-    return tris.astype(np.intp)
+    return tris.astype(np.intp, copy=False)
 
 
 def _next_corner(k):
@@ -169,21 +170,23 @@ class TriangleMesh:
         self.edge_triangles[inner, 1] = q // 3
         self.boundary_edges = self.edge_pairs[counts == 1]
 
-        # glue the corners at each end of every interior edge; sides p and q
-        # run opposite ways unless the winding flips across the edge
-        m = len(p)
-        self.corner_links = links = np.empty((2 * m, 2), dtype=np.intp)
-        links[:m, 0] = p
-        links[m:, 0] = _next_corner(p)
-        links[:m, 1] = _next_corner(q)
-        links[m:, 1] = q
         same_way = heads[p] == heads[q]
         self._interior_sides = (p, q, same_way)
-        if same_way.any():  # then q's corner at p's head is q itself
-            links[:m, 1][same_way], links[m:, 1][same_way] = q[same_way], _next_corner(q[same_way])
-            self._orientable = None  # labelled on demand
-        else:
-            self._orientable = True
+        self._orientable = None if same_way.any() else True  # None: labelled on demand
+
+    @property
+    def corner_links(self) -> np.ndarray:
+        # made when read, not kept.  The corners at each end of an interior
+        # edge are glued; its sides p and q run opposite ways unless the
+        # winding flips across it, and then q's corner at p's head is q
+        p, q, same_way = self._interior_sides
+        m = len(p)
+        links = np.empty((2 * m, 2), dtype=np.intp)
+        links[:m, 0] = p
+        links[m:, 0] = _next_corner(p)
+        links[:m, 1] = np.where(same_way, q, _next_corner(q))
+        links[m:, 1] = np.where(same_way, _next_corner(q), q)
+        return links
 
     def _check_links(self):
         """Raise PinchedVertex unless every link is one cycle or one path.
@@ -193,7 +196,7 @@ class TriangleMesh:
         it has zero or two loose ends, its boundary edges.
         """
         nv, nc = self.n_vertices, 3 * self.n_triangles
-        label = components(nc, self.corner_links[:, 0], self.corner_links[:, 1])
+        label = components(nc, *self.corner_links.T)
         roots = np.flatnonzero(np.bincount(label, minlength=nc))
         fans = np.bincount(self.triangles.ravel()[roots], minlength=nv)
         ends = np.bincount(self.boundary_edges.ravel(), minlength=nv)
@@ -249,19 +252,8 @@ class TriangleMesh:
         return len(self.triangles)
 
     @property
-    def euler(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_triangles
-
-    @property
     def closed(self) -> bool:
         return not self.boundary_cycles
-
-    def component_count(self) -> int:
-        label = components(self.n_vertices, self.edge_pairs[:, 0], self.edge_pairs[:, 1])
-        return len(np.flatnonzero(np.bincount(label)))
-
-    def connected(self) -> bool:
-        return self.component_count() == 1
 
     def check_orientable(self) -> bool:
         """True when triangles admit a globally consistent winding.
@@ -309,32 +301,41 @@ class SurfaceReport:
         }
 
 
-def validate_surface(mesh: TriangleMesh) -> SurfaceReport:
+def validate_surface(mesh: TriangleMesh, parts=None):
     """Validate manifold structure and summarize the surface topology.
 
     Local structure (edge multiplicity, vertex links) is already checked by
     the ``TriangleMesh`` constructor; this adds the global orientability
     check and the Euler bookkeeping.  Raises ``NonOrientable`` when no
     consistent winding exists.
+
+    With ``parts``, one report per part of a disjoint union whose part ``i``
+    holds the vertices ``parts[i]`` to ``parts[i + 1] - 1``.
     """
     if not mesh.check_orientable():
         raise NonOrientable("triangles admit no consistent winding")
-    ncomp = mesh.component_count()
-    boundary_count = len(mesh.boundary_cycles)
-    euler = mesh.euler
-    # one 2-sphere worth of Euler characteristic per connected component
-    genus = (2 * ncomp - euler - boundary_count) // 2
-    return SurfaceReport(
-        closed=mesh.closed,
-        orientable=True,
-        genus=genus,
-        boundary_count=boundary_count,
-        euler=euler,
-        connected=ncomp == 1,
-        vertex_count=mesh.n_vertices,
-        edge_count=mesh.n_edges,
-        triangle_count=mesh.n_triangles,
-    )
+    n = mesh.n_vertices
+    bounds = [0, n] if parts is None else parts
+    part_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    roots = components(n, *mesh.edge_pairs.T) == np.arange(n)
+    counts = [np.bincount(part_of[at], minlength=len(bounds) - 1).tolist()
+              for at in (mesh.edge_pairs[:, 0], mesh.triangles[:, 0], roots,
+                         [cycle[0] for cycle in mesh.boundary_cycles])]
+    reports = []
+    for v, e, t, ncomp, boundary_count in zip(np.diff(bounds).tolist(), *counts):
+        euler = v - e + t
+        reports.append(SurfaceReport(
+            closed=boundary_count == 0,
+            orientable=True,
+            genus=(2 * ncomp - euler - boundary_count) // 2,  # 2 per sphere
+            boundary_count=boundary_count,
+            euler=euler,
+            connected=ncomp == 1,
+            vertex_count=v,
+            edge_count=e,
+            triangle_count=t,
+        ))
+    return reports[0] if parts is None else reports
 
 
 @dataclass(frozen=True)
@@ -392,18 +393,21 @@ def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> list[int
 class CutPiece:
     """One side of a cut sphere: a disk with its restricted field.
 
+    ``mesh`` is built from the arrays ``vertices`` and ``triangles`` when read.
     ``orig_vertex[i]`` is the source vertex of piece vertex ``i``, or -1 for a
     vertex created on the cut.  ``boundary`` lists the new boundary vertices
     in cycle order.
     """
 
-    mesh: TriangleMesh
+    vertices: np.ndarray
+    triangles: np.ndarray
     field: "ScalarField"
     orig_vertex: np.ndarray
     boundary: tuple[int, ...]
 
-    def contains_orig(self, orig: int) -> bool:
-        return bool((self.orig_vertex == orig).any())
+    @cached_property
+    def mesh(self) -> TriangleMesh:
+        return TriangleMesh(self.vertices, self.triangles)
 
 
 def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
@@ -479,7 +483,8 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
         renumber = np.empty(nv + ncross, dtype=np.intp)
         renumber[used] = np.arange(len(used))
         pieces.append(CutPiece(
-            mesh=TriangleMesh(coords[used], renumber[new_tris[tri_piece == root]]),
+            vertices=coords[used],
+            triangles=renumber[new_tris[tri_piece == root]],
             field=ScalarField(vals[used]),
             orig_vertex=np.concatenate((orig, np.full(ncross, -1))),
             boundary=tuple(range(len(orig), len(used))),
@@ -487,6 +492,6 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
 
     u0, v0 = pairs[0]
     below_first = u0 if values[u0] < c else v0
-    if not pieces[0].contains_orig(below_first):
+    if not (pieces[0].orig_vertex == below_first).any():
         pieces.reverse()
     return pieces[0], pieces[1]

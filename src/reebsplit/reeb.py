@@ -426,28 +426,45 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
         fclass = classify_field(mesh, field)
     if not fclass.valid:
         raise InvalidFieldClass("; ".join(fclass.reasons) or "unclassifiable field")
+    return part_trees(mesh, [report], [fclass], [0, mesh.n_vertices])[0]
 
+
+def part_trees(mesh: TriangleMesh, surfaces: list[SurfaceReport],
+               fclasses: list[FieldClassReport], parts) -> list[ReebGraph | None]:
+    """``build_reeb`` of each part of a disjoint union with ``parts``, from
+    its ``validate_surface`` and ``classify_field`` reports; None where the
+    field is invalid.  Zones are numbered by their smallest vertex, so each
+    part's tree is made from slices of the union's contraction."""
     # a zone's kind is its smallest vertex's; on a valid field the only
     # zones of several vertices are boundary cycles, whose vertices are all
     # boundary vertices
-    contraction = fclass.contraction
+    contraction = fclasses[0].contraction
     members, starts = contraction.members, contraction.starts
     first = members[starts[:-1]]
-    graph = _tree_from_sweeps(contraction.zone_values,
-                              *contraction.zone_neighbors(mesh),
-                              fclass.kinds[first],
-                              fclass.multiplicities[first], members, starts)
-    kinds, mults = graph.kinds, graph.multiplicities
-    degree = np.fromiter(map(len, graph.tree.adj), np.intp, graph.n_vertices)
-    saddle = kinds == SADDLE
-    bad = np.flatnonzero(degree != np.where(saddle, mults + 2, 1))
-    if len(bad):
-        v = int(bad[0])
-        if saddle[v]:
+    kinds, mults = fclasses[0].kinds[first], fclasses[0].multiplicities[first]
+    indptr, indices = contraction.zone_neighbors(mesh)
+    zones = contraction.zone_of[parts[:-1]].tolist() + [len(first)]
+    graphs = [None] * len(fclasses)
+    for i, (surface, fclass) in enumerate(zip(surfaces, fclasses)):
+        if not fclass.valid:
+            continue
+        if surface.genus != 0 or not surface.connected:
+            raise GenusNotZero(f"need a connected genus-0 surface, got genus {surface.genus}")
+        z0, z1 = zones[i], zones[i + 1]
+        a, b = indptr[z0], indptr[z1]
+        graphs[i] = graph = _tree_from_sweeps(
+            contraction.zone_values[z0:z1], indptr[z0:z1 + 1] - a,
+            indices[a:b] - z0, kinds[z0:z1], mults[z0:z1],
+            members[starts[z0]:starts[z1]] - parts[i], starts[z0:z1 + 1] - starts[z0])
+        degree = np.fromiter(map(len, graph.tree.adj), np.intp, graph.n_vertices)
+        bad = np.flatnonzero(degree != np.where(graph.kinds == SADDLE,
+                                                graph.multiplicities + 2, 1))
+        if len(bad):
+            v = int(bad[0])
             raise InternalInconsistency(
-                f"saddle {v}: degree {degree[v]} vs multiplicity {mults[v]}")
-        raise InternalInconsistency(f"leaf-kind vertex {v} has degree {degree[v]}")
-    return graph
+                f"{VERTEX_KINDS[graph.kinds[v]]} {v} of multiplicity "
+                f"{graph.multiplicities[v]} has degree {degree[v]}")
+    return graphs
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenusNotZero, InternalInconsistency
+from .errors import EdgeNotFound, GenusNotZero, InternalInconsistency
 from .field import BOUNDARY, FieldClassReport, ScalarField, classify_field
 from .mesh import SurfaceReport, TriangleMesh, cut_along_cycle, validate_surface
-from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle
+from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle, part_trees
 from .treeaut import (
     AutGroup,
     FixedSet,
@@ -53,17 +53,14 @@ class SphereAnalysis:
     fixed: FixedSet
 
 
-def analyze_sphere(mesh: TriangleMesh, field: ScalarField, *,
-                   surface: SurfaceReport | None = None) -> SphereAnalysis:
+def analyze_sphere(mesh: TriangleMesh, field: ScalarField) -> SphereAnalysis:
     """Validate, classify and build the tree, group and fixed set of a field.
 
-    ``surface`` passes in ``validate_surface(mesh)`` when the caller already
-    has it.  A surface other than a closed connected genus-0 one raises
-    GenusNotZero before the field is classified; other errors are those of
-    ``build_reeb`` on the field.
+    A surface other than a closed connected genus-0 one raises GenusNotZero
+    before the field is classified; other errors are those of ``build_reeb``
+    on the field.
     """
-    if surface is None:
-        surface = validate_surface(mesh)
+    surface = validate_surface(mesh)
     if not (surface.closed and surface.genus == 0 and surface.connected):
         raise GenusNotZero(
             f"need a closed connected genus-0 surface, got {surface}")
@@ -220,21 +217,78 @@ def check_subtree_group_gap(cut: TreeCut, *,
     return tuple(notes)
 
 
-def verify_theorem(mesh: TriangleMesh, field: ScalarField,
-                   edge_id: int | None = None,
-                   cut_value: float | None = None,
-                   replay_group: AutGroup | None = None, *,
-                   sphere: SphereAnalysis | None = None) -> SplitReport:
-    """Verify the product splitting across one fixed edge.
+# a batch of cut pieces closes before its union would pass this many vertices
+# (a larger piece is a batch of its own): a union's peak memory, about 1 kB a
+# vertex, grows with it faster than the per-call time it saves falls
+BATCH_VERTICES = 768
 
-    With no ``edge_id`` the fixed edge with the smallest id is cut.  When the
-    fixed set contains no edge the report states that the hypothesis fails,
-    which is a clean outcome, not an error.  ``replay_group`` substitutes a
-    previously dumped element list for the enumerated group (used to audit
-    external dumps; a tampered dump fails the verdict, and an element that
-    is no permutation of the tree's vertices raises ValueError).
-    ``sphere`` passes in ``analyze_sphere(mesh, field)`` when the caller
-    already has it; otherwise it is made here, with its errors.
+
+def disk_analyses(pieces):
+    """Each cut piece with its ``validate_surface``, ``classify_field`` and
+    tree (None where its field is invalid), taken as they come in batches of
+    at most ``BATCH_VERTICES`` vertices, each one disjoint-union mesh."""
+    batch = []
+    for piece in pieces:
+        if batch and sum(len(p.field) for p in batch + [piece]) > BATCH_VERTICES:
+            yield from _analyze_batch(batch)
+            batch = []
+        batch.append(piece)
+    if batch:
+        yield from _analyze_batch(batch)
+
+
+def _analyze_batch(batch) -> list[tuple]:
+    # the union mesh is freed on return, before the next batch is built
+    bounds = np.cumsum([0] + [len(p.field) for p in batch])
+    union = TriangleMesh(
+        np.concatenate([p.vertices for p in batch]),
+        np.concatenate([p.triangles + b for p, b in zip(batch, bounds.tolist())]))
+    surfaces = validate_surface(union, bounds)
+    fclasses = classify_field(
+        union, ScalarField(np.concatenate([p.field.values for p in batch])), bounds)
+    return list(zip(batch, surfaces, fclasses,
+                    part_trees(union, surfaces, fclasses, bounds)))
+
+
+def _disk_check(side: str, cut: TreeCut, c: float, piece, rep, fclass,
+                graph) -> DiskCheck:
+    side_tree = cut.side(side).tree
+    labels = list(side_tree.labels)
+    labels[side_tree.marked] = c
+    match = graph is not None and tree_isomorphic(
+        graph.tree, LabeledTree(labels, side_tree.edges),
+        pin=(int(np.flatnonzero(graph.kinds == BOUNDARY)[0]), side_tree.marked))
+    bvals = {float(piece.field.values[v]) for v in piece.boundary}
+    return DiskCheck(
+        side=side,
+        euler=rep.euler,
+        boundary_count=rep.boundary_count,
+        genus=rep.genus,
+        boundary_constant=bvals == {float(c)},
+        boundary_value=float(c),
+        field_class=fclass.field_class,
+        vertex_count=rep.vertex_count,
+        triangle_count=rep.triangle_count,
+        interior_minima=fclass.minima,
+        interior_maxima=fclass.maxima,
+        saddle_multiplicities=fclass.saddle_multiplicities,
+        tree_matches_cut_side=match,
+    )
+
+
+def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
+                       cut_value: float | None = None,
+                       replay_group: AutGroup | None = None, *,
+                       sphere: SphereAnalysis | None = None) -> list[SplitReport]:
+    """Verify the product splitting across each fixed edge of ``edge_ids``,
+    cut at ``cut_value`` or at ``choose_cut_value``; one report per edge, or
+    the one report that the hypothesis fails when the fixed set has no edge.
+
+    An edge outside the fixed set raises EdgeNotFound.  ``replay_group``
+    substitutes a dumped element list for the enumerated group, to audit
+    it: a tampered dump fails the verdict, and an element that is no
+    permutation of the tree's vertices raises ValueError.  ``sphere``
+    passes in ``analyze_sphere(mesh, field)``.
     """
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
@@ -259,110 +313,87 @@ def verify_theorem(mesh: TriangleMesh, field: ScalarField,
         fixed_edge_ids=fixed.edge_ids,
     )
     if not fixed.has_edge:
-        return SplitReport(**base, hypothesis_holds=False, passed=False,
-                           notes=("fixed set has no edge; nothing to cut",))
+        return [SplitReport(**base, hypothesis_holds=False, passed=False,
+                            notes=("fixed set has no edge; nothing to cut",))]
+    for eid in edge_ids:
+        if eid not in fixed.edge_ids:
+            raise EdgeNotFound(f"edge {eid} is not in the fixed set")
 
-    eid = fixed.edge_ids[0] if edge_id is None else edge_id
-    if eid not in fixed.edge_ids:
-        raise InternalInconsistency(f"edge {eid} is not in the fixed set")
-    edge_labels, (lower_rep, upper_rep) = graph.edge_ends(eid)
-    c = choose_cut_value(field, graph, eid) if cut_value is None else cut_value
+    cuts = []   # (edge, cut value, crossings, tree cut), as the edges are cut
 
-    cycle = level_cycle(mesh, field, graph, eid, c)
-    piece_first, piece_second = cut_along_cycle(mesh, field, cycle)
-    if piece_first.contains_orig(lower_rep):
-        piece_a, piece_b = piece_first, piece_second
-    else:
-        piece_a, piece_b = piece_second, piece_first
-    if not piece_b.contains_orig(upper_rep):
-        raise InternalInconsistency("cut pieces do not separate the edge ends")
+    def pieces():
+        for eid in edge_ids:
+            _, (lower_rep, upper_rep) = graph.edge_ends(eid)
+            c = choose_cut_value(field, graph, eid) if cut_value is None else cut_value
+            cycle = level_cycle(mesh, field, graph, eid, c)
+            piece_a, piece_b = cut_along_cycle(mesh, field, cycle)
+            if not (piece_a.orig_vertex == lower_rep).any():
+                piece_a, piece_b = piece_b, piece_a
+            if not (piece_b.orig_vertex == upper_rep).any():
+                raise InternalInconsistency("cut pieces do not separate the edge ends")
+            cuts.append((eid, c, len(cycle), cut_tree_at(tree, eid)))
+            yield from (piece_a, piece_b)
 
-    cut = cut_tree_at(tree, eid)
-    notes = []
+    disks = [_disk_check("AB"[k % 2], cuts[k // 2][3], cuts[k // 2][1], *facts)
+             for k, facts in enumerate(disk_analyses(pieces()))]
+    reports = []
+    for (eid, c, crossings, cut), pair in zip(cuts, zip(disks[::2], disks[1::2])):
+        euler_sum_ok = pair[0].euler + pair[1].euler == 2
+        group_a = enumerate_aut(cut.side_a.tree)
+        group_b = enumerate_aut(cut.side_b.tree)
+        phi = verify_isomorphism(cut, group, group_a, group_b)
+        order_product_ok = group.order == group_a.order * group_b.order
+        side_sets = {name: set(cut.side(name).orig) - {-1} for name in ("A", "B")}
+        sides_invariant = all(
+            {g[v] for v in side_sets[name]} == side_sets[name]
+            for g in group.elements for name in ("A", "B"))
+        gap = check_subtree_group_gap(cut, side_orders=(group_a.order, group_b.order))
+        notes = tuple(
+            f"side {note.side}: marking the cut leaf shrinks the subtree "
+            f"group ({note.unmarked_order} -> {note.marked_order})"
+            for note in gap if not note.equal)
 
-    disks = []
-    for name, piece in (("A", piece_a), ("B", piece_b)):
-        rep = validate_surface(piece.mesh)
-        fclass = classify_field(piece.mesh, piece.field)
-        bvals = {float(piece.field.values[v]) for v in piece.boundary}
-        boundary_constant = bvals == {float(c)}
-        side_tree = cut.side(name).tree
-        expected = LabeledTree(
-            [c if i == side_tree.marked else side_tree.labels[i]
-             for i in range(side_tree.n)],
-            side_tree.edges)
-        match = False
-        if fclass.valid:
-            disk_graph = build_reeb(piece.mesh, piece.field, surface=rep,
-                                    fclass=fclass)
-            boundary_leaf = int(np.flatnonzero(disk_graph.kinds == BOUNDARY)[0])
-            match = tree_isomorphic(disk_graph.tree, expected,
-                                    pin=(boundary_leaf, side_tree.marked))
-        disks.append(DiskCheck(
-            side=name,
-            euler=rep.euler,
-            boundary_count=rep.boundary_count,
-            genus=rep.genus,
-            boundary_constant=boundary_constant,
-            boundary_value=float(c),
-            field_class=fclass.field_class,
-            vertex_count=rep.vertex_count,
-            triangle_count=rep.triangle_count,
-            interior_minima=fclass.minima,
-            interior_maxima=fclass.maxima,
-            saddle_multiplicities=fclass.saddle_multiplicities,
-            tree_matches_cut_side=match,
+        passed = (all(d.passed for d in pair) and euler_sum_ok and phi.passed
+                  and order_product_ok and sides_invariant)
+        reports.append(SplitReport(
+            **base,
+            hypothesis_holds=True,
+            edge_id=eid,
+            edge_labels=graph.edge_ends(eid)[0],
+            cut_value=float(c),
+            crossings=crossings,
+            disks=pair,
+            euler_sum_ok=euler_sum_ok,
+            side_orders=(group_a.order, group_b.order),
+            order_product_ok=order_product_ok,
+            phi=phi.to_dict(),
+            sides_invariant=sides_invariant,
+            subtree_group_gap=gap,
+            passed=passed,
+            notes=notes,
         ))
-    euler_sum_ok = disks[0].euler + disks[1].euler == 2
+    return reports
 
-    group_a = enumerate_aut(cut.side_a.tree)
-    group_b = enumerate_aut(cut.side_b.tree)
-    phi = verify_isomorphism(cut, group, group_a, group_b)
-    order_product_ok = group.order == group_a.order * group_b.order
 
-    side_sets = {name: set(cut.side(name).orig) - {-1} for name in ("A", "B")}
-    sides_invariant = all(
-        {g[v] for v in side_sets[name]} == side_sets[name]
-        for g in group.elements for name in ("A", "B"))
-
-    gap = check_subtree_group_gap(
-        cut, side_orders=(group_a.order, group_b.order))
-    for note in gap:
-        if not note.equal:
-            notes.append(
-                f"side {note.side}: marking the cut leaf shrinks the subtree "
-                f"group ({note.unmarked_order} -> {note.marked_order})")
-
-    passed = (all(d.passed for d in disks) and euler_sum_ok and phi.passed
-              and order_product_ok and sides_invariant)
-    return SplitReport(
-        **base,
-        hypothesis_holds=True,
-        edge_id=eid,
-        edge_labels=edge_labels,
-        cut_value=float(c),
-        crossings=len(cycle),
-        disks=tuple(disks),
-        euler_sum_ok=euler_sum_ok,
-        side_orders=(group_a.order, group_b.order),
-        order_product_ok=order_product_ok,
-        phi=phi.to_dict(),
-        sides_invariant=sides_invariant,
-        subtree_group_gap=gap,
-        passed=passed,
-        notes=tuple(notes),
-    )
+def verify_theorem(mesh: TriangleMesh, field: ScalarField,
+                   edge_id: int | None = None,
+                   cut_value: float | None = None,
+                   replay_group: AutGroup | None = None, *,
+                   sphere: SphereAnalysis | None = None) -> SplitReport:
+    """Verify the product splitting across one fixed edge, by default the
+    one with the smallest id: ``verify_fixed_edges`` of that edge alone."""
+    if sphere is None:
+        sphere = analyze_sphere(mesh, field)
+    edges = sphere.fixed.edge_ids[:1] if edge_id is None else (edge_id,)
+    return verify_fixed_edges(mesh, field, edges, cut_value, replay_group,
+                              sphere=sphere)[0]
 
 
 def verify_all_fixed_edges(mesh: TriangleMesh, field: ScalarField, *,
                            sphere: SphereAnalysis | None = None
                            ) -> list[SplitReport]:
-    """One report per fixed edge; empty when the fixed set has no edge.
-
-    The sphere is analyzed once (or passed in as ``sphere``) and shared by
-    every edge's ``verify_theorem``.
-    """
+    """``verify_fixed_edges`` of every fixed edge; empty when there is none."""
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
-    return [verify_theorem(mesh, field, edge_id=eid, sphere=sphere)
-            for eid in sphere.fixed.edge_ids]
+    fixed = sphere.fixed.edge_ids
+    return verify_fixed_edges(mesh, field, fixed, sphere=sphere) if fixed else []

@@ -258,8 +258,12 @@ def test_split_rejects_a_surface_that_is_no_sphere(request, tmp_path, surface, f
     (["gen", "corpus", "--size", "-1", "--out", "{out}"], "--size must not be negative"),
     (["validate", "--input", "{octa}", "--values", "{octa}"],
      "a sidecar value file is read only with OFF input"),
+    (["gen", "tree", "--n", "5", "--symmetry", "0", "--out", "{out}"],
+     "symmetry must be at least 1, got 0"),
+    (["gen", "tree", "--n", "5", "--symmetry", "-1", "--out", "{out}"],
+     "symmetry must be at least 1, got -1"),
 ], ids=["random-field-without-input", "negative-bumps", "negative-corpus-size",
-        "values-with-json-input"])
+        "values-with-json-input", "zero-symmetry", "negative-symmetry"])
 def test_bad_arguments_are_invalid(octa_file, tmp_path, argv, message):
     out = tmp_path / "out"
     code, _, err = run([a.format(octa=octa_file, out=out) for a in argv])

@@ -12,7 +12,7 @@ from reebsplit.field import (
     flat_contract,
 )
 from reebsplit.gen import octahedron_height, realize_tree
-from reebsplit.mesh import TriangleMesh
+from reebsplit.mesh import TriangleMesh, validate_surface
 from reebsplit.reeb import build_reeb, choose_cut_value, csr_rows, level_cycle
 from reebsplit.mesh import cut_along_cycle
 
@@ -338,3 +338,35 @@ def test_misshaped_values_rejected():
     for values in (np.zeros((2, 3)), np.zeros((6, 1)), 5.0):
         with pytest.raises(ValueError, match="1-D"):
             ScalarField(values)
+
+
+def test_parts_of_a_union_are_classified_as_if_alone(octahedron, monkey_star, three_bump):
+    # disks with every kind of boundary reason, a closed sphere, a flat zone
+    # and a valid cut disk, side by side in one mesh with offset vertex ids
+    square = ([(0, 0, 0), (3, 0, 0), (3, 3, 0), (0, 3, 0), (1, 1.5, 0), (2, 1.5, 0)],
+              [(0, 1, 4), (1, 5, 4), (1, 2, 5), (2, 3, 5), (3, 4, 5), (3, 0, 4)])
+    triangle = TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    mesh, field = octahedron
+    graph = build_reeb(mesh, field)
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    disk = cut_along_cycle(mesh, field, cycle)[1]
+    flat = field.values.copy()
+    flat[1] = flat[2]
+    parts = [(TriangleMesh(*square), ScalarField(np.array([0.0] * 4 + list(inner))))
+             for inner in ((-1.0, 1.0), (0.0, 1.0), (2.0, 3.0))]
+    parts += [(triangle, ScalarField(np.array([0.0, 1.0, 2.0]))),
+              (mesh, field), (disk.mesh, disk.field), monkey_star, three_bump,
+              (triangle, ScalarField(np.zeros(3))), (mesh, ScalarField(flat))]
+    bounds = np.cumsum([0] + [m.n_vertices for m, _ in parts])
+    union = TriangleMesh(np.concatenate([m.vertices for m, _ in parts]),
+                         np.concatenate([m.triangles + b for (m, _), b in zip(parts, bounds)]))
+    values = ScalarField(np.concatenate([f.values for _, f in parts]))
+
+    assert validate_surface(union, bounds) == [validate_surface(m) for m, _ in parts]
+    reports = classify_field(union, values, bounds)
+    assert len({r.field_class for r in reports}) == 3
+    for (m, f), rep, a, b in zip(parts, reports, bounds, bounds[1:]):
+        alone = classify_field(m, f)
+        assert rep == alone       # class, extrema, saddles and reasons
+        for name in ("kinds", "lower", "upper"):
+            assert np.array_equal(getattr(rep, name)[a:b], getattr(alone, name))

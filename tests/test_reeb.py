@@ -38,6 +38,7 @@ from reebsplit.reeb import (
     choose_cut_value,
     export_dot,
     level_cycle,
+    part_trees,
 )
 from reebsplit.selftest import split_corpus_seeds
 from reebsplit.split import analyze_sphere, reeb_to_tree
@@ -259,7 +260,12 @@ def test_split_builds_no_tree_objects(built_objects, monkeypatch, tmp_path,
         graphs.append(build_reeb(*args, **kwargs))
         return graphs[-1]
 
+    def recorded_parts(*args, **kwargs):
+        graphs.extend(part_trees(*args, **kwargs))
+        return graphs[len(graphs) - len(args[2]):]
+
     monkeypatch.setattr(split, "build_reeb", recorded)
+    monkeypatch.setattr(split, "part_trees", recorded_parts)
     # fields with one and with nine fixed edges, two disks per edge
     fields = [(three_bump, 1),
               (realize_tree(random_realizable_tree(9, symmetry=3, seed=7), 4), 9)]
@@ -271,6 +277,7 @@ def test_split_builds_no_tree_objects(built_objects, monkeypatch, tmp_path,
             assert run_cli(["split", *flags, "--input", str(path)]) == 0
             # the sphere's tree, then one per disk
             assert len(graphs) == 1 + 2 * cuts
+            assert None not in graphs
             assert built_objects == []
 
 

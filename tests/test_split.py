@@ -1,16 +1,21 @@
+import functools
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebsplit import reeb, split, treeaut
 from reebsplit import field as field_module
-from reebsplit.errors import GenusNotZero, InvalidFieldClass, ReebSplitError
-from reebsplit.field import ScalarField
+from reebsplit import mesh as mesh_module
+from reebsplit.errors import EdgeNotFound, GenusNotZero, InvalidFieldClass, ReebSplitError
+from reebsplit.field import ScalarField, classify_field
 from reebsplit.gen import random_realizable_tree, realize_tree
 from reebsplit.io import dumps_canonical, mesh_field_from_dict, mesh_field_to_dict
-from reebsplit.mesh import cut_along_cycle
-from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
+from reebsplit.mesh import TriangleMesh, cut_along_cycle, validate_surface
+from reebsplit.reeb import build_reeb, choose_cut_value, csr_rows, level_cycle
 from reebsplit.selftest import split_corpus_seeds
 from reebsplit.split import (
     check_subtree_group_gap,
@@ -214,8 +219,10 @@ def test_shared_analysis_matches_standalone_reports(double_fork_tree):
 
 
 def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
-    calls = {name: [] for name in ("build_reeb", "flat_contract", "classify_field",
-                                   "validate_surface", "verify_group_axioms")}
+    data = mesh_field_to_dict(*realize_tree(double_fork_tree, 4))
+    calls = {name: [] for name in ("TriangleMesh", "build_reeb", "flat_contract",
+                                   "classify_field", "validate_surface",
+                                   "verify_group_axioms")}
 
     def count(module, name):
         original = getattr(module, name)
@@ -228,18 +235,30 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
 
     for module in (split, reeb, field_module, treeaut):
         for name in calls:
-            if hasattr(module, name):
+            if hasattr(module, name) and name != "TriangleMesh":
                 count(module, name)
-    reports = verify_all_fixed_edges(*realize_tree(double_fork_tree, 4))
+    init = mesh_module.TriangleMesh.__init__
+    monkeypatch.setattr(mesh_module.TriangleMesh, "__init__", lambda self, *args: (
+        calls["TriangleMesh"].append(self), init(self, *args))[-1])
+    # the four disks fit in one batch, or under a cap of one vertex make four
+    for cap, batches in ((split.BATCH_VERTICES, 1), (1, 4)):
+        monkeypatch.setattr(split, "BATCH_VERTICES", cap)
+        for made in calls.values():
+            made.clear()
+        mesh, field = mesh_field_from_dict(data)
+        reports = verify_all_fixed_edges(mesh, field)
 
-    assert len(reports) == 2
-    meshes = {id(m) for m in calls["build_reeb"]}
-    assert len(calls["build_reeb"]) == len(meshes) == 1 + 2 * 2
-    assert len(calls["flat_contract"]) == len(calls["build_reeb"])
-    for name in ("classify_field", "validate_surface"):
-        assert sorted(map(id, calls[name])) == sorted(meshes), name
-    assert len(calls["verify_group_axioms"]) == 1
-
+        assert len(reports) == 2
+        # the sphere, then one union per batch: no cut piece's own mesh is
+        # built
+        sphere, *unions = calls["TriangleMesh"]
+        assert sphere is mesh and len(unions) == batches
+        assert sum(u.n_vertices for u in unions) == \
+            sum(d.vertex_count for r in reports for d in r.disks)
+        assert calls["build_reeb"] == [mesh]
+        for name in ("validate_surface", "classify_field", "flat_contract"):
+            assert calls[name] == [mesh] + unions, name
+        assert len(calls["verify_group_axioms"]) == 1
 
 
 def test_sphere_group_span_built_once_for_all_closure_checks(double_fork_tree,
@@ -315,3 +334,130 @@ def test_reversed_winding_keeps_the_reports():
         reversed_reports = verify_all_fixed_edges(*mesh_field_from_dict(data))
         assert dumps_canonical([r.to_dict() for r in reversed_reports]) == \
             dumps_canonical([r.to_dict() for r in verify_all_fixed_edges(mesh, field)])
+
+
+def test_edge_outside_the_fixed_set_is_not_found(three_bump):
+    mesh, field = three_bump
+    assert verify_theorem(mesh, field).fixed_edge_ids == (0,)
+    for edge in (1, 99):
+        with pytest.raises(ReebSplitError) as caught:
+            verify_theorem(mesh, field, edge_id=edge)
+        assert type(caught.value) is EdgeNotFound, edge
+
+
+# ----------------------------------------------------------------------
+# the batched disk pass against each disk built and checked alone
+
+
+@pytest.mark.parametrize("small_cap", [False, True])
+def test_batched_disk_pass_matches_each_disk_alone(monkeypatch, small_cap):
+    if small_cap:
+        monkeypatch.setattr(split, "BATCH_VERTICES", 200)
+    batch_sizes = []
+    analyze = split._analyze_batch
+    monkeypatch.setattr(split, "_analyze_batch", lambda batch: (
+        batch_sizes.append(len(batch)), analyze(batch))[1])
+    large = realize_tree(random_realizable_tree(14, symmetry=2, seed=1), 48)
+    assert large[0].n_vertices == 4148
+    corpus_batches = most = 0
+    for mesh, field in [large, *_split_corpus_fields(30)]:
+        graph = split.analyze_sphere(mesh, field).graph
+        pieces = []
+        for eid in treeaut.fixed_set(enumerate_aut(graph.tree), graph.tree).edge_ids:
+            cycle = level_cycle(mesh, field, graph, eid, choose_cut_value(field, graph, eid))
+            pieces += cut_along_cycle(mesh, field, cycle)
+        batch_sizes.clear()
+        checked = list(split.disk_analyses(pieces))
+        if mesh is large[0]:
+            # under the small cap every large disk is a batch of its own
+            assert batch_sizes == [1] * len(pieces) or not small_cap
+        else:
+            corpus_batches += len(batch_sizes)
+            most = max(most, *batch_sizes)
+        assert [piece for piece, *_ in checked] == pieces
+        for piece, surface, fclass, tree in checked:
+            assert surface == validate_surface(piece.mesh)
+            alone = classify_field(piece.mesh, piece.field)
+            assert (fclass.field_class, fclass.minima, fclass.maxima,
+                    fclass.saddle_multiplicities) == \
+                (alone.field_class, alone.minima, alone.maxima,
+                 alone.saddle_multiplicities)
+            assert fclass.valid and tree is not None
+            want = build_reeb(piece.mesh, piece.field)
+            assert (tree.tree.labels, tree.tree.edges) == (want.tree.labels, want.tree.edges)
+            for name in ("kinds", "multiplicities"):
+                assert np.array_equal(getattr(tree, name), getattr(want, name))
+            assert csr_rows(*tree.preimages) == csr_rows(*want.preimages)
+    # some fields take several batches, and some batches hold several disks
+    assert corpus_batches > 30 and most > 1
+
+
+# ----------------------------------------------------------------------
+# metamorphic relations on the first split-corpus fields, with hypothesis
+# choosing the field and the transform
+
+
+def _relabeled(data, seed):
+    """The mesh+field with its vertices renumbered, its triangles reordered
+    and each triangle's corners rotated, all drawn from ``seed``."""
+    rng = random.Random(seed)
+    n = len(data["vertices"])
+    new = list(range(n))
+    rng.shuffle(new)
+    vertices = [None] * n
+    values = [None] * n
+    for v in range(n):
+        vertices[new[v]] = data["vertices"][v]
+        values[new[v]] = data["values"][v]
+    triangles = []
+    for tri in data["triangles"]:
+        t = [new[v] for v in tri]
+        k = rng.randrange(3)
+        triangles.append(t[k:] + t[:k])
+    rng.shuffle(triangles)
+    return dict(data, vertices=vertices, triangles=triangles, values=values)
+
+
+def _subdivided(mesh, field, t=0.381966):
+    """The 1-to-4 subdivision, each new vertex at ``t`` along its edge (from
+    the smaller vertex id), where the PL field has the value it gets there;
+    ``t`` is not 1/2, so that new values do not tie with the generated
+    labels."""
+    u, v = mesh.edge_pairs.T
+    n = mesh.n_vertices
+    mid = {(a, b): n + e for e, (a, b) in enumerate(mesh.edge_pairs.tolist())}
+    vertices = np.concatenate((mesh.vertices,
+                               (1 - t) * mesh.vertices[u] + t * mesh.vertices[v]))
+    values = np.concatenate((field.values, (1 - t) * field.values[u] + t * field.values[v]))
+    triangles = []
+    for a, b, c in mesh.triangles.tolist():
+        ab, bc, ca = (mid[min(x, y), max(x, y)] for x, y in ((a, b), (b, c), (c, a)))
+        triangles += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+    return TriangleMesh(vertices, triangles), ScalarField(values)
+
+
+@functools.cache
+def _corpus_20():
+    return [(mesh, field, verify_all_fixed_edges(mesh, field))
+            for mesh, field in _split_corpus_fields(20)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 19), seed=st.integers(1, 2**32))
+def test_renumbering_keeps_the_reports(index, seed):
+    mesh, field, reports = _corpus_20()[index]
+    renumbered = mesh_field_from_dict(_relabeled(mesh_field_to_dict(mesh, field), seed))
+    assert dumps_canonical([r.to_dict() for r in verify_all_fixed_edges(*renumbered)]) \
+        == dumps_canonical([r.to_dict() for r in reports])
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st.integers(0, 19), transform=st.sampled_from(["cube", "exp", "subdivide"]))
+def test_monotone_maps_and_subdivision_keep_the_verdicts(index, transform):
+    mesh, field, reports = _corpus_20()[index]
+    if transform == "subdivide":
+        mesh, field = _subdivided(mesh, field)
+    else:
+        g = {"cube": lambda x: x ** 3, "exp": np.exp}[transform]
+        field = ScalarField(g(field.values))
+    assert _verdicts(verify_all_fixed_edges(mesh, field)) == _verdicts(reports)
