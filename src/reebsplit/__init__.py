@@ -30,7 +30,6 @@ from .treeaut import (
     enumerate_aut,
     enumerate_general_aut,
     fixed_set,
-    glue_aut,
     restrict_aut,
     tree_isomorphic,
     verify_group_axioms,
@@ -63,7 +62,6 @@ __all__ = [
     "export_dot",
     "fixed_set",
     "flat_contract",
-    "glue_aut",
     "level_cycle",
     "octahedron_height",
     "random_field",

@@ -288,17 +288,7 @@ class SurfaceReport:
     triangle_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "closed": self.closed,
-            "orientable": self.orientable,
-            "genus": self.genus,
-            "boundary_count": self.boundary_count,
-            "euler": self.euler,
-            "connected": self.connected,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "triangle_count": self.triangle_count,
-        }
+        return dict(vars(self))
 
 
 def validate_surface(mesh: TriangleMesh, parts=None):
@@ -355,6 +345,19 @@ class LevelCycle:
         return len(self.crossings)
 
 
+def overflow_scale(*values: float) -> float:
+    """0.5 where a value reaches 2**1023, so that the difference or sum of
+    two halved values stays finite, and 1.0 otherwise, so that every other
+    result keeps its bits; halving a value of that size is exact."""
+    return 0.5 if max(map(abs, values)) >= 2.0 ** 1023 else 1.0
+
+
+def crossing_parameter(c: float, fu: float, fv: float) -> float:
+    """``(c - fu) / (fv - fu)``, on halved values where they could overflow."""
+    s = overflow_scale(fu, fv)
+    return (c * s - fu * s) / (fv * s - fu * s)
+
+
 def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> list[int]:
     """Validate a level cycle against a mesh and value array.
 
@@ -370,12 +373,11 @@ def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> list[int
     eids = [e for e, _ in cycle.crossings]
     if len(set(eids)) != len(eids):
         raise CycleNotLevel("cycle crosses a mesh edge twice")
-    for (_, t), (u, v) in zip(cycle.crossings, mesh.edge_pairs[eids].tolist()):
-        fu, fv = values[u], values[v]
+    ends = mesh.edge_pairs[eids]
+    for (_, t), (u, v), (fu, fv) in zip(cycle.crossings, ends.tolist(), values[ends].tolist()):
         if not (min(fu, fv) < c < max(fu, fv)):
             raise CycleNotLevel(f"edge {(u, v)} does not straddle {c}")
-        t_ref = (c - fu) / (fv - fu)
-        if not (0.0 < t < 1.0) or abs(t - t_ref) > 1e-9:
+        if not (0.0 < t < 1.0) or abs(t - crossing_parameter(c, fu, fv)) > 1e-9:
             raise CycleNotLevel(f"parameter {t} inconsistent on edge {(u, v)}")
     sides = [set(ts) - {-1} for ts in mesh.edge_triangles[eids].tolist()]
     tris = []

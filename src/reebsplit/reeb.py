@@ -36,7 +36,9 @@ from .mesh import (
     SurfaceReport,
     TriangleMesh,
     components,
+    crossing_parameter,
     distinct,
+    overflow_scale,
     validate_surface,
 )
 from .treeaut import LabeledTree, walk
@@ -474,17 +476,20 @@ def choose_cut_value(field: ScalarField, graph: ReebGraph, edge_id: int) -> floa
     """Midpoint of the largest value gap strictly inside an edge's label span.
 
     Ties between equally large gaps resolve to the lowest one, so the choice
-    is deterministic and never collides with a vertex value.
+    is deterministic.  Gaps and midpoint are scaled by ``overflow_scale``.
+    Where the largest gap lies between adjacent floats the midpoint rounds
+    onto one of its ends, which ``level_cycle`` refuses with ValueCollision.
     """
     (lo, hi), _ = graph.edge_ends(edge_id)
     vals = field.values
     inside = distinct(vals[(vals > lo) & (vals < hi)]).tolist()
-    stops = [lo] + inside + [hi]
+    s = overflow_scale(lo, hi)
+    stops = [x * s for x in [lo] + inside + [hi]]
     best = 0
     for i in range(1, len(stops)):
-        if stops[i] - stops[i - 1] > stops[best + 1] - stops[best] + 0.0:
+        if stops[i] - stops[i - 1] > stops[best + 1] - stops[best]:
             best = i - 1
-    return (stops[best] + stops[best + 1]) / 2.0
+    return (stops[best] + stops[best + 1]) / (2 * s)
 
 
 def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
@@ -516,8 +521,8 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     crossed = np.flatnonzero(crosses)
     comp = components(mesh.n_vertices, u[level], v[level])
     lo_comp, hi_comp = comp[lo_rep], comp[hi_rep]
-    ends = mesh.edge_pairs[crossed].tolist()
-    for start, (a, b) in enumerate(ends):
+    ends = mesh.edge_pairs[crossed]
+    for start, (a, b) in enumerate(ends.tolist()):
         if above[a]:
             a, b = b, a
         if comp[a] == lo_comp and comp[b] == hi_comp:
@@ -539,8 +544,6 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     while side // 2 != start:
         cyc.append(side // 2)
         side = mate[side ^ 1]
-    crossings = []
-    for j in cyc:
-        a, b = ends[j]
-        crossings.append((int(crossed[j]), float((c - vals[a]) / (vals[b] - vals[a]))))
+    end_values = vals[ends].tolist()
+    crossings = [(int(crossed[j]), crossing_parameter(c, *end_values[j])) for j in cyc]
     return LevelCycle(crossings=tuple(crossings), closed=True, value=float(c))

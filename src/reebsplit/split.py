@@ -98,22 +98,7 @@ class DiskCheck:
             and self.tree_matches_cut_side
 
     def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "euler": self.euler,
-            "boundary_count": self.boundary_count,
-            "genus": self.genus,
-            "boundary_constant": self.boundary_constant,
-            "boundary_value": self.boundary_value,
-            "field_class": self.field_class,
-            "vertex_count": self.vertex_count,
-            "triangle_count": self.triangle_count,
-            "interior_minima": self.interior_minima,
-            "interior_maxima": self.interior_maxima,
-            "saddle_multiplicities": list(self.saddle_multiplicities),
-            "tree_matches_cut_side": self.tree_matches_cut_side,
-            "passed": self.passed,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -128,8 +113,7 @@ class GapNote:
         return self.marked_order == self.unmarked_order
 
     def to_dict(self) -> dict:
-        return {"side": self.side, "marked_order": self.marked_order,
-                "unmarked_order": self.unmarked_order, "equal": self.equal}
+        return {**vars(self), "equal": self.equal}
 
 
 @dataclass
@@ -158,29 +142,9 @@ class SplitReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "reeb-split/1",
-            "reeb_vertices": self.reeb_vertices,
-            "reeb_edges": self.reeb_edges,
-            "group_order": self.group_order,
-            "fixed_variant": self.fixed_variant,
-            "fixed_vertices": list(self.fixed_vertices),
-            "fixed_edge_ids": list(self.fixed_edge_ids),
-            "hypothesis_holds": self.hypothesis_holds,
-            "edge_id": self.edge_id,
-            "edge_labels": list(self.edge_labels) if self.edge_labels else None,
-            "cut_value": self.cut_value,
-            "crossings": self.crossings,
-            "disks": [d.to_dict() for d in self.disks],
-            "euler_sum_ok": self.euler_sum_ok,
-            "side_orders": list(self.side_orders) if self.side_orders else None,
-            "order_product_ok": self.order_product_ok,
-            "phi": self.phi,
-            "sides_invariant": self.sides_invariant,
-            "subtree_group_gap": [g.to_dict() for g in self.subtree_group_gap],
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**vars(self), "schema": "reeb-split/1",
+                "disks": [d.to_dict() for d in self.disks],
+                "subtree_group_gap": [g.to_dict() for g in self.subtree_group_gap]}
 
     def summary(self) -> str:
         if not self.hypothesis_holds:
@@ -319,25 +283,26 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
         if eid not in fixed.edge_ids:
             raise EdgeNotFound(f"edge {eid} is not in the fixed set")
 
-    cuts = []   # (edge, cut value, crossings, tree cut), as the edges are cut
+    cuts = []   # (edge, end labels, cut value, crossings, tree cut), as cut
 
     def pieces():
         for eid in edge_ids:
-            _, (lower_rep, upper_rep) = graph.edge_ends(eid)
+            labels, (lower_rep, upper_rep) = graph.edge_ends(eid)
             c = choose_cut_value(field, graph, eid) if cut_value is None else cut_value
             cycle = level_cycle(mesh, field, graph, eid, c)
+            # piece A holds the lower end of crossing 0, which level_cycle
+            # takes from the lower end's sublevel component
             piece_a, piece_b = cut_along_cycle(mesh, field, cycle)
-            if not (piece_a.orig_vertex == lower_rep).any():
-                piece_a, piece_b = piece_b, piece_a
-            if not (piece_b.orig_vertex == upper_rep).any():
+            if not ((piece_a.orig_vertex == lower_rep).any()
+                    and (piece_b.orig_vertex == upper_rep).any()):
                 raise InternalInconsistency("cut pieces do not separate the edge ends")
-            cuts.append((eid, c, len(cycle), cut_tree_at(tree, eid)))
+            cuts.append((eid, labels, c, len(cycle), cut_tree_at(tree, eid)))
             yield from (piece_a, piece_b)
 
-    disks = [_disk_check("AB"[k % 2], cuts[k // 2][3], cuts[k // 2][1], *facts)
+    disks = [_disk_check("AB"[k % 2], cuts[k // 2][4], cuts[k // 2][2], *facts)
              for k, facts in enumerate(disk_analyses(pieces()))]
     reports = []
-    for (eid, c, crossings, cut), pair in zip(cuts, zip(disks[::2], disks[1::2])):
+    for (eid, labels, c, crossings, cut), pair in zip(cuts, zip(disks[::2], disks[1::2])):
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
         group_a = enumerate_aut(cut.side_a.tree)
         group_b = enumerate_aut(cut.side_b.tree)
@@ -359,7 +324,7 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
             **base,
             hypothesis_holds=True,
             edge_id=eid,
-            edge_labels=graph.edge_ends(eid)[0],
+            edge_labels=labels,
             cut_value=float(c),
             crossings=crossings,
             disks=pair,

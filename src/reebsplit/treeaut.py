@@ -1,5 +1,5 @@
 """Labeled trees, their label-preserving automorphism groups, fixed sets,
-and the cut/restrict/glue machinery used by the splitting pipeline.
+and the cut and restriction maps used by the splitting pipeline.
 
 Automorphisms are stored as explicit vertex permutations (tuples).  Groups
 are explicit element lists, bounded by 10^4 elements by default; larger
@@ -12,7 +12,8 @@ confined to a set of permutations.  Each group builds that span once, as
 its cached ``closure``, and takes its generators from it.  Closure
 (``verify_group_axioms``) and the splitting homomorphism
 (``verify_isomorphism_pairs``) are checked on G x T, |T| <= log2 |G|,
-instead of on all |G|^2 pairs.
+instead of on all |G|^2 pairs; the restriction map is onto when its image
+has |G_A| * |G_B| pairs, so no preimage is ever glued.
 
 Enumeration, canonical forms and every walk over a tree are iterative, so
 trees of any depth are handled without recursion; every walk is the one
@@ -578,21 +579,6 @@ def restrict_aut(cut: TreeCut, gamma: Perm, which: str) -> Perm:
     return tuple(out)
 
 
-def glue_aut(cut: TreeCut, alpha: Perm, beta: Perm) -> Perm:
-    """Automorphism of the base tree restricting to ``alpha`` and ``beta``."""
-    a, b = cut.side_a, cut.side_b
-    if alpha[a.marked] != a.marked or beta[b.marked] != b.marked:
-        raise ValueError("glued pieces must fix their marked leaves")
-    out = [0] * cut.base.n
-    for i, o in enumerate(a.orig):
-        if o != -1:
-            out[o] = a.orig[alpha[i]]
-    for i, o in enumerate(b.orig):
-        if o != -1:
-            out[o] = b.orig[beta[i]]
-    return tuple(out)
-
-
 # ----------------------------------------------------------------------
 # isomorphism verification
 
@@ -608,27 +594,22 @@ class IsoVerdict:
         return self.injective and self.surjective and self.homomorphism
 
     def to_dict(self) -> dict:
-        return {
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "homomorphism": self.homomorphism,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
-                             pair_of, glue) -> IsoVerdict:
+                             pair_of) -> IsoVerdict:
     """Check that element -> (pair_of(element)) is a group isomorphism onto
-    side_a x side_b, with ``glue`` producing preimages.
+    side_a x side_b.
 
     Closure and multiplicativity are checked on G x T, where T is the greedy
     generating set of the elements: the span of T stays inside the set and
     covers it, and pair_of(g o t) = pair_of(g) o pair_of(t) for every g in G
     and t in T, which by induction on word length covers every pair of G.
-    A failing check names its witness in ``notes``.  ``elements`` may be an
-    AutGroup, whose closure check is then made once for all the cuts
-    checked with it.
+    Every pair lies in side_a x side_b, so the map is onto exactly when it
+    hits |side_a| * |side_b| distinct pairs.  A failing check names its
+    witness in ``notes``.  ``elements`` may be an AutGroup, whose closure
+    check is then made once for all the cuts checked with it.
     """
     group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements))
     elements = group.elements
@@ -654,7 +635,6 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     injective = all(g == ident for g in elements if pairs[g] == ident_pair)
 
     homomorphism = True
-    elem_set = group.element_set
     gens, escape = group.closure
     if escape is not None:
         homomorphism = False
@@ -670,16 +650,12 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
                 notes.append(f"pairing is not multiplicative at g={g}, t={t}")
                 break
 
-    surjective = True
     hit = set(pairs.values())
-    for pa, pb in product(side_a.elements, side_b.elements):
-        if (pa, pb) in hit:
-            continue
-        glued = glue(pa, pb)
-        if glued not in elem_set or pairs.get(glued) != (pa, pb):
-            surjective = False
-            notes.append(f"a side pair has no preimage: alpha={pa}, beta={pb}")
-            break
+    surjective = len(hit) == len(side_a.element_set) * len(side_b.element_set)
+    if not surjective:
+        pa, pb = next(p for p in product(side_a.elements, side_b.elements)
+                      if p not in hit)
+        notes.append(f"a side pair has no preimage: alpha={pa}, beta={pb}")
 
     return IsoVerdict(injective, surjective, homomorphism, tuple(notes))
 
@@ -691,8 +667,4 @@ def verify_isomorphism(cut: TreeCut, group: AutGroup,
     def pair_of(g: Perm):
         return (restrict_aut(cut, g, "A"), restrict_aut(cut, g, "B"))
 
-    def glue(pa: Perm, pb: Perm):
-        return glue_aut(cut, pa, pb)
-
-    return verify_isomorphism_pairs(group, side_a_group, side_b_group,
-                                    pair_of, glue)
+    return verify_isomorphism_pairs(group, side_a_group, side_b_group, pair_of)

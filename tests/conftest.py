@@ -31,6 +31,11 @@ def double_fork_tree():
 
 
 @pytest.fixture
+def double_fork(double_fork_tree):
+    return realize_tree(double_fork_tree, 4)
+
+
+@pytest.fixture
 def torus():
     """A 4x4 grid with opposite sides glued, and an injective field on it."""
     k = 4

@@ -1,8 +1,13 @@
 import contextlib
 import io as stdio
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebsplit.cli import main
 from reebsplit.io import load_mesh_field, save_mesh_field
@@ -408,3 +413,72 @@ def test_quick_selftest_via_cli(tmp_path):
     data = json.loads(jsn.read_text())
     assert len(data["results"]) == 8
     assert all(r["passed"] for r in data["results"])
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract: every input ends in exit 0-3, never a traceback
+
+TETRA_TRIANGLES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+BASES = {
+    "octahedron": {"vertices": octa_rows(0.0), "triangles": OCTA_TRIANGLES,
+                   "values": [-1.0, 0.0, 2e-6, 4e-6, 6e-6, 1.0]},
+    "tetrahedron": {"vertices": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+                    "triangles": TETRA_TRIANGLES, "values": [0.0, 1.0, 2.0, 3.0]},
+}
+# extreme magnitudes, and neighbours one ulp apart
+EXTREMES = [0.0, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)),
+            1.7e308, -1.7e308, float(np.nextafter(1.7e308, 0.0)), 1e308, -1e308,
+            1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 1e-323]
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.text(max_size=2),
+                 st.floats(), st.just({}), st.just([]))
+
+
+@st.composite
+def mutated_mesh_fields(draw):
+    """A small sphere's mesh+field object, its values maybe replaced by
+    distinct extreme ones, with up to two structural mutations."""
+    data = json.loads(json.dumps(BASES[draw(st.sampled_from(sorted(BASES)))]))
+    if draw(st.booleans()):
+        n = len(data["values"])
+        data["values"] = draw(st.lists(st.sampled_from(EXTREMES), min_size=n,
+                                       max_size=n, unique=True))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["vertices", "triangles", "values"]))
+        rows = data[key]
+        kind = draw(st.sampled_from(["truncate", "retype", "row"]))
+        if kind == "truncate" and isinstance(rows, list):
+            data[key] = rows[:draw(st.integers(0, max(len(rows) - 1, 0)))]
+        elif kind == "retype":
+            data[key] = draw(JUNK)
+        elif isinstance(rows, list) and rows:
+            # a ragged, nested or junk row or entry
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(st.one_of(
+                JUNK, st.lists(st.one_of(st.integers(-1, 6), JUNK,
+                                         st.lists(st.integers(0, 5), max_size=2)),
+                               max_size=4)))
+    return data
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-edges"]], ids=["first-edge", "all-edges"])
+def test_split_refuses_a_cut_value_on_an_end_of_its_gap(tmp_path, flags):
+    # every gap is one subnormal step wide, so each midpoint rounds onto an end
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps(dict(BASES["tetrahedron"],
+                                    values=[0.0, 5e-324, 1e-323, 1.5e-323])))
+    assert run(["validate", "--input", str(path)])[0] == 0
+    code, _, err = run(["split", *flags, "--input", str(path)])
+    assert code == 1
+    assert err.startswith("error: ValueCollision: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_mesh_fields(),
+       argv=st.sampled_from([["validate"], ["reeb"], ["aut"], ["split"],
+                             ["split", "--all-edges"]]))
+def test_every_input_ends_in_a_documented_exit_code(data, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run([*argv, "--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ def test_three_bump_split_orders(three_bump):
     assert report.crossings == 4
 
 
-def test_double_fork_both_cuts(double_fork_tree):
-    mesh, field = realize_tree(double_fork_tree, 4)
+def test_double_fork_both_cuts(double_fork):
+    mesh, field = double_fork
     reports = verify_all_fixed_edges(mesh, field)
     assert len(reports) == 2
     orders = sorted(r.side_orders for r in reports)
@@ -319,21 +320,32 @@ def _verdicts(reports):
                   for r in reports)
 
 
+def _canonical(reports):
+    return dumps_canonical([r.to_dict() for r in reports])
+
+
+def _negated(mesh, field):
+    return mesh, ScalarField(-field.values)
+
+
+def _rewound(mesh, field):
+    """The mesh+field with every triangle's winding reversed."""
+    data = mesh_field_to_dict(mesh, field)
+    data["triangles"] = [t[::-1] for t in data["triangles"]]
+    return mesh_field_from_dict(data)
+
+
 def test_negated_field_keeps_the_verdicts():
     for mesh, field in _split_corpus_fields(20):
         reports = verify_all_fixed_edges(mesh, field)
-        negated = verify_all_fixed_edges(mesh, ScalarField(-field.values))
         assert reports
-        assert _verdicts(negated) == _verdicts(reports)
+        assert _verdicts(verify_all_fixed_edges(*_negated(mesh, field))) == _verdicts(reports)
 
 
 def test_reversed_winding_keeps_the_reports():
     for mesh, field in _split_corpus_fields(20):
-        data = mesh_field_to_dict(mesh, field)
-        data["triangles"] = [t[::-1] for t in data["triangles"]]
-        reversed_reports = verify_all_fixed_edges(*mesh_field_from_dict(data))
-        assert dumps_canonical([r.to_dict() for r in reversed_reports]) == \
-            dumps_canonical([r.to_dict() for r in verify_all_fixed_edges(mesh, field)])
+        assert _canonical(verify_all_fixed_edges(*_rewound(mesh, field))) == \
+            _canonical(verify_all_fixed_edges(mesh, field))
 
 
 def test_edge_outside_the_fixed_set_is_not_found(three_bump):
@@ -343,6 +355,25 @@ def test_edge_outside_the_fixed_set_is_not_found(three_bump):
         with pytest.raises(ReebSplitError) as caught:
             verify_theorem(mesh, field, edge_id=edge)
         assert type(caught.value) is EdgeNotFound, edge
+
+
+def _tetrahedron(values):
+    return (TriangleMesh([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+                         [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),
+            ScalarField(np.array(values)))
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, -1e308, 1.7e308, -1.7e308],      # crossed edges span beyond the max
+    [1.0e308, 1.7e308, 1.1e308, 1.75e308],   # the edge ends sum beyond it
+], ids=["span-beyond-max", "sum-beyond-max"])
+def test_values_beyond_half_the_largest_float_split(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = verify_all_fixed_edges(*_tetrahedron(values))
+    assert len(reports) == 1 and reports[0].passed
+    lo, hi = reports[0].edge_labels
+    assert lo < reports[0].cut_value < hi
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +467,18 @@ def _subdivided(mesh, field, t=0.381966):
     return TriangleMesh(vertices, triangles), ScalarField(values)
 
 
+# name -> (transform of a mesh and field, what of the reports it keeps)
+RELATIONS = {
+    "negate": (_negated, _verdicts),
+    "rewind": (_rewound, _canonical),
+    "renumber": (lambda mesh, field: mesh_field_from_dict(
+        _relabeled(mesh_field_to_dict(mesh, field), 7)), _canonical),
+    "cube": (lambda mesh, field: (mesh, ScalarField(field.values ** 3)), _verdicts),
+    "exp": (lambda mesh, field: (mesh, ScalarField(np.exp(field.values))), _verdicts),
+    "subdivide": (_subdivided, _verdicts),
+}
+
+
 @functools.cache
 def _corpus_20():
     return [(mesh, field, verify_all_fixed_edges(mesh, field))
@@ -447,17 +490,25 @@ def _corpus_20():
 def test_renumbering_keeps_the_reports(index, seed):
     mesh, field, reports = _corpus_20()[index]
     renumbered = mesh_field_from_dict(_relabeled(mesh_field_to_dict(mesh, field), seed))
-    assert dumps_canonical([r.to_dict() for r in verify_all_fixed_edges(*renumbered)]) \
-        == dumps_canonical([r.to_dict() for r in reports])
+    assert _canonical(verify_all_fixed_edges(*renumbered)) == _canonical(reports)
 
 
 @settings(max_examples=30, deadline=None)
 @given(index=st.integers(0, 19), transform=st.sampled_from(["cube", "exp", "subdivide"]))
 def test_monotone_maps_and_subdivision_keep_the_verdicts(index, transform):
     mesh, field, reports = _corpus_20()[index]
-    if transform == "subdivide":
-        mesh, field = _subdivided(mesh, field)
-    else:
-        g = {"cube": lambda x: x ** 3, "exp": np.exp}[transform]
-        field = ScalarField(g(field.values))
-    assert _verdicts(verify_all_fixed_edges(mesh, field)) == _verdicts(reports)
+    transformed = RELATIONS[transform][0](mesh, field)
+    assert _verdicts(verify_all_fixed_edges(*transformed)) == _verdicts(reports)
+
+
+# ----------------------------------------------------------------------
+# every relation on the named fixtures
+
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@pytest.mark.parametrize("name", ["three_bump", "double_fork", "octahedron"])
+def test_relations_keep_the_named_fixtures_reports(request, name, relation):
+    mesh, field = request.getfixturevalue(name)
+    transform, kept = RELATIONS[relation]
+    reports = verify_all_fixed_edges(mesh, field)
+    assert reports and all(r.passed for r in reports)
+    assert kept(verify_all_fixed_edges(*transform(mesh, field))) == kept(reports)
