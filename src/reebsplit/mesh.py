@@ -330,19 +330,15 @@ def validate_surface(mesh: TriangleMesh, parts=None):
 
 @dataclass(frozen=True)
 class LevelCycle:
-    """A simple closed curve of a regular level set, stored as the ordered
-    list of crossed mesh edges with interpolation parameters.
+    """A simple closed curve of a regular level set: its value and the mesh
+    edges it crosses in walk order, consecutive ones (and the last and the
+    first) sharing a triangle.  ``cut_along_cycle`` places the crossings."""
 
-    The parameter of a crossing on edge ``(u, v)`` (ascending vertex index)
-    is ``t = (value - f(u)) / (f(v) - f(u))``, strictly inside (0, 1).
-    """
-
-    crossings: tuple[tuple[int, float], ...]  # (edge id, t)
-    closed: bool
+    edges: tuple[int, ...]
     value: float
 
     def __len__(self) -> int:
-        return len(self.crossings)
+        return len(self.edges)
 
 
 def overflow_scale(*values: float) -> float:
@@ -358,37 +354,34 @@ def crossing_parameter(c: float, fu: float, fv: float) -> float:
     return (c * s - fu * s) / (fv * s - fu * s)
 
 
-def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> list[int]:
-    """Validate a level cycle against a mesh and value array.
+def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> np.ndarray:
+    """Validate a level cycle against a mesh and value array, and return the
+    crossed triangles: triangle ``i`` is shared by crossings ``i`` and ``i+1``.
 
-    Returns the list of crossed triangles, aligned with consecutive crossing
-    pairs (triangle ``i`` is shared by crossings ``i`` and ``i+1``).
+    No triangle is crossed twice: it has at most two sides across the value,
+    so a second pair in it needs the edges x, y, x, which distinct edges and
+    at least three crossings exclude.
     """
     values = np.asarray(values, dtype=float)
     c = cycle.value
+    eids = np.asarray(cycle.edges, dtype=np.intp)
     if np.any(values == c):
         raise CycleNotLevel(f"a vertex has value exactly {c}")
-    if not cycle.closed or len(cycle) < 3:
-        raise CycleNotLevel("cycle must be closed with at least three crossings")
-    eids = [e for e, _ in cycle.crossings]
-    if len(set(eids)) != len(eids):
+    if len(eids) < 3:
+        raise CycleNotLevel("cycle needs at least three crossings")
+    if len(distinct(eids)) != len(eids):
         raise CycleNotLevel("cycle crosses a mesh edge twice")
-    ends = mesh.edge_pairs[eids]
-    for (_, t), (u, v), (fu, fv) in zip(cycle.crossings, ends.tolist(), values[ends].tolist()):
-        if not (min(fu, fv) < c < max(fu, fv)):
-            raise CycleNotLevel(f"edge {(u, v)} does not straddle {c}")
-        if not (0.0 < t < 1.0) or abs(t - crossing_parameter(c, fu, fv)) > 1e-9:
-            raise CycleNotLevel(f"parameter {t} inconsistent on edge {(u, v)}")
-    sides = [set(ts) - {-1} for ts in mesh.edge_triangles[eids].tolist()]
-    tris = []
-    for i in range(len(eids)):
-        shared = sides[i] & sides[(i + 1) % len(eids)]
-        if len(shared) != 1:
-            raise CycleNotLevel("consecutive crossings do not share one triangle")
-        tris.append(shared.pop())
-    if len(set(tris)) != len(tris):
-        raise CycleNotLevel("cycle passes through a triangle twice")
-    return tris
+    straddles = np.not_equal(*(values[mesh.edge_pairs[eids]] < c).T)
+    if not straddles.all():
+        u, v = mesh.edge_pairs[eids[np.argmin(straddles)]].tolist()
+        raise CycleNotLevel(f"edge {(u, v)} does not straddle {c}")
+    tris = mesh.edge_triangles[eids]
+    # shared[i, j, k]: triangle j of crossing i is triangle k of crossing i + 1
+    shared = ((tris[:, :, None] == np.roll(tris, -1, axis=0)[:, None, :])
+              & (tris[:, :, None] >= 0))
+    if np.any(shared.sum(axis=(1, 2)) != 1):
+        raise CycleNotLevel("consecutive crossings do not share one triangle")
+    return tris[shared.any(axis=2)]
 
 
 @dataclass(frozen=True)
@@ -433,7 +426,7 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
 
     nv, nt = mesh.n_vertices, mesh.n_triangles
     ncross = len(cycle)
-    eids = [e for e, _ in cycle.crossings]
+    eids = list(cycle.edges)
     ends = mesh.edge_pairs[eids]
     # crossed triangle i lies between crossings i and i + 1, which sit on
     # its two sides at its lone vertex, the apex.  Crossing vertex i is
@@ -472,7 +465,7 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     new_tris[(first_row[crossed_tris, None] + [0, 1, 2]).ravel()] = cut_rows
     tri_piece = label[np.where(new_tris[:, 0] < nv, new_tris[:, 0], new_tris[:, 1])]
 
-    ts = np.array([t for _, t in cycle.crossings])[:, None]
+    ts = np.array([crossing_parameter(c, fu, fv) for fu, fv in values[ends].tolist()])[:, None]
     coords = np.concatenate((mesh.vertices, (1.0 - ts) * mesh.vertices[ends[:, 0]]
                              + ts * mesh.vertices[ends[:, 1]]))
     vals = np.concatenate((values, np.full(ncross, c)))

@@ -36,7 +36,6 @@ from .mesh import (
     SurfaceReport,
     TriangleMesh,
     components,
-    crossing_parameter,
     distinct,
     overflow_scale,
     validate_surface,
@@ -544,6 +543,4 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     while side // 2 != start:
         cyc.append(side // 2)
         side = mate[side ^ 1]
-    end_values = vals[ends].tolist()
-    crossings = [(int(crossed[j]), crossing_parameter(c, *end_values[j])) for j in cyc]
-    return LevelCycle(crossings=tuple(crossings), closed=True, value=float(c))
+    return LevelCycle(edges=tuple(crossed[cyc].tolist()), value=float(c))

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reebsplit.cli import main
+from reebsplit.gen import octahedron_height
 from reebsplit.io import load_mesh_field, save_mesh_field
 
 
@@ -471,6 +472,18 @@ def test_split_refuses_a_cut_value_on_an_end_of_its_gap(tmp_path, flags):
     assert err.startswith("error: ValueCollision: ")
 
 
+def test_split_passes_where_a_cut_point_rounds_onto_a_vertex(tmp_path):
+    # edge 1 is cut at 2.5, and its crossing on mesh edge (0, 2), from -1e17
+    # to 3, has parameter 1.0
+    path = tmp_path / "octa.json"
+    path.write_text(json.dumps(dict(BASES["octahedron"],
+                                    values=[-1e17, 0.0, 3.0, 1.0, 1e17, 2.0])))
+    code, out, err = run(["split", "--all-edges", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert [line[:13] for line in out.splitlines()] == [
+        "PASS: edge 0 ", "PASS: edge 1 ", "PASS: edge 2 "]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=mutated_mesh_fields(),
        argv=st.sampled_from([["validate"], ["reeb"], ["aut"], ["split"],
@@ -480,5 +493,53 @@ def test_every_input_ends_in_a_documented_exit_code(data, argv):
         path = Path(tmp) / "in.json"
         path.write_text(json.dumps(data))
         code, _, err = run([*argv, "--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+OFF_JUNK = ["nan", "inf", "-inf", "1e400", "99999999999999999999", "-1", "0x1", "#",
+            "1.5", "6", "OFF", "x"]
+
+
+@st.composite
+def mutated_off_files(draw):
+    """The octahedron's OFF text and sidecar value text, built as lines of
+    tokens, with one to three token replacements, deletions or insertions,
+    truncations or 4-gon faces."""
+    mesh, field = octahedron_height()
+    off = ([["OFF"], ["6", "8", "0"]] + [list(map(repr, row)) for row in mesh.vertices.tolist()]
+           + [["3", *map(str, tri)] for tri in mesh.triangles.tolist()])
+    files = [off, [[repr(x)] for x in field.values.tolist()]]
+    for _ in range(draw(st.integers(1, 3))):
+        lines = files[draw(st.integers(0, 1))]
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kind = draw(st.sampled_from(["replace", "delete", "insert", "truncate", "quad"]))
+        j = draw(st.integers(0, max(len(line) - 1, 0)))
+        if kind == "replace" and line:
+            line[j] = draw(st.sampled_from(OFF_JUNK))
+        elif kind == "delete" and line:
+            del line[j]
+        elif kind == "insert":
+            line.insert(j, draw(st.sampled_from(OFF_JUNK)))
+        elif kind == "truncate":
+            del lines[i + 1:]
+            del line[j:]
+        elif kind == "quad":
+            lines[i] = ["4", "0", "1", "2", "3"]
+    return ["".join(" ".join(line) + "\n" for line in lines) for lines in files]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=mutated_off_files(),
+       argv=st.sampled_from([["validate"], ["reeb"], ["aut"], ["split", "--all-edges"]]))
+def test_every_off_input_ends_in_a_documented_exit_code(tmp_path, files, argv):
+    off, vals = tmp_path / "in.off", tmp_path / "in.vals"
+    off.write_text(files[0])
+    vals.write_text(files[1])
+    code, _, err = run([*argv, "--input", str(off), "--values", str(vals)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

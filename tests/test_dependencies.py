@@ -3,7 +3,8 @@
 Importing ``scipy.sparse.csgraph`` adds about 33 MB of resident memory, on
 top of a split-corpus benchmark run that peaks near 42 MB, so connectivity
 is computed with numpy and nothing on the verification path may pull in
-scipy or networkx.
+scipy or networkx.  ``numpy.ma``, which ``np.unique`` imports, adds about
+1.3 MB, so the verification path uses ``mesh.distinct`` instead.
 """
 
 import os
@@ -24,8 +25,12 @@ from reebsplit.split import verify_all_fixed_edges
 
 mesh, field = octahedron_height()
 assert all(r.passed for r in verify_all_fixed_edges(mesh, field))
-print(sorted(m for m in ("scipy", "networkx") if m in sys.modules))
+print(sorted(m for m in ("scipy", "networkx", "numpy.ma") if m in sys.modules))
 """
+
+
+def test_tests_import_the_checkout_sources():
+    assert Path(reebsplit.__file__).resolve().is_relative_to(ROOT / "src")
 
 
 def test_verification_imports_neither_scipy_nor_networkx():

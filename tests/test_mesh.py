@@ -278,27 +278,61 @@ def test_cut_piece_fields_classify(three_bump):
 
 def test_cycle_value_must_be_consistent(octahedron):
     mesh, field, cycle, _ = octa_cut(octahedron)
-    bad = LevelCycle(crossings=cycle.crossings, closed=True,
-                     value=cycle.value + 0.7)
+    bad = LevelCycle(edges=cycle.edges, value=cycle.value + 0.7)
     with pytest.raises(CycleNotLevel):
         cut_along_cycle(mesh, field, bad)
 
 
 def test_cycle_open_rejected(octahedron):
     mesh, field, cycle, _ = octa_cut(octahedron)
-    bad = LevelCycle(crossings=cycle.crossings[:-1], closed=False,
-                     value=cycle.value)
+    bad = LevelCycle(edges=cycle.edges[:-1], value=cycle.value)
     with pytest.raises(CycleNotLevel):
         cut_along_cycle(mesh, field, bad)
 
 
+def bottom_disk_cut():
+    """The octahedron's four bottom triangles, a disk around vertex 0, and
+    the level cycle around vertex 0 through its four edges."""
+    mesh, field = octahedron_height()
+    disk = TriangleMesh(mesh.vertices[:5], mesh.triangles[:4])
+    assert disk.edge_pairs[:4].tolist() == [[0, 1], [0, 2], [0, 3], [0, 4]]
+    return disk, ScalarField(field.values[:5]), LevelCycle(edges=(0, 1, 2, 3), value=-0.5)
+
+
 def test_cut_requires_closed_surface():
-    mesh = TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
-    field = ScalarField(np.array([0.0, 1.0, 2.0]))
-    cyc = LevelCycle(crossings=((0, 0.5), (1, 0.25), (2, 0.75)), closed=True,
-                     value=0.5)
-    with pytest.raises(CycleNotLevel):
-        cut_along_cycle(mesh, field, cyc)
+    # every check of the cycle passes on the disk; only the surface fails
+    disk, field, cycle = bottom_disk_cut()
+    check_level_cycle(disk, field.values, cycle)
+    with pytest.raises(CycleNotLevel, match="closed surface"):
+        cut_along_cycle(disk, field, cycle)
+
+
+def spoiled_cuts(octahedron):
+    """The octahedron's first cut spoiled one way per refusal: the words of
+    that refusal, and the mesh, field and cycle that meet it."""
+    mesh, field, cycle, _ = octa_cut(octahedron)
+    e, c = cycle.edges, cycle.value
+    # edge (1, 2) lies on the equator, above the cut around the bottom vertex
+    equator_edge = mesh.edge_pairs.tolist().index([1, 2])
+    return {
+        "vertex-at-value": ("a vertex has value exactly",
+                            (mesh, field, LevelCycle(e, float(field.values[1])))),
+        "two-crossings": ("at least three crossings", (mesh, field, LevelCycle(e[:2], c))),
+        "edge-twice": ("crosses a mesh edge twice", (mesh, field, LevelCycle(e + e[:1], c))),
+        "no-straddle": (r"edge \(1, 2\) does not straddle",
+                        (mesh, field, LevelCycle((equator_edge,) + e[1:], c))),
+        "no-shared-triangle": ("do not share one triangle",
+                               (mesh, field, LevelCycle((e[0], e[2], e[1], e[3]), c))),
+        "open-surface": ("closed surface", bottom_disk_cut()),
+    }
+
+
+@pytest.mark.parametrize("case", ["vertex-at-value", "two-crossings", "edge-twice",
+                                  "no-straddle", "no-shared-triangle", "open-surface"])
+def test_each_cut_refusal_names_its_check(octahedron, case):
+    message, (mesh, field, cycle) = spoiled_cuts(octahedron)[case]
+    with pytest.raises(CycleNotLevel, match=message):
+        cut_along_cycle(mesh, field, cycle)
 
 
 def test_generated_cuts_validate_everywhere():
@@ -326,7 +360,7 @@ def corner_node_pieces(mesh, field, cycle):
     values = field.values
     crossed_tris = check_level_cycle(mesh, values, cycle)
     nv, nt, ncross = mesh.n_vertices, mesh.n_triangles, len(cycle)
-    pairs = mesh.edge_pairs[[e for e, _ in cycle.crossings]].tolist()
+    pairs = mesh.edge_pairs[list(cycle.edges)].tolist()
     rows_of = {}
     quad_corners = []
     for i, ti in enumerate(crossed_tris):
@@ -405,12 +439,11 @@ def test_cut_along_a_torus_meridian_not_separating(torus):
     # cutting along one leaves the torus in one piece
     mesh, field = torus
     index = {pair: e for e, pair in enumerate(map(tuple, mesh.edge_pairs.tolist()))}
-    crossings = []
+    edges = []
     for j in range(4):
         for u, v in ((j, 4 + j), (4 + j, (j + 1) % 4)):
-            u, v = min(u, v), max(u, v)
-            crossings.append((index[u, v], (3.5 - u) / (v - u)))  # value = vertex id
-    cycle = LevelCycle(crossings=tuple(crossings), closed=True, value=3.5)
+            edges.append(index[min(u, v), max(u, v)])
+    cycle = LevelCycle(edges=tuple(edges), value=3.5)
     for cut in (cut_along_cycle, corner_node_pieces):
         with pytest.raises(CutNotSeparating, match="1 pieces"):
             cut(mesh, field, cycle)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import warnings
@@ -87,6 +88,16 @@ def test_cut_value_choice_does_not_change_groups(three_bump):
         assert r.passed
         keys.add((r.group_order, r.side_orders, r.phi["passed"]))
     assert len(keys) == 1
+
+
+def test_cut_points_rounding_onto_a_vertex_still_split(octahedron):
+    # an edge from -1e17 to 1 crossed at 0.5 has its crossing parameter
+    # round to 1.0: the cut vertex lands on a mesh vertex in floating point,
+    # but the cut is fixed by the crossed edges, not by where they are cut
+    mesh, _ = octahedron
+    for values in itertools.permutations([-1e17, 0.0, 3.0, 1.0, 1e17, 2.0]):
+        reports = verify_all_fixed_edges(mesh, ScalarField(np.array(values)))
+        assert reports and all(r.passed for r in reports), values
 
 
 def test_all_fixed_edges_pass_on_symmetric_corpus():
