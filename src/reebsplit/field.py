@@ -156,10 +156,9 @@ class FieldClassReport:
     # the flat-zone contraction the classification was made from; build_reeb
     # sweeps over it, so it is computed once per mesh and field
     contraction: FlatContraction = dataclass_field(compare=False, repr=False)
-    # per vertex: the kind code and the lower and upper runs of its link
+    # per vertex: the kind code and the lower runs of its link
     kinds: np.ndarray = dataclass_field(compare=False, repr=False)
     lower: np.ndarray = dataclass_field(compare=False, repr=False)
-    upper: np.ndarray = dataclass_field(compare=False, repr=False)
 
     @property
     def multiplicities(self) -> np.ndarray:
@@ -266,7 +265,6 @@ def classify_field(mesh: TriangleMesh, field: ScalarField, parts=None):
             contraction=contraction,
             kinds=kinds,
             lower=lower,
-            upper=upper,
         ))
     return reports[0] if parts is None else reports
 

@@ -2,10 +2,12 @@
 
 The construction peels the join and split trees of two union-find sweeps,
 one ascending and one descending, into the contour tree.  The sweeps run
-over the critical nodes only, and the regular nodes are placed on the tree's
-arcs afterwards.  On a sphere (or disk with constant regular boundary) the
-contour tree equals the quotient of the surface by connected components of
-level sets, so no general-genus machinery is needed.
+over the critical nodes only, and the tree keeps no record of the regular
+nodes: a tree vertex's preimage is its critical or boundary component, and
+no arc lists the regular vertices it sweeps.  On a sphere (or disk with
+constant regular boundary) the contour tree equals the quotient of the
+surface by connected components of level sets, so no general-genus
+machinery is needed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .mesh import (
     overflow_scale,
     validate_surface,
 )
-from .treeaut import LabeledTree, walk
+from .treeaut import LabeledTree
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class ReebEdge:
     id: int
     lower: int
     upper: int
-    preimage: tuple[int, ...]   # regular mesh vertices swept along the edge
 
 
 def csr_rows(flat: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
@@ -74,13 +75,13 @@ VERTEX_KINDS = ("regular", "minimum", "maximum", "saddle", "boundary")
 
 class ReebGraph:
     """Level-set tree, as the ``LabeledTree`` ``tree``, with the kinds and
-    mesh preimages of its vertices and edges.
+    mesh preimages of its vertices.
 
     The facts are arrays: ``kinds`` and ``multiplicities`` per vertex, and
     the preimages as compressed sparse rows ``(flat, starts)`` with one row
-    per vertex and then one per edge.  Tree vertex ids ascend with (label,
-    zone) and every tree edge has lower < upper, so the tree's ids are the
-    graph's.  ``vertices`` and ``edges`` build their objects on first use.
+    per vertex, its mesh vertices ascending.  Tree vertex ids ascend with
+    (label, zone) and every tree edge has lower < upper, so the tree's ids
+    are the graph's.  ``vertices`` and ``edges`` build their objects on first use.
     """
 
     def __init__(self, tree: LabeledTree, kinds: np.ndarray,
@@ -96,17 +97,15 @@ class ReebGraph:
         flat, starts = self.preimages
         rows = zip(self.tree.labels, self.kinds.tolist(),
                    self.multiplicities.tolist(),
-                   csr_rows(flat, starts[:self.n_vertices + 1]))
+                   csr_rows(flat, starts))
         return [ReebVertex(id=i, label=label, kind=VERTEX_KINDS[kind],
                            multiplicity=mult, preimage=pre)
                 for i, (label, kind, mult, pre) in enumerate(rows)]
 
     @cached_property
     def edges(self) -> list[ReebEdge]:
-        flat, starts = self.preimages
-        rows = zip(self.tree.edges, csr_rows(flat, starts[self.n_vertices:]))
-        return [ReebEdge(id=i, lower=lo, upper=hi, preimage=pre)
-                for i, ((lo, hi), pre) in enumerate(rows)]
+        return [ReebEdge(id=i, lower=lo, upper=hi)
+                for i, (lo, hi) in enumerate(self.tree.edges)]
 
     def edge_ends(self, edge_id: int) -> tuple[tuple[float, float], tuple[int, int]]:
         """The labels of a tree edge's lower and upper end, and the smallest
@@ -253,44 +252,6 @@ def _jump(pointer: np.ndarray) -> np.ndarray:
         pointer = jumped
 
 
-def _tree_paths(tree: LabeledTree, pairs) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The paths of a tree between node pairs (a, b), one after the other.
-
-    ``tree.edges`` must be sorted pairs (lo, hi), lo < hi.  Returns the nodes
-    of all paths in order, the node count of each path, and the edge from
-    each node to the next one (meaningless at the end of a path).  The two
-    ends of a pair climb the tree rooted at node 0 until they meet.
-    """
-    k = tree.n
-    order, parent = walk(tree.adj, 0)
-    depth = [0] * k
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-
-    nodes, lengths = [], []
-    for a, b in pairs:
-        head, tail = [], []
-        while a != b:
-            if depth[a] >= depth[b]:
-                head.append(a)
-                a = parent[a]
-            else:
-                tail.append(b)
-                b = parent[b]
-        head.append(a)
-        head += reversed(tail)
-        nodes += head
-        lengths.append(len(head))
-    # the edge between consecutive path nodes a, b is the one keyed
-    # min * k + max among the sorted edges' keys lo * k + hi
-    nodes = np.array(nodes, dtype=np.intp)
-    lo_hi = np.array(tree.edges, dtype=np.intp).reshape(-1, 2)
-    a, b = nodes[:-1], nodes[1:]
-    step = np.searchsorted(lo_hi[:, 0] * k + lo_hi[:, 1],
-                           np.minimum(a, b) * k + np.maximum(a, b))
-    return nodes, lengths, step
-
-
 def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
                       members, starts) -> ReebGraph:
     """Contour tree of a node graph with its regular nodes suppressed.
@@ -298,14 +259,13 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     ``indptr`` and ``indices`` are the connected graph's CSR adjacency, and
     ``kinds`` and ``multiplicities`` each node's kind code and multiplicity,
     as arrays; node ``z`` expands back to the mesh vertices
-    ``members[starts[z]:starts[z + 1]]`` for preimage bookkeeping.  The
-    sweeps and the peel run over the critical nodes only, joined by monotone
-    paths, and every regular node then goes to the one arc that crosses its
-    level on the tree path between the critical nodes its monotone descent
-    and ascent end on.  Raises InvalidFieldClass when an arc fails to
-    increase the label strictly, which happens exactly when two critical
-    components share a level component, and InternalInconsistency when a
-    node called regular does not behave as one.
+    ``members[starts[z]:starts[z + 1]]``, which become the preimage of its
+    tree vertex.  The sweeps and the peel run over the critical nodes only,
+    joined by monotone paths through the regular ones, which are not placed
+    on any arc.  Raises InvalidFieldClass when an arc fails to increase the
+    label strictly, which happens exactly when two critical components share
+    a level component, and InternalInconsistency when a node called regular
+    does not behave as one.
     """
     nz = len(values)
     order = np.argsort(values, kind="stable")
@@ -316,9 +276,8 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     # monotone-path pointers: a regular node steps down to its highest
     # neighbour below it and up to its lowest one above it (-1 and nz mark
     # none, which only a node wrongly called regular has), and a critical
-    # node stays put.  These gentlest steps keep the two ends close in
-    # value, so the tree path between them is short.  Down and up share one
-    # array, so one pointer jumping ends both on critical nodes
+    # node stays put.  Down and up share one array, so one pointer jumping
+    # ends both on critical nodes
     nbr = rank[indices]
     ids = np.arange(nz)
     row = np.repeat(ids, np.diff(indptr))
@@ -368,32 +327,12 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     except InvalidTree:
         raise GenusNotZero("level-set graph is not a tree") from None
 
-    # augmentation: the tree path from down[r] to up[r] is monotone, since
-    # a monotone path in the surface maps to one in the tree, and it
-    # crosses r's level on one arc.  Paths are keyed by their pair's index
-    # times nz plus their nodes' ranks, so one searchsorted places every
-    # regular node
-    reg = np.flatnonzero(regular)
-    ends = vid[down[reg]] * k + vid[up[reg]]
-    pair_keys = distinct(ends)
-    nodes, lengths, step = _tree_paths(
-        tree, [divmod(e, k) for e in pair_keys.tolist()])
-    path_key = np.repeat(np.arange(len(lengths)) * nz, lengths) + rank[keep][nodes]
-    if np.any(path_key[1:] <= path_key[:-1]):
-        raise InternalInconsistency(
-            "the tree path of a regular component is not monotone")
-    # the path node just below r is the lower end of r's arc
-    arc_of = step[np.searchsorted(
-        path_key, np.searchsorted(pair_keys, ends) * nz + rank[reg]) - 1]
-
-    # the preimages: tree vertex i is row i and arc j row k + j, so with
-    # vid extended to the regular nodes each node's members go to row
-    # vid[node], ascending within a row
-    vid[reg] = k + arc_of
-    key = np.repeat(vid, np.diff(starts))
-    flat = members[np.lexsort((members, key))]
-    bounds = np.zeros(2 * k, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=2 * k - 1), out=bounds[1:])
+    # the preimages: tree vertex i is row i, the members of zone keep[i],
+    # which ascend already
+    rows = np.diff(starts)[keep]
+    bounds = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(rows, out=bounds[1:])
+    flat = members[np.repeat(starts[keep] - bounds[:-1], rows) + np.arange(bounds[-1])]
     return ReebGraph(tree, kinds[keep], multiplicities[keep], (flat, bounds))
 
 
@@ -405,9 +344,9 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
     Flat zones (only whole constant boundary cycles are admissible) are
     contracted to single nodes first.  The two sweeps then run over the
     critical and boundary zones alone, joined by monotone paths through the
-    regular ones, and each regular zone is placed on its edge afterwards, so
-    the result keeps exactly the critical components and the boundary
-    components as vertices.  Every edge strictly increases the
+    regular ones, so the result keeps exactly the critical components and
+    the boundary components as vertices, and no edge records the regular
+    vertices it sweeps.  Every edge strictly increases the
     label; an edge between two events at the same value means two critical
     vertices share a level component, which is rejected.
 

