@@ -25,6 +25,7 @@ from .split import (
 from .treeaut import (
     AutGroup,
     LabeledTree,
+    certify_splitting,
     cut_tree_at,
     element_order_histogram,
     enumerate_aut,
@@ -50,6 +51,7 @@ __all__ = [
     "TriangleMesh",
     "analyze_sphere",
     "build_reeb",
+    "certify_splitting",
     "check_subtree_group_gap",
     "choose_cut_value",
     "classify_field",

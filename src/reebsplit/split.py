@@ -24,9 +24,11 @@ from .treeaut import (
     FixedSet,
     LabeledTree,
     TreeCut,
+    certify_splitting,
     cut_tree_at,
     enumerate_aut,
     fixed_set,
+    keeps_sides,
     tree_isomorphic,
     verify_isomorphism,
 )
@@ -153,8 +155,9 @@ class SplitReport:
                     f"{list(self.fixed_vertices)})")
         a, b = self.side_orders
         status = "PASS" if self.passed else "FAIL"
+        eq = "=" if self.order_product_ok else "!="
         return (f"{status}: edge {self.edge_id} cut at {self.cut_value!r}; "
-                f"|G| = {self.group_order} = {a} * {b}; "
+                f"|G| = {self.group_order} {eq} {a} * {b}; "
                 f"phi injective={self.phi['injective']} "
                 f"surjective={self.phi['surjective']} "
                 f"homomorphism={self.phi['homomorphism']}")
@@ -248,11 +251,14 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     cut at ``cut_value`` or at ``choose_cut_value``; one report per edge, or
     the one report that the hypothesis fails when the fixed set has no edge.
 
-    An edge outside the fixed set raises EdgeNotFound.  ``replay_group``
+    An edge outside the fixed set raises EdgeNotFound.  The map to the side
+    groups and the sides' invariance are certified on the enumerated
+    group's generators (``certify_splitting``).  ``replay_group``
     substitutes a dumped element list for the enumerated group, to audit
-    it: a tampered dump fails the verdict, and an element that is no
-    permutation of the tree's vertices raises ValueError.  ``sphere``
-    passes in ``analyze_sphere(mesh, field)``.
+    it element by element (``verify_isomorphism``): a tampered dump fails
+    the verdict, and an element that is no permutation of the tree's
+    vertices raises ValueError.  ``sphere`` passes in
+    ``analyze_sphere(mesh, field)``.
     """
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
@@ -306,12 +312,13 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
         group_a = enumerate_aut(cut.side_a.tree)
         group_b = enumerate_aut(cut.side_b.tree)
-        phi = verify_isomorphism(cut, group, group_a, group_b)
+        if replay_group is None:
+            phi, sides_invariant = certify_splitting(cut, group, group_a, group_b)
+        else:
+            # a claimed list need not be a group: audit every element
+            phi = verify_isomorphism(cut, group, group_a, group_b)
+            sides_invariant = keeps_sides(cut, group.elements)
         order_product_ok = group.order == group_a.order * group_b.order
-        side_sets = {name: set(cut.side(name).orig) - {-1} for name in ("A", "B")}
-        sides_invariant = all(
-            {g[v] for v in side_sets[name]} == side_sets[name]
-            for g in group.elements for name in ("A", "B"))
         gap = check_subtree_group_gap(cut, side_orders=(group_a.order, group_b.order))
         notes = tuple(
             f"side {note.side}: marking the cut leaf shrinks the subtree "

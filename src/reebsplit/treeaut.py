@@ -10,10 +10,12 @@ Group checks run on generators: one incremental span helper (``_Span``)
 grows the subgroup generated by a greedy generating set T, optionally
 confined to a set of permutations.  Each group builds that span once, as
 its cached ``closure``, and takes its generators from it.  Closure
-(``verify_group_axioms``) and the splitting homomorphism
-(``verify_isomorphism_pairs``) are checked on G x T, |T| <= log2 |G|,
-instead of on all |G|^2 pairs; the restriction map is onto when its image
-has |G_A| * |G_B| pairs, so no preimage is ever glued.
+(``verify_group_axioms``) is checked on G x T, |T| <= log2 |G|, instead of
+on all |G|^2 pairs.  Once a group has passed it, its splitting across a
+cut (``certify_splitting``) and its fixed vertices (``fixed_set``) are read
+off T alone.  A claimed element list, which need not be a group, is
+audited on G x T (``verify_isomorphism_pairs``); its restriction map is
+onto when the image has |G_A| * |G_B| pairs, so no preimage is ever glued.
 
 Enumeration, canonical forms and every walk over a tree are iterative, so
 trees of any depth are handled without recursion; every walk is the one
@@ -451,6 +453,10 @@ class FixedSet:
 def fixed_set(group, tree: LabeledTree) -> FixedSet:
     """Fixed vertices and pointwise-fixed edges of a group of automorphisms.
 
+    A vertex is fixed when each greedy generator fixes it.  Only when no
+    vertex is fixed are the elements scanned, for the flipped invariant edge
+    and the first element that flips it.
+
     Raises InternalInconsistency when neither a nonempty subtree nor a single
     flipped invariant edge exists, which would contradict the fixed-point
     property of finite groups acting on trees.
@@ -459,9 +465,9 @@ def fixed_set(group, tree: LabeledTree) -> FixedSet:
         group = AutGroup(tuple(group))
     if not verify_group_axioms(group):
         raise ValueError("fixed_set needs a group (closure check failed)")
-    elems = group.elements
+    gens = group.generators
     n = tree.n
-    fixed = [all(p[v] == v for p in elems) for v in range(n)]
+    fixed = [all(t[v] == v for t in gens) for v in range(n)]
     fixed_vertices = [v for v in range(n) if fixed[v]]
     if fixed_vertices:
         # the fixed edges are the tree edges inside the fixed vertices, which
@@ -473,6 +479,7 @@ def fixed_set(group, tree: LabeledTree) -> FixedSet:
         return FixedSet(variant="subtree",
                         vertices=tuple(fixed_vertices),
                         edge_ids=tuple(fixed_edges))
+    elems = group.elements
     candidates = []
     for eid, (u, v) in enumerate(tree.edges):
         if all({p[u], p[v]} == {u, v} for p in elems):
@@ -607,9 +614,10 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     covers it, and pair_of(g o t) = pair_of(g) o pair_of(t) for every g in G
     and t in T, which by induction on word length covers every pair of G.
     Every pair lies in side_a x side_b, so the map is onto exactly when it
-    hits |side_a| * |side_b| distinct pairs.  A failing check names its
-    witness in ``notes``.  ``elements`` may be an AutGroup, whose closure
-    check is then made once for all the cuts checked with it.
+    hits |side_a| * |side_b| distinct pairs.  A list that holds an element
+    twice is not injective.  A failing check names its witness in
+    ``notes``.  ``elements`` may be an AutGroup, whose closure check is then
+    made once for all the cuts checked with it.
     """
     group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements))
     elements = group.elements
@@ -633,6 +641,13 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     ident = identity_perm(n)
     ident_pair = (identity_perm(side_a.n), identity_perm(side_b.n))
     injective = all(g == ident for g in elements if pairs[g] == ident_pair)
+    first: dict[Perm, int] = {}
+    for j, g in enumerate(elements):
+        i = first.setdefault(g, j)
+        if i != j:
+            injective = False
+            notes.append(f"elements {i} and {j} are the same map g={g}")
+            break
 
     homomorphism = True
     gens, escape = group.closure
@@ -668,3 +683,56 @@ def verify_isomorphism(cut: TreeCut, group: AutGroup,
         return (restrict_aut(cut, g, "A"), restrict_aut(cut, g, "B"))
 
     return verify_isomorphism_pairs(group, side_a_group, side_b_group, pair_of)
+
+
+def keeps_sides(cut: TreeCut, perms) -> bool:
+    """Whether every map in ``perms`` keeps each cut side's base vertices."""
+    sides = [set(cut.side_a.position), set(cut.side_b.position)]
+    return all({p[v] for v in side} == side for p in perms for side in sides)
+
+
+def certify_splitting(cut: TreeCut, group: AutGroup, side_a: AutGroup,
+                      side_b: AutGroup) -> tuple[IsoVerdict, bool]:
+    """The verdict of ``verify_isomorphism`` on a group, and whether each
+    cut side's base vertices are invariant under it, read off the group's
+    greedy generators T alone.
+
+    T spans the group (its closure check), and restricting maps that keep
+    both sides is multiplicative, so three facts settle the verdict:
+
+    * the restrictions are defined and lie in side_a x side_b when those of
+      every generator are and do: the side groups are groups;
+    * the map is injective when the sides' base vertices cover the tree,
+      since the two restrictions then give the image of every vertex;
+    * being injective, it is onto exactly when |G| = |side_a| * |side_b|.
+
+    The map is then a homomorphism without a check.  Costs at most 2|T|
+    restrictions; a failing check names its generator, the missed vertices
+    or the three orders.  Raises ValueError when ``group`` is not closed.
+    """
+    if group.closure[1] is not None:
+        raise ValueError("certify_splitting needs a group (closure check failed)")
+    gens = group.generators
+    sides_invariant = keeps_sides(cut, gens)
+    for t in gens:
+        try:
+            pa, pb = restrict_aut(cut, t, "A"), restrict_aut(cut, t, "B")
+        except SideNotInvariant as exc:
+            note = f"restriction undefined: generator t={t}: {exc}"
+        else:
+            if pa in side_a and pb in side_b:
+                continue
+            note = f"restriction of generator t={t} leaves the side group"
+        return IsoVerdict(False, False, False, (note,)), sides_invariant
+
+    missed = sorted(set(range(cut.base.n)) - cut.side_a.position.keys()
+                    - cut.side_b.position.keys())
+    injective = not missed
+    surjective = injective and group.order == side_a.order * side_b.order
+    notes = []
+    if missed:
+        notes.append(f"the cut sides miss base vertices {missed}")
+    elif not surjective:
+        notes.append(f"|G| = {group.order} != |G_A| * |G_B| = "
+                     f"{side_a.order} * {side_b.order}")
+    return IsoVerdict(injective, surjective, True, tuple(notes)), sides_invariant

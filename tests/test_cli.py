@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reebsplit import selftest
 from reebsplit.cli import main
-from reebsplit.gen import octahedron_height
+from reebsplit.gen import octahedron_height, realize_tree
 from reebsplit.io import load_mesh_field, save_mesh_field
 
 
@@ -144,6 +145,76 @@ def test_reeb_output_digests(tmp_path, name):
     assert digests == REEB_DIGESTS[name]
 
 
+def _split_fixture(tmp_path, name) -> Path:
+    path = tmp_path / f"{name}.json"
+    if name == "double-fork":
+        save_mesh_field(path, *realize_tree(selftest.double_fork_tree(), 4))
+    else:
+        kind, *n = name.split("-")
+        assert run(["gen", kind, *(["--n", *n] if n else []),
+                    "--out", str(path)])[0] == 0
+    return path
+
+
+# sha256 of `split --json` text per fixture and flags: the plain run, a
+# replay of the honest `aut --json` dump, a replay of that dump without its
+# last element (the octahedron's one-element group has no such dump), and
+# `--all-edges`; with the exit code each run must give
+SPLIT_DIGESTS = {
+    ("octahedron", "split"): (0,
+        "0e37ce7edc8fd952b894085c49d1f963f4ae935a55c34e0b35e08369e4cf5d0c"),
+    ("octahedron", "replay"): (0,
+        "0e37ce7edc8fd952b894085c49d1f963f4ae935a55c34e0b35e08369e4cf5d0c"),
+    ("octahedron", "all-edges"): (0,
+        "10a85016666ba2b29018002d0a1fec24f94e7856b17fce1af54da4649417e0f3"),
+    ("bumps-3", "split"): (0,
+        "2bb4dd19534161f3e7f3937c3e158b816c2c795623b9efc56e9a7e40c88cffe4"),
+    ("bumps-3", "replay"): (0,
+        "2bb4dd19534161f3e7f3937c3e158b816c2c795623b9efc56e9a7e40c88cffe4"),
+    ("bumps-3", "replay-missing"): (2,
+        "5ad7ebf25eeb2fb23dc66ee80128d156a5e8c9884422e6a70e0255752c8ad014"),
+    ("bumps-3", "all-edges"): (0,
+        "9cdef8f3ecd757ddadeb252f7d527fab483ff0f4e05522945293e41b2e12f180"),
+    ("bumps-7", "split"): (0,
+        "703fa0ca8f755e38f7e239815dbb0e1cdec95ee7b7d4eb38947fa84ceabc3e5f"),
+    ("bumps-7", "replay"): (0,
+        "703fa0ca8f755e38f7e239815dbb0e1cdec95ee7b7d4eb38947fa84ceabc3e5f"),
+    ("bumps-7", "replay-missing"): (2,
+        "45a62d95799a4f9bf2644983622f6e92a4d67ef6c75cfd8a78e56089d741201e"),
+    ("bumps-7", "all-edges"): (0,
+        "86db82b1ca3da3810fd2b49c225bf48ec5d71110e2576e6d6436f286406d2021"),
+    ("double-fork", "split"): (0,
+        "30d90f46847bdd5116c3ba4f2db7e905113aba5c03daaf30c21d06db4892685c"),
+    ("double-fork", "replay"): (0,
+        "30d90f46847bdd5116c3ba4f2db7e905113aba5c03daaf30c21d06db4892685c"),
+    ("double-fork", "replay-missing"): (2,
+        "dc5d7e8db385e6d75544eda95164aa28747da27df974de2b4f2513614a8e1d38"),
+    ("double-fork", "all-edges"): (0,
+        "5fc401fd0ec59bbd909832715d51c3ce1527dd7f843c4295ba654206605bfa06"),
+}
+
+
+@pytest.mark.parametrize("name,flags", sorted(SPLIT_DIGESTS),
+                         ids=["-".join(k) for k in sorted(SPLIT_DIGESTS)])
+def test_split_output_digests(tmp_path, name, flags):
+    path = _split_fixture(tmp_path, name)
+    argv = ["split", "--input", str(path)]
+    if flags == "all-edges":
+        argv.append("--all-edges")
+    elif flags.startswith("replay"):
+        gdump = tmp_path / "group.json"
+        assert run(["aut", "--input", str(path), "--json", str(gdump)])[0] == 0
+        if flags == "replay-missing":
+            data = json.loads(gdump.read_text())
+            data["elements"] = data["elements"][:-1]
+            gdump.write_text(json.dumps(data))
+        argv += ["--replay-group", str(gdump)]
+    jsn = tmp_path / "split.json"
+    code, _, _ = run(argv + ["--json", str(jsn)])
+    digest = hashlib.sha256(jsn.read_text().encode()).hexdigest()
+    assert (code, digest) == SPLIT_DIGESTS[name, flags]
+
+
 def test_aut_output(bumps_file, tmp_path):
     jsn = tmp_path / "g.json"
     code, out, _ = run(["aut", "--input", str(bumps_file), "--json", str(jsn)])
@@ -175,6 +246,25 @@ def test_split_pass_and_exit_codes(octa_file, bumps_file, tmp_path):
                         "--replay-group", str(gdump)])
     assert code == 2
     assert "FAIL" in out
+
+
+def test_replayed_repeated_element_is_not_injective(bumps_file, tmp_path):
+    gdump = tmp_path / "group.json"
+    assert run(["aut", "--input", str(bumps_file), "--json", str(gdump)])[0] == 0
+    data = json.loads(gdump.read_text())
+    data["elements"].append(data["elements"][0])
+    gdump.write_text(json.dumps(data))
+    jsn = tmp_path / "split.json"
+    code, out, _ = run(["split", "--input", str(bumps_file),
+                        "--replay-group", str(gdump), "--json", str(jsn)])
+    assert code == 2
+    assert out.startswith("FAIL") and "|G| = 7 != 1 * 6" in out
+    report = json.loads(jsn.read_text())
+    assert report["order_product_ok"] is False
+    phi = report["phi"]
+    assert (phi["injective"], phi["surjective"], phi["homomorphism"]) == \
+        (False, True, True)
+    assert phi["notes"] == ["elements 0 and 6 are the same map g=(0, 1, 2, 3, 4)"]
 
 
 def test_split_verifies_bumps_seven(tmp_path):

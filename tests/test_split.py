@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from reebsplit.split import (
     verify_all_fixed_edges,
     verify_theorem,
 )
-from reebsplit.treeaut import LabeledTree, cut_tree_at, enumerate_aut
+from reebsplit.treeaut import AutGroup, LabeledTree, cut_tree_at, enumerate_aut
 
 
 def test_octahedron_split_passes(octahedron):
@@ -196,6 +197,33 @@ def test_replay_group_tamper_detected(three_bump):
     assert any("not closed" in x and f"gives {missing}, which is missing" in x
                for x in notes)
     assert f"a side pair has no preimage: alpha={alpha}, beta={beta}" in notes
+
+
+@pytest.mark.parametrize("shape", ["double-fork", "bumps-6", "five-branches"])
+def test_split_verdict_restricts_generators_only(shape, double_fork_tree, monkeypatch):
+    tree = {"double-fork": double_fork_tree,
+            "bumps-6": LabeledTree([0.0, 1.0] + [2.0] * 6,
+                                   [(0, 1)] + [(1, 2 + i) for i in range(6)]),
+            "five-branches": random_realizable_tree(6, symmetry=5, seed=4)}[shape]
+    mesh, field = realize_tree(tree, 4)
+    group = enumerate_aut(build_reeb(mesh, field).tree)
+    isomorphism_calls, restrictions = [], []
+    check, restrict = split.verify_isomorphism, treeaut.restrict_aut
+    monkeypatch.setattr(split, "verify_isomorphism", lambda *args: (
+        isomorphism_calls.append(args[0].edge_id), check(*args))[-1])
+    monkeypatch.setattr(treeaut, "restrict_aut", lambda cut, g, which: (
+        restrictions.append(cut.edge_id), restrict(cut, g, which))[-1])
+
+    reports = verify_all_fixed_edges(mesh, field)
+    assert reports and all(r.passed for r in reports)
+    assert isomorphism_calls == []
+    assert max(Counter(restrictions).values()) <= 2 * len(group.generators)
+
+    # a replayed list is audited element by element, once per report
+    restrictions.clear()
+    report = verify_theorem(mesh, field, replay_group=AutGroup(group.elements))
+    assert report.passed and isomorphism_calls == [report.edge_id]
+    assert len(restrictions) == 2 * group.order
 
 
 def test_sides_invariant_claim(three_bump):

@@ -3,15 +3,18 @@ import gc
 import random
 import re
 import sys
+from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reebsplit import selftest
 from reebsplit.errors import (
     EdgeNotFound,
+    GroupTooLarge,
     InvalidTree,
     SideNotInvariant,
 )
@@ -25,9 +28,11 @@ from reebsplit.selftest import (
 )
 from reebsplit.treeaut import (
     AutGroup,
+    FixedSet,
     LabeledTree,
     _centers,
     _refine_colors,
+    certify_splitting,
     close_under_composition,
     compose,
     cut_tree_at,
@@ -610,6 +615,142 @@ def test_trivial_group_with_non_identity_pair_is_no_homomorphism():
                                        lambda g: ((1, 0), (0, 1)))
     assert not verdict.homomorphism
     assert witness(verdict.notes, "not multiplicative", "g", "t") == ((0, 1), (0, 1))
+
+
+# ----------------------------------------------------------------------
+# the splitting certificate on generators against the element-wise checks
+
+def element_wise_splitting(cut, group, ga, gb):
+    """(injective, surjective, homomorphism) of ``verify_isomorphism`` and
+    whether every element keeps both sides' base vertices."""
+    verdict = verify_isomorphism(cut, group, ga, gb)
+    sides = {name: set(cut.side(name).orig) - {-1} for name in ("A", "B")}
+    invariant = all({g[v] for v in sides[name]} == sides[name]
+                    for g in group.elements for name in ("A", "B"))
+    return (verdict.injective, verdict.surjective, verdict.homomorphism), invariant
+
+
+def assert_certificate_agrees(cut, group, ga, gb):
+    """The certificate and the element-wise checks agree; returns the
+    certificate's verdict."""
+    verdict, invariant = certify_splitting(cut, group, ga, gb)
+    assert ((verdict.injective, verdict.surjective, verdict.homomorphism),
+            invariant) == element_wise_splitting(cut, group, ga, gb)
+    return verdict
+
+
+def bumps_tree(k):
+    return LabeledTree([0.0, 1.0] + [2.0] * k, [(0, 1)] + [(1, 2 + i) for i in range(k)])
+
+
+@lru_cache(maxsize=None)
+def certificate_trees():
+    """The split corpus, the twelve five-branch trees, bumps 1-7 and the
+    double fork."""
+    trees = [random_realizable_tree(n, symmetry=symmetry, seed=seed)
+             for seed, n, symmetry in split_corpus_seeds(200)]
+    trees += [random_realizable_tree(2 + s % 9, symmetry=5, seed=s) for s in range(12)]
+    return trees + [bumps_tree(k) for k in range(1, 8)] + [selftest.double_fork_tree()]
+
+
+def test_certificate_matches_element_wise_checks():
+    cuts_seen = 0
+    for tree in certificate_trees():
+        group, cuts = fixed_edge_cuts(tree)
+        for cut, ga, gb in cuts:
+            verdict = assert_certificate_agrees(cut, group, ga, gb)
+            assert verdict.passed and verdict.notes == ()
+            cuts_seen += 1
+    assert cuts_seen > 250
+
+
+def fixed_set_by_elements(group, tree):
+    """The fixed set from the fixed points of every element."""
+    fixed = [all(p[v] == v for p in group.elements) for v in range(tree.n)]
+    if any(fixed):
+        return FixedSet(variant="subtree",
+                        vertices=tuple(v for v in range(tree.n) if fixed[v]),
+                        edge_ids=tuple(eid for eid, (u, v) in enumerate(tree.edges)
+                                       if fixed[u] and fixed[v]))
+    [(eid, witness_)] = [
+        (eid, next(p for p in group.elements if p[u] == v))
+        for eid, (u, v) in enumerate(tree.edges)
+        if all({p[u], p[v]} == {u, v} for p in group.elements)
+        and any(p[u] == v for p in group.elements)]
+    return FixedSet(variant="midpoint", midpoint_edge=eid, flip_witness=witness_)
+
+
+def test_fixed_set_from_generators_matches_the_element_scan():
+    variants = Counter()
+    trees = certificate_trees() + oracle_corpus(100)
+    for tree in trees:
+        for enumerate_group in (enumerate_aut, enumerate_general_aut):
+            try:
+                group = enumerate_group(tree)
+            except GroupTooLarge:
+                continue
+            fx = fixed_set(group, tree)
+            assert fx == fixed_set_by_elements(group, tree)
+            variants[fx.variant] += 1
+    assert variants["midpoint"] > 10 and variants["subtree"] > 500
+
+
+@pytest.fixture
+def three_bump_cut(three_bump_tree):
+    group, [(cut, ga, gb)] = fixed_edge_cuts(three_bump_tree)
+    assert (group.order, ga.order, gb.order) == (6, 1, 6)
+    return group, cut, ga, gb
+
+
+def test_certificate_names_a_generator_outside_the_side_group(three_bump_cut):
+    group, cut, ga, gb = three_bump_cut
+    # side B's group cut down to <s> for one generator s: another generator
+    # restricts outside it
+    s = restrict_aut(cut, group.generators[0], "B")
+    smaller = AutGroup(tuple(close_under_composition([s], gb.n)))
+    verdict = assert_certificate_agrees(cut, group, ga, smaller)
+    assert not (verdict.injective or verdict.surjective or verdict.homomorphism)
+    [t] = witness(verdict.notes, "leaves the side group", "t")
+    assert t in group.generators and restrict_aut(cut, t, "B") not in smaller
+
+
+def test_certificate_names_a_generator_moving_the_cut_edge(three_bump_tree):
+    group = enumerate_aut(three_bump_tree)
+    # edge 1 joins the saddle to a peak that the group moves
+    assert 1 not in fixed_set(group, three_bump_tree).edge_ids
+    cut = cut_tree_at(three_bump_tree, 1)
+    ga, gb = enumerate_aut(cut.side_a.tree), enumerate_aut(cut.side_b.tree)
+    verdict = assert_certificate_agrees(cut, group, ga, gb)
+    assert not (verdict.injective or verdict.surjective or verdict.homomorphism)
+    assert not certify_splitting(cut, group, ga, gb)[1]
+    [t] = witness(verdict.notes, "restriction undefined", "t")
+    u, v = three_bump_tree.edges[1]
+    assert t in group.generators and (t[u], t[v]) != (u, v)
+
+
+def test_certificate_names_the_orders_of_a_wrong_product(three_bump_cut):
+    group, cut, ga, gb = three_bump_cut
+    # a subgroup of G of order 2, and side B's group grown to all 24
+    # permutations of its four unmarked vertices
+    swap = group.generators[0]
+    subgroup = AutGroup(tuple(close_under_composition([swap], group.n)))
+    marked = cut.side_b.marked
+    free = [i for i in range(gb.n) if i != marked]
+    larger = AutGroup(tuple(sorted(
+        tuple(dict(zip(free, p)).get(i, i) for i in range(gb.n))
+        for p in permutations(free))))
+    for args, orders in (((subgroup, ga, gb), (2, 1, 6)),
+                         ((group, ga, larger), (6, 1, 24))):
+        verdict = assert_certificate_agrees(cut, *args)
+        assert verdict.injective and verdict.homomorphism
+        assert not verdict.surjective
+        assert verdict.notes == ("|G| = %d != |G_A| * |G_B| = %d * %d" % orders,)
+
+
+def test_certificate_needs_a_group(three_bump_cut):
+    group, cut, ga, gb = three_bump_cut
+    with pytest.raises(ValueError):
+        certify_splitting(cut, AutGroup(group.elements[:-1]), ga, gb)
 
 
 def naive_closure(gens, n):
