@@ -112,7 +112,8 @@ class TriangleMesh:
 
     - ``edge_pairs`` (E, 2): the edges as ascending vertex pairs, sorted;
     - ``edge_triangles`` (E, 2): the triangles of each edge in ascending
-      order, with -1 in place of the second on a boundary edge;
+      order, with -1 in place of the second on a boundary edge; made on
+      first read;
     - ``boundary_edges`` (B, 2): the rows of ``edge_pairs`` that lie in one
       triangle;
     - ``corner_links`` (K, 2): the pairs of corners at one vertex that are
@@ -165,14 +166,29 @@ class TriangleMesh:
         key = key[start]
         self.edge_pairs = np.empty((len(start), 2), dtype=np.intp)
         np.divmod(key, nv, out=(self.edge_pairs[:, 0], self.edge_pairs[:, 1]))
-        self.edge_triangles = np.full((len(start), 2), -1)
-        self.edge_triangles[:, 0] = by_edge[start] // 3
-        self.edge_triangles[inner, 1] = q // 3
         self.boundary_edges = self.edge_pairs[counts == 1]
 
         same_way = heads[p] == heads[q]
         self._interior_sides = (p, q, same_way)
         self._orientable = None if same_way.any() else True  # None: labelled on demand
+
+    @cached_property
+    def edge_triangles(self) -> np.ndarray:
+        # made on first read, which only a sphere's level cycles make, and
+        # kept.  Each side finds its edge by its vertex pair, which puts the
+        # one triangle on a boundary edge; an interior edge's two come from
+        # its sides p < q
+        nv = self.n_vertices
+        heads = self.triangles.ravel()
+        tails = self.triangles[:, [1, 2, 0]].ravel()
+        edge = np.searchsorted(self.edge_pairs[:, 0] * nv + self.edge_pairs[:, 1],
+                               np.minimum(heads, tails) * nv + np.maximum(heads, tails))
+        tris = np.full((len(self.edge_pairs), 2), -1)
+        tris[edge, 0] = np.arange(len(heads)) // 3
+        p, q, _ = self._interior_sides
+        tris[edge[p], 0] = p // 3
+        tris[edge[p], 1] = q // 3
+        return tris
 
     @property
     def corner_links(self) -> np.ndarray:

@@ -23,6 +23,7 @@ from .treeaut import (
     AutGroup,
     FixedSet,
     LabeledTree,
+    RootedGroup,
     TreeCut,
     certify_splitting,
     cut_tree_at,
@@ -30,6 +31,7 @@ from .treeaut import (
     fixed_set,
     keeps_sides,
     tree_isomorphic,
+    unmarked_order,
     verify_isomorphism,
 )
 
@@ -168,20 +170,12 @@ def check_subtree_group_gap(cut: TreeCut, *,
     """Compare marked-leaf-fixing and unconstrained subtree groups.
 
     ``side_orders`` are the orders of the two marked side groups.  The
-    marked group is the stabilizer of the cut leaf x in the unmarked one, so
-    the unmarked order is the marked order times the size of x's orbit: the
-    vertices y with x's label that an isomorphism of the side tree onto
-    itself can map x to (``tree_isomorphic`` ignores the mark).
+    unmarked order is read off the side tree's AHU forms rooted at a center
+    (``unmarked_order``), so the unmarked group is never enumerated.
     """
-    notes = []
-    for name, marked in zip(("A", "B"), side_orders):
-        t = cut.side(name).tree
-        x = t.marked
-        orbit = sum(tree_isomorphic(t, t, pin=(x, y))
-                    for y in range(t.n) if t.labels[y] == t.labels[x])
-        notes.append(GapNote(side=name, marked_order=marked,
-                             unmarked_order=marked * orbit))
-    return tuple(notes)
+    return tuple(GapNote(side=name, marked_order=marked,
+                         unmarked_order=unmarked_order(cut.side(name).tree))
+                 for name, marked in zip(("A", "B"), side_orders))
 
 
 # a batch of cut pieces closes before its union would pass this many vertices
@@ -253,12 +247,14 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
 
     An edge outside the fixed set raises EdgeNotFound.  The map to the side
     groups and the sides' invariance are certified on the enumerated
-    group's generators (``certify_splitting``).  ``replay_group``
-    substitutes a dumped element list for the enumerated group, to audit
-    it element by element (``verify_isomorphism``): a tampered dump fails
-    the verdict, and an element that is no permutation of the tree's
-    vertices raises ValueError.  ``sphere`` passes in
-    ``analyze_sphere(mesh, field)``.
+    group's generators (``certify_splitting``), with each side group held
+    by structure (``RootedGroup`` at the cut leaf), never enumerated.
+    ``replay_group`` substitutes a dumped element list for the enumerated
+    group, to audit it element by element (``verify_isomorphism``) against
+    the enumerated side groups, whose elements name a side pair the dump
+    misses: a tampered dump fails the verdict, and an element that is no
+    permutation of the tree's vertices raises ValueError.  ``sphere``
+    passes in ``analyze_sphere(mesh, field)``.
     """
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
@@ -310,12 +306,14 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     reports = []
     for (eid, labels, c, crossings, cut), pair in zip(cuts, zip(disks[::2], disks[1::2])):
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
-        group_a = enumerate_aut(cut.side_a.tree)
-        group_b = enumerate_aut(cut.side_b.tree)
         if replay_group is None:
+            group_a, group_b = (RootedGroup(s.tree, s.marked)
+                                for s in (cut.side_a, cut.side_b))
             phi, sides_invariant = certify_splitting(cut, group, group_a, group_b)
         else:
             # a claimed list need not be a group: audit every element
+            group_a = enumerate_aut(cut.side_a.tree)
+            group_b = enumerate_aut(cut.side_b.tree)
             phi = verify_isomorphism(cut, group, group_a, group_b)
             sides_invariant = keeps_sides(cut, group.elements)
         order_product_ok = group.order == group_a.order * group_b.order

@@ -1,10 +1,14 @@
 """Labeled trees, their label-preserving automorphism groups, fixed sets,
 and the cut and restriction maps used by the splitting pipeline.
 
-Automorphisms are stored as explicit vertex permutations (tuples).  Groups
-are explicit element lists, bounded by 10^4 elements by default; larger
-groups (``bumps --n 8`` has 40320) raise GroupTooLarge unless the caller
-passes a higher ``max_order``.
+Automorphisms are stored as explicit vertex permutations (tuples).  An
+enumerated group (``AutGroup``) is an explicit element list, bounded by
+10^4 elements by default; larger groups (``bumps --n 8`` has 40320) raise
+GroupTooLarge unless the caller passes a higher ``max_order``.  A group
+that fixes a vertex, such as a cut side's, is also held by structure
+(``RootedGroup``): its order comes from the rooted AHU forms that
+``tree_isomorphic`` compares, and membership is an O(n) test, so it has no
+element list and no bound.
 
 Group checks run on generators: one incremental span helper (``_Span``)
 grows the subgroup generated by a greedy generating set T, optionally
@@ -109,36 +113,45 @@ class LabeledTree:
         return f"LabeledTree(n={self.n}{mk})"
 
 
+def _rooted_form(tree: LabeledTree, root: int, ids: dict) -> tuple[int, int]:
+    """Bottom-up AHU from ``root``: the root's form, and the order of the
+    group of label-preserving automorphisms that fix ``root``.
+
+    A vertex's form is its label and its children's sorted form ids,
+    interned in ``ids`` as one int; children precede parents in reverse BFS
+    order.  Children with equal forms have isomorphic labelled subtrees, and
+    the group permutes each class of k of them in all k! ways, independently
+    at every vertex, so its order is the product of those factorials.
+    """
+    order, parent = walk(tree.adj, root)
+    kids: dict[int, list[int]] = {}
+    form, size = 0, 1
+    for v in reversed(order):
+        forms = sorted(kids.pop(v, ()))
+        run = 1
+        for a, b in zip(forms, forms[1:]):  # a run of k equal forms gives k!
+            run = run + 1 if a == b else 1
+            size *= run
+        form = ids.setdefault((tree.labels[v], tuple(forms)), len(ids))
+        kids.setdefault(parent[v], []).append(form)
+    return form, size
+
+
 def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
                     pin: tuple[int, int] | None = None) -> bool:
     """Label-preserving isomorphism test via canonical rooted forms.
 
     With ``pin=(v1, v2)`` the isomorphism must map v1 to v2, so both trees
-    are rooted there; otherwise both are rooted at the (label-aware) center.
+    are rooted there; otherwise both are rooted at their centers, which
+    every isomorphism maps onto each other.  Marks are ignored.
     """
     if t1.n != t2.n or sorted(t1.labels) != sorted(t2.labels):
         return False
     ids: dict[tuple, int] = {}  # shared by both trees, so their forms compare
-
-    def canon(tree: LabeledTree, root: int) -> int:
-        # bottom-up AHU: a vertex's form is its label and its children's
-        # sorted form ids, interned as one int; children precede parents
-        # in reverse BFS order
-        order, parent = walk(tree.adj, root)
-        kids: dict[int, list[int]] = {}
-        form = 0
-        for v in reversed(order):
-            sig = (tree.labels[v], tuple(sorted(kids.pop(v, ()))))
-            form = ids.setdefault(sig, len(ids))
-            kids.setdefault(parent[v], []).append(form)
-        return form
-
     if pin is not None:
-        return canon(t1, pin[0]) == canon(t2, pin[1])
-    c1 = _centers(t1)
-    c2 = _centers(t2)
-    forms1 = sorted(canon(t1, r) for r in c1)
-    forms2 = sorted(canon(t2, r) for r in c2)
+        return _rooted_form(t1, pin[0], ids)[0] == _rooted_form(t2, pin[1], ids)[0]
+    forms1 = sorted(_rooted_form(t1, r, ids)[0] for r in _centers(t1))
+    forms2 = sorted(_rooted_form(t2, r, ids)[0] for r in _centers(t2))
     return forms1 == forms2
 
 
@@ -428,6 +441,50 @@ def enumerate_general_aut(tree: LabeledTree,
 
 
 # ----------------------------------------------------------------------
+# groups by structure
+
+@dataclass(frozen=True)
+class RootedGroup:
+    """The label-preserving automorphisms of a tree that fix ``root``, held
+    by the tree's structure instead of an element list: its order from the
+    rooted AHU forms, and membership by an O(n) test.  The tree's own mark
+    is ignored; a cut side's group is rooted at its mark.
+    """
+
+    tree: LabeledTree
+    root: int
+
+    @cached_property
+    def order(self) -> int:
+        return _rooted_form(self.tree, self.root, {})[1]
+
+    @cached_property
+    def _arcs(self) -> frozenset[tuple[int, int]]:
+        """Each tree edge in both directions."""
+        return frozenset(self.tree.edges) | {(v, u) for u, v in self.tree.edges}
+
+    def __contains__(self, p: Perm) -> bool:
+        """Whether ``p`` permutes the vertices, fixes the root, keeps every
+        label and maps every edge to an edge.  The n - 1 edges then go to
+        n - 1 distinct edges, which are all of them, so ``p`` is an
+        automorphism."""
+        tree, arcs = self.tree, self._arcs
+        return (sorted(p) == list(range(tree.n)) and p[self.root] == self.root
+                and all(tree.labels[w] == label for w, label in zip(p, tree.labels))
+                and all((p[u], p[v]) in arcs for u, v in tree.edges))
+
+
+def unmarked_order(tree: LabeledTree) -> int:
+    """Order of the tree's label-preserving group, its mark ignored.
+
+    Every automorphism maps the one or two centers onto themselves, and
+    does not swap two: they are adjacent, so their labels differ.  The
+    group therefore fixes a center, and is the group rooted there.
+    """
+    return RootedGroup(tree, _centers(tree)[0]).order
+
+
+# ----------------------------------------------------------------------
 # fixed sets
 
 @dataclass(frozen=True)
@@ -691,8 +748,8 @@ def keeps_sides(cut: TreeCut, perms) -> bool:
     return all({p[v] for v in side} == side for p in perms for side in sides)
 
 
-def certify_splitting(cut: TreeCut, group: AutGroup, side_a: AutGroup,
-                      side_b: AutGroup) -> tuple[IsoVerdict, bool]:
+def certify_splitting(cut: TreeCut, group: AutGroup, side_a: AutGroup | RootedGroup,
+                      side_b: AutGroup | RootedGroup) -> tuple[IsoVerdict, bool]:
     """The verdict of ``verify_isomorphism`` on a group, and whether each
     cut side's base vertices are invariant under it, read off the group's
     greedy generators T alone.
@@ -707,8 +764,10 @@ def certify_splitting(cut: TreeCut, group: AutGroup, side_a: AutGroup,
     * being injective, it is onto exactly when |G| = |side_a| * |side_b|.
 
     The map is then a homomorphism without a check.  Costs at most 2|T|
-    restrictions; a failing check names its generator, the missed vertices
-    or the three orders.  Raises ValueError when ``group`` is not closed.
+    restrictions and membership tests; of the side groups only ``order``
+    and ``in`` are read, so a ``RootedGroup`` serves.  A failing check
+    names its generator, the missed vertices or the three orders.  Raises
+    ValueError when ``group`` is not closed.
     """
     if group.closure[1] is not None:
         raise ValueError("certify_splitting needs a group (closure check failed)")

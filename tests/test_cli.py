@@ -280,7 +280,7 @@ def test_split_verifies_bumps_seven(tmp_path):
 def test_split_unmarked_side_beyond_the_group_bound(tmp_path):
     # |G| = 7! = 5040, but on edge 0 the unmarked side B also swaps the cut
     # leaf with the other label-1 leaf: 10080 elements, an order that comes
-    # from the marked group and the cut leaf's orbit, not from enumeration
+    # from the side tree's AHU forms rooted at a centre, not from enumeration
     from reebsplit.gen import realize_tree
     from reebsplit.treeaut import LabeledTree
 

@@ -109,6 +109,32 @@ def test_two_disjoint_octahedra():
     assert [(h.connected, h.euler, h.genus) for h in halves] == [(True, 2, 0)] * 2
 
 
+def edge_triangles_by_loop(mesh):
+    """The triangles of each edge of ``edge_pairs``, ascending, -1 in place
+    of the second on a boundary edge, gathered triangle by triangle."""
+    tris = {}
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            tris.setdefault((min(u, v), max(u, v)), []).append(t)
+    return [tris[u, v] + [-1] * (2 - len(tris[u, v]))
+            for u, v in mesh.edge_pairs.tolist()]
+
+
+def test_edge_triangles_match_a_loop_on_closed_and_bounded_meshes(octahedron, torus):
+    mesh, field = octahedron
+    graph = build_reeb(mesh, field)
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    meshes = [mesh, torus[0], TriangleMesh(*two_octahedra(shared=False)),
+              TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])]
+    meshes += [piece.mesh for piece in cut_along_cycle(mesh, field, cycle)]
+    meshes += [realize_tree(random_realizable_tree(8, symmetry=2, seed=1), 4)[0]]
+    for m in meshes:
+        made = TriangleMesh(m.vertices, m.triangles)
+        assert "edge_triangles" not in vars(made)  # made on first read
+        assert made.edge_triangles.tolist() == edge_triangles_by_loop(made)
+        assert made.edge_triangles is made.edge_triangles
+
+
 def dfs_labels(n, edges):
     """Smallest node of each node's component, by depth-first search."""
     adj = [[] for _ in range(n)]

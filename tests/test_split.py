@@ -26,7 +26,13 @@ from reebsplit.split import (
     verify_all_fixed_edges,
     verify_theorem,
 )
-from reebsplit.treeaut import AutGroup, LabeledTree, cut_tree_at, enumerate_aut
+from reebsplit.treeaut import (
+    AutGroup,
+    LabeledTree,
+    cut_tree_at,
+    enumerate_aut,
+    tree_isomorphic,
+)
 
 
 def test_octahedron_split_passes(octahedron):
@@ -141,6 +147,21 @@ def test_subtree_group_gap_detects_marking():
     assert notes["A"].equal
 
 
+def orbit_unmarked_orders(cut, side_orders):
+    """The unmarked side orders by orbit counting: the marked group is the
+    stabilizer of the cut leaf x in the unmarked one, so the unmarked order
+    is the marked order times the size of x's orbit, the vertices y with
+    x's label that an isomorphism of the side tree onto itself can map x to
+    (``tree_isomorphic`` ignores the mark)."""
+    orders = []
+    for name, marked in zip("AB", side_orders):
+        t = cut.side(name).tree
+        x = t.marked
+        orders.append(marked * sum(tree_isomorphic(t, t, pin=(x, y))
+                                   for y in range(t.n) if t.labels[y] == t.labels[x]))
+    return orders
+
+
 def test_unmarked_orders_by_orbit_match_enumeration():
     trees = [random_realizable_tree(n, symmetry=k, seed=s)
              for s, n, k in split_corpus_seeds(200)]
@@ -156,7 +177,10 @@ def test_unmarked_orders_by_orbit_match_enumeration():
             lo, hi = sorted(tree.labels[v] for v in tree.edges[eid])
             for c in [None] + sorted({x for x in tree.labels if lo < x < hi}):
                 cut = cut_tree_at(tree, eid, c)
-                for note in enumerated_gap(cut):
+                notes = enumerated_gap(cut)
+                assert [n.unmarked_order for n in notes] == orbit_unmarked_orders(
+                    cut, [n.marked_order for n in notes]), (tree, eid, c)
+                for note in notes:
                     side = cut.side(note.side).tree
                     assert note.marked_order == enumerate_aut(side).order
                     unmarked = LabeledTree(side.labels, side.edges)
@@ -207,23 +231,32 @@ def test_split_verdict_restricts_generators_only(shape, double_fork_tree, monkey
             "five-branches": random_realizable_tree(6, symmetry=5, seed=4)}[shape]
     mesh, field = realize_tree(tree, 4)
     group = enumerate_aut(build_reeb(mesh, field).tree)
-    isomorphism_calls, restrictions = [], []
-    check, restrict = split.verify_isomorphism, treeaut.restrict_aut
+    isomorphism_calls, restrictions, enumerated = [], [], []
+    check, restrict, enumerate_ = (split.verify_isomorphism, treeaut.restrict_aut,
+                                   split.enumerate_aut)
     monkeypatch.setattr(split, "verify_isomorphism", lambda *args: (
         isomorphism_calls.append(args[0].edge_id), check(*args))[-1])
     monkeypatch.setattr(treeaut, "restrict_aut", lambda cut, g, which: (
         restrictions.append(cut.edge_id), restrict(cut, g, which))[-1])
+    monkeypatch.setattr(split, "enumerate_aut", lambda tree: (
+        enumerated.append(tree.marked), enumerate_(tree))[-1])
 
     reports = verify_all_fixed_edges(mesh, field)
     assert reports and all(r.passed for r in reports)
     assert isomorphism_calls == []
     assert max(Counter(restrictions).values()) <= 2 * len(group.generators)
+    # the sphere's group is enumerated, the side groups are held by structure
+    assert enumerated == [None]
 
-    # a replayed list is audited element by element, once per report
+    # a replayed list is audited element by element, once per report,
+    # against both enumerated side groups
     restrictions.clear()
+    enumerated.clear()
     report = verify_theorem(mesh, field, replay_group=AutGroup(group.elements))
     assert report.passed and isomorphism_calls == [report.edge_id]
     assert len(restrictions) == 2 * group.order
+    assert enumerated[0] is None and len(enumerated) == 3
+    assert None not in enumerated[1:]
 
 
 def test_sides_invariant_claim(three_bump):
@@ -298,6 +331,9 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
         assert calls["build_reeb"] == [mesh]
         for name in ("validate_surface", "classify_field", "flat_contract"):
             assert calls[name] == [mesh] + unions, name
+        # only the sphere's level cycles read the triangles of an edge
+        assert "edge_triangles" in vars(mesh)
+        assert not any("edge_triangles" in vars(u) for u in unions)
         assert len(calls["verify_group_axioms"]) == 1
 
 

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from reebsplit.treeaut import (
     AutGroup,
     FixedSet,
     LabeledTree,
+    RootedGroup,
     _centers,
     _refine_colors,
     certify_splitting,
@@ -44,6 +46,7 @@ from reebsplit.treeaut import (
     perm_order,
     restrict_aut,
     tree_isomorphic,
+    unmarked_order,
     verify_group_axioms,
     verify_isomorphism,
     verify_isomorphism_pairs,
@@ -845,3 +848,102 @@ def test_permutation_tuples_return_to_their_free_list():
     finally:
         gc.enable()
     assert grown < 100, grown
+
+
+# ----------------------------------------------------------------------
+# groups by structure against enumeration
+
+def unmarked(tree):
+    return LabeledTree(tree.labels, tree.edges)
+
+
+def test_structural_side_groups_match_enumeration():
+    sides = 0
+    for tree in certificate_trees():
+        group, cuts = fixed_edge_cuts(tree)
+        for cut, ga, gb in cuts:
+            structural = [RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b)]
+            for side, rooted, enumerated in zip((cut.side_a, cut.side_b),
+                                                structural, (ga, gb)):
+                assert rooted.order == enumerated.order
+                assert all(p in rooted for p in enumerated.elements)
+                assert unmarked_order(side.tree) == \
+                    enumerate_aut(unmarked(side.tree)).order
+                sides += 1
+            assert certify_splitting(cut, group, *structural) == \
+                certify_splitting(cut, group, ga, gb)
+    assert sides > 2250, sides
+
+
+def test_rooted_orders_match_enumeration_at_every_vertex():
+    rooted = 0
+    for tree in oracle_corpus(200):
+        assert unmarked_order(tree) == enumerate_aut(tree).order
+        for v in range(tree.n):
+            marked = LabeledTree(tree.labels, tree.edges, marked=v)
+            assert RootedGroup(tree, v).order == enumerate_aut(marked).order, (tree, v)
+            rooted += 1
+    assert rooted > 1000, rooted
+
+
+def nested_stars(k, m):
+    """A root with m children, each with k leaves of one label."""
+    labels = [0.0] + [1.0] * m + [2.0] * (k * m)
+    edges = [(0, 1 + i) for i in range(m)]
+    edges += [(1 + i, 1 + m + i * k + j) for i in range(m) for j in range(k)]
+    return LabeledTree(labels, edges)
+
+
+@pytest.mark.parametrize("k,m", [(k, 1) for k in range(1, 13)]
+                         + [(2, 5), (3, 3), (3, 4), (4, 3), (5, 4), (6, 6)])
+def test_rooted_orders_of_nested_stars_have_closed_forms(k, m):
+    # the root's m children are swapped in m! ways, and each one's k leaves
+    # in k! ways; at m = 1 the child and its leaves are bumps --n k
+    order = factorial(k) ** m * factorial(m)
+    tree = nested_stars(k, m)
+    assert RootedGroup(tree, 0).order == order
+    assert unmarked_order(tree) == order
+    if m == 1:
+        assert RootedGroup(bumps_tree(k), 0).order == factorial(k)
+    if order <= 50_000:
+        assert enumerate_aut(tree, max_order=10**6).order == order
+
+
+def test_membership_rejects_each_broken_condition():
+    # a root of label 5 with two children of label 1, one of which has a
+    # leaf: swapping the two children keeps labels and the root, but sends
+    # the leaf's edge to a non-edge
+    tree = LabeledTree([5.0, 1.0, 1.0, 3.0], [(0, 1), (0, 2), (1, 3)], marked=0)
+    group = RootedGroup(tree, 0)
+    assert group.order == 1 and (0, 1, 2, 3) in group
+    for p in ((0, 2, 1, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 3, 4)):
+        assert p not in group, p
+    # swapping two peaks of three bumps is an automorphism, but moves a
+    # root at a peak
+    bumps = bumps_tree(3)
+    assert (0, 1, 3, 2, 4) in RootedGroup(bumps, 0)
+    assert (0, 1, 3, 2, 4) not in RootedGroup(bumps, 2)
+    # reversing a path keeps its edges and its middle vertex, not its labels
+    path = LabeledTree([0.0, 1.0, 2.0], [(0, 1), (1, 2)])
+    assert (2, 1, 0) not in RootedGroup(path, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), symmetry=st.integers(1, 4), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_rooted_groups_match_enumeration_on_random_trees(n, symmetry, seed, data):
+    tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
+    root = data.draw(st.integers(0, tree.n - 1))
+    group = enumerate_aut(LabeledTree(tree.labels, tree.edges, marked=root),
+                          max_order=10**6)
+    rooted = RootedGroup(tree, root)
+    assert rooted.order == group.order
+    assert all(p in rooted for p in group.elements)
+    # an element followed by a swap of two vertices is a member exactly
+    # when it is an element
+    g = data.draw(st.sampled_from(group.elements))
+    a, b = data.draw(st.lists(st.integers(0, tree.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    swapped = list(g)
+    swapped[a], swapped[b] = g[b], g[a]
+    assert (tuple(swapped) in rooted) == (tuple(swapped) in group)
