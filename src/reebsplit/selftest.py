@@ -302,7 +302,7 @@ def criterion_splitting(quick: bool, ctx: dict) -> CriterionResult:
         sphere = analyze_sphere(mesh, field)
         if not euler_identity_holds(sphere.fclass):
             euler_ok = False
-        groups.append((sphere.graph.tree, sphere.group))
+        groups.append((sphere.graph.tree, enumerate_aut(sphere.graph.tree)))
         for report in verify_all_fixed_edges(mesh, field, sphere=sphere):
             reports += 1
             if not report.passed:

@@ -31,7 +31,7 @@ from .treeaut import (
     fixed_set,
     keeps_sides,
     tree_isomorphic,
-    unmarked_order,
+    unmarked_group,
     verify_isomorphism,
 )
 
@@ -53,7 +53,7 @@ class SphereAnalysis:
     surface: SurfaceReport
     fclass: FieldClassReport
     graph: ReebGraph
-    group: AutGroup     # the enumerated group, never a replayed dump
+    group: RootedGroup  # by structure, never a replayed dump
     fixed: FixedSet
 
 
@@ -70,7 +70,7 @@ def analyze_sphere(mesh: TriangleMesh, field: ScalarField) -> SphereAnalysis:
             f"need a closed connected genus-0 surface, got {surface}")
     fclass = classify_field(mesh, field)
     graph = build_reeb(mesh, field, surface=surface, fclass=fclass)
-    group = enumerate_aut(graph.tree)
+    group = unmarked_group(graph.tree)
     return SphereAnalysis(surface=surface, fclass=fclass, graph=graph,
                           group=group, fixed=fixed_set(group, graph.tree))
 
@@ -171,10 +171,10 @@ def check_subtree_group_gap(cut: TreeCut, *,
 
     ``side_orders`` are the orders of the two marked side groups.  The
     unmarked order is read off the side tree's AHU forms rooted at a center
-    (``unmarked_order``), so the unmarked group is never enumerated.
+    (``unmarked_group``), so the unmarked group is never enumerated.
     """
     return tuple(GapNote(side=name, marked_order=marked,
-                         unmarked_order=unmarked_order(cut.side(name).tree))
+                         unmarked_order=unmarked_group(cut.side(name).tree).order)
                  for name, marked in zip(("A", "B"), side_orders))
 
 
@@ -246,20 +246,20 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     the one report that the hypothesis fails when the fixed set has no edge.
 
     An edge outside the fixed set raises EdgeNotFound.  The map to the side
-    groups and the sides' invariance are certified on the enumerated
-    group's generators (``certify_splitting``), with each side group held
-    by structure (``RootedGroup`` at the cut leaf), never enumerated.
-    ``replay_group`` substitutes a dumped element list for the enumerated
-    group, to audit it element by element (``verify_isomorphism``) against
-    the enumerated side groups, whose elements name a side pair the dump
-    misses: a tampered dump fails the verdict, and an element that is no
-    permutation of the tree's vertices raises ValueError.  ``sphere``
-    passes in ``analyze_sphere(mesh, field)``.
+    groups and the sides' invariance are certified on the generators of the
+    sphere's group (``certify_splitting``), with that group and each side
+    group held by structure (``RootedGroup`` at a center or the cut leaf),
+    none enumerated.  ``replay_group`` substitutes a dumped element list for
+    the sphere's group, to audit it element by element
+    (``verify_isomorphism``) against the enumerated side groups, whose
+    elements name a side pair the dump misses: a tampered dump fails the
+    verdict, and an element that is no permutation of the tree's vertices
+    raises ValueError.  ``sphere`` passes in ``analyze_sphere(mesh, field)``.
     """
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
     graph, tree, fixed = sphere.graph, sphere.graph.tree, sphere.fixed
-    # the enumerated group drives the geometry (fixed set, cut choice); a
+    # the structural group drives the geometry (fixed set, cut choice); a
     # replayed dump is the claimed element list whose pairing gets audited
     group = sphere.group
     if replay_group is not None:

@@ -1,19 +1,21 @@
 """Labeled trees, their label-preserving automorphism groups, fixed sets,
 and the cut and restriction maps used by the splitting pipeline.
 
-Automorphisms are stored as explicit vertex permutations (tuples).  An
-enumerated group (``AutGroup``) is an explicit element list, bounded by
-10^4 elements by default; larger groups (``bumps --n 8`` has 40320) raise
-GroupTooLarge unless the caller passes a higher ``max_order``.  A group
-that fixes a vertex, such as a cut side's, is also held by structure
-(``RootedGroup``): its order comes from the rooted AHU forms that
-``tree_isomorphic`` compares, and membership is an O(n) test, so it has no
-element list and no bound.
+Automorphisms are stored as explicit vertex permutations (tuples).  One
+bottom-up AHU pass, rooted at the mark or else at a center, gives a tree's
+group: its order, a product of factorials, and generators that swap
+equal-form siblings (``_structure``).  A group that fixes a vertex, such as
+a cut side's or a level-set tree's, is held that way alone
+(``RootedGroup``), with membership as an O(n) test and no bound.  An
+enumerated group (``AutGroup``) is the sorted span of those generators, for
+output and audits; an order above 10^4 (``bumps --n 8`` has 40320) raises
+GroupTooLarge before anything is listed, unless the caller passes a higher
+``max_order``.
 
 Group checks run on generators: one incremental span helper (``_Span``)
 grows the subgroup generated by a greedy generating set T, optionally
-confined to a set of permutations.  Each group builds that span once, as
-its cached ``closure``, and takes its generators from it.  Closure
+confined to a set of permutations.  Each element list builds that span
+once, as its cached ``closure``, and takes its generators from it.  Closure
 (``verify_group_axioms``) is checked on G x T, |T| <= log2 |G|, instead of
 on all |G|^2 pairs.  Once a group has passed it, its splitting across a
 cut (``certify_splitting``) and its fixed vertices (``fixed_set``) are read
@@ -21,7 +23,7 @@ off T alone.  A claimed element list, which need not be a group, is
 audited on G x T (``verify_isomorphism_pairs``); its restriction map is
 onto when the image has |G_A| * |G_B| pairs, so no preimage is ever glued.
 
-Enumeration, canonical forms and every walk over a tree are iterative, so
+Canonical forms, generators and every walk over a tree are iterative, so
 trees of any depth are handled without recursion; every walk is the one
 breadth-first ``walk``.
 """
@@ -108,14 +110,21 @@ class LabeledTree:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Each edge in both directions."""
+        return frozenset(self.edges) | {(v, u) for u, v in self.edges}
+
     def __repr__(self):
         mk = f", marked={self.marked}" if self.marked is not None else ""
         return f"LabeledTree(n={self.n}{mk})"
 
 
-def _rooted_form(tree: LabeledTree, root: int, ids: dict) -> tuple[int, int]:
-    """Bottom-up AHU from ``root``: the root's form, and the order of the
-    group of label-preserving automorphisms that fix ``root``.
+def _rooted_form(tree: LabeledTree, root: int, ids: dict, labels=None):
+    """Bottom-up AHU from ``root``: each vertex's form, each vertex's
+    children sorted by (form, id), and the order of the group of
+    automorphisms that fix ``root`` and keep ``labels`` (by default the
+    tree's own).
 
     A vertex's form is its label and its children's sorted form ids,
     interned in ``ids`` as one int; children precede parents in reverse BFS
@@ -123,18 +132,62 @@ def _rooted_form(tree: LabeledTree, root: int, ids: dict) -> tuple[int, int]:
     the group permutes each class of k of them in all k! ways, independently
     at every vertex, so its order is the product of those factorials.
     """
+    labels = tree.labels if labels is None else labels
     order, parent = walk(tree.adj, root)
-    kids: dict[int, list[int]] = {}
-    form, size = 0, 1
+    forms = [0] * tree.n
+    kids: list[list[int]] = [[] for _ in range(tree.n)]
+    size = 1
     for v in reversed(order):
-        forms = sorted(kids.pop(v, ()))
-        run = 1
-        for a, b in zip(forms, forms[1:]):  # a run of k equal forms gives k!
-            run = run + 1 if a == b else 1
-            size *= run
-        form = ids.setdefault((tree.labels[v], tuple(forms)), len(ids))
-        kids.setdefault(parent[v], []).append(form)
-    return form, size
+        ks = kids[v]
+        if len(ks) > 1:
+            ks.sort()
+            ks.sort(key=forms.__getitem__)
+            run = 1
+            for a, b in zip(ks, ks[1:]):  # a run of k equal forms gives k!
+                run = run + 1 if forms[a] == forms[b] else 1
+                size *= run
+        forms[v] = ids.setdefault((labels[v], tuple([forms[w] for w in ks])), len(ids))
+        if v != root:
+            kids[parent[v]].append(v)
+    return forms, kids, size
+
+
+def _swap(kids, a: int, b: int, a_kids) -> Perm:
+    """The involution exchanging ``a`` with ``b``, ``a_kids`` with the
+    children of ``b``, and so on down, children paired in (form, id) order;
+    the two subtrees must have equal forms."""
+    p = list(range(len(kids)))
+    p[a], p[b] = b, a
+    pairs = list(zip(a_kids, kids[b]))
+    for x, y in pairs:
+        p[x], p[y] = y, x
+        pairs.extend(zip(kids[x], kids[y]))
+    return tuple(p)
+
+
+def _structure(tree: LabeledTree, labels, roots) -> tuple[int, tuple[Perm, ...]]:
+    """Order and generators of the automorphisms of ``tree`` that keep
+    ``labels`` and map ``roots``, one vertex or two adjacent centers, onto
+    themselves.
+
+    Those fixing ``roots[0]`` are spanned by one swap per adjacent pair of
+    equal-form siblings: at each vertex these generate every permutation of
+    each class of equal-form children, and they pair subtrees consistently.
+    Two centers also swap when their halves have equal forms, which the
+    tree's own labels rule out; one flip of the halves then doubles the
+    group.
+    """
+    ids: dict[tuple, int] = {}
+    forms, kids, order = _rooted_form(tree, roots[0], ids, labels)
+    gens = [_swap(kids, a, b, kids[a]) for ks in kids
+            for a, b in zip(ks, ks[1:]) if forms[a] == forms[b]]
+    if len(roots) == 2:
+        a, b = roots
+        half = [k for k in kids[a] if k != b]
+        if ids.get((labels[a], tuple([forms[k] for k in half]))) == forms[b]:
+            gens.append(_swap(kids, a, b, half))
+            order *= 2
+    return order, tuple(gens)
 
 
 def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
@@ -149,9 +202,10 @@ def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
         return False
     ids: dict[tuple, int] = {}  # shared by both trees, so their forms compare
     if pin is not None:
-        return _rooted_form(t1, pin[0], ids)[0] == _rooted_form(t2, pin[1], ids)[0]
-    forms1 = sorted(_rooted_form(t1, r, ids)[0] for r in _centers(t1))
-    forms2 = sorted(_rooted_form(t2, r, ids)[0] for r in _centers(t2))
+        return (_rooted_form(t1, pin[0], ids)[0][pin[0]]
+                == _rooted_form(t2, pin[1], ids)[0][pin[1]])
+    forms1 = sorted(_rooted_form(t1, r, ids)[0][r] for r in _centers(t1))
+    forms2 = sorted(_rooted_form(t2, r, ids)[0][r] for r in _centers(t2))
     return forms1 == forms2
 
 
@@ -342,146 +396,85 @@ def _enumerated_group(elements: list[Perm]) -> AutGroup:
 
 
 # ----------------------------------------------------------------------
-# enumeration
-
-def _refine_colors(tree: LabeledTree, initial: list) -> list[int]:
-    """Iterated neighbourhood refinement of an initial vertex colouring.
-
-    A discrete colouring, one vertex per colour, refines to itself, so the
-    refinement stops there.
-    """
-    key = {c: i for i, c in enumerate(sorted(set(initial)))}
-    colors = [key[c] for c in initial]
-    while len(key) < len(colors):
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in tree.adj[v])))
-                for v in range(tree.n)]
-        key = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [key[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _enumerate(tree: LabeledTree, use_labels: bool,
-               max_order: int) -> list[Perm]:
-    n = tree.n
-    if n == 1:
-        return [(0,)]
-    if use_labels:
-        initial = [(tree.labels[v], tree.degree(v), v == tree.marked)
-                   for v in range(n)]
-    else:
-        initial = [(tree.degree(v), v == tree.marked) for v in range(n)]
-    colors = _refine_colors(tree, initial)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-
-    # search order: BFS from a deterministic root so every later vertex has a
-    # mapped neighbour to anchor its candidates
-    root = min(range(n), key=lambda v: (len(classes[colors[v]]), colors[v], v))
-    bfs, parent = walk(tree.adj, root)
-
-    # depth-first backtracking over the BFS positions with an explicit
-    # stack: level i maps bfs[i], trying its candidates in list order
-    results: list[Perm] = []
-    image = [-1] * n
-    used = [False] * n
-    last = len(bfs) - 1
-    candidates = [classes[colors[root]]] + [None] * last
-    tried = [0] * len(bfs)  # candidates of each level tried so far
-    i = 0
-    while i >= 0:
-        v = bfs[i]
-        if image[v] != -1:  # undo this level's previous choice
-            used[image[v]] = False
-            image[v] = -1
-        cands = candidates[i]
-        color = colors[v]
-        for k in range(tried[i], len(cands)):
-            w = cands[k]
-            if not used[w] and colors[w] == color:
-                break
-        else:
-            i -= 1
-            continue
-        tried[i] = k + 1
-        image[v] = w
-        used[w] = True
-        if i == last:
-            results.append(tuple(image))
-            if len(results) > max_order:
-                raise GroupTooLarge(f"group exceeds {max_order} elements")
-        else:
-            i += 1
-            candidates[i] = tree.adj[image[parent[bfs[i]]]]
-            tried[i] = 0
-
-    # the BFS-anchored search preserves every tree edge; double-check labels
-    # and the mark, then sort for a canonical element order
-    labels = tree.labels
-    for p in results:
-        if use_labels and tuple([labels[i] for i in p]) != labels:
-            raise InternalInconsistency("enumerated map breaks labels")
-        if tree.marked is not None and p[tree.marked] != tree.marked:
-            raise InternalInconsistency("enumerated map moves the marked vertex")
-    return sorted(results)
-
-
-def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
-    """All label-preserving automorphisms (fixing the mark when present)."""
-    return _enumerated_group(_enumerate(tree, use_labels=True, max_order=max_order))
-
-
-def enumerate_general_aut(tree: LabeledTree,
-                          max_order: int = MAX_GROUP_ORDER) -> AutGroup:
-    """All cellular automorphisms, labels ignored."""
-    return _enumerated_group(_enumerate(tree, use_labels=False, max_order=max_order))
-
-
-# ----------------------------------------------------------------------
 # groups by structure
 
 @dataclass(frozen=True)
 class RootedGroup:
     """The label-preserving automorphisms of a tree that fix ``root``, held
-    by the tree's structure instead of an element list: its order from the
-    rooted AHU forms, and membership by an O(n) test.  The tree's own mark
-    is ignored; a cut side's group is rooted at its mark.
+    by the tree's structure instead of an element list: its order and
+    generators from the rooted AHU forms, and membership by an O(n) test.
+    The tree's own mark is ignored; a cut side's group is rooted at its mark.
     """
 
     tree: LabeledTree
     root: int
 
     @cached_property
-    def order(self) -> int:
-        return _rooted_form(self.tree, self.root, {})[1]
+    def _pass(self) -> tuple[int, tuple[Perm, ...]]:
+        return _structure(self.tree, self.tree.labels, [self.root])
 
-    @cached_property
-    def _arcs(self) -> frozenset[tuple[int, int]]:
-        """Each tree edge in both directions."""
-        return frozenset(self.tree.edges) | {(v, u) for u, v in self.tree.edges}
+    @property
+    def order(self) -> int:
+        return self._pass[0]
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        """The sibling swaps, which span the group."""
+        return self._pass[1]
 
     def __contains__(self, p: Perm) -> bool:
-        """Whether ``p`` permutes the vertices, fixes the root, keeps every
-        label and maps every edge to an edge.  The n - 1 edges then go to
-        n - 1 distinct edges, which are all of them, so ``p`` is an
-        automorphism."""
-        tree, arcs = self.tree, self._arcs
-        return (sorted(p) == list(range(tree.n)) and p[self.root] == self.root
-                and all(tree.labels[w] == label for w, label in zip(p, tree.labels))
-                and all((p[u], p[v]) in arcs for u, v in tree.edges))
+        return _is_automorphism(self.tree, p, self.tree.labels) and p[self.root] == self.root
 
 
-def unmarked_order(tree: LabeledTree) -> int:
-    """Order of the tree's label-preserving group, its mark ignored.
+def _is_automorphism(tree: LabeledTree, p: Perm, labels) -> bool:
+    """Whether ``p`` permutes the vertices, keeps ``labels`` and maps every
+    edge to an edge.  The n - 1 edges then go to n - 1 distinct edges,
+    which are all of them, so ``p`` is an automorphism."""
+    arcs = tree.arcs
+    return (sorted(p) == list(range(tree.n))
+            and all(labels[w] == label for w, label in zip(p, labels))
+            and all((p[u], p[v]) in arcs for u, v in tree.edges))
+
+
+def unmarked_group(tree: LabeledTree) -> RootedGroup:
+    """The tree's label-preserving group, its mark ignored.
 
     Every automorphism maps the one or two centers onto themselves, and
     does not swap two: they are adjacent, so their labels differ.  The
     group therefore fixes a center, and is the group rooted there.
     """
-    return RootedGroup(tree, _centers(tree)[0]).order
+    return RootedGroup(tree, _centers(tree)[0])
+
+
+def _listed(tree: LabeledTree, labels, max_order: int) -> AutGroup:
+    """The group of ``_structure`` as its sorted element list, closed
+    under composition from its generators.  Raises GroupTooLarge from the
+    order before anything is listed."""
+    mark = tree.marked
+    order, gens = _structure(tree, labels, _centers(tree) if mark is None else [mark])
+    if order > max_order:
+        raise GroupTooLarge(f"group exceeds {max_order} elements")
+    for t in gens:
+        if not (_is_automorphism(tree, t, labels) and (mark is None or t[mark] == mark)):
+            raise InternalInconsistency(f"structural generator {t} is no automorphism")
+    elements = close_under_composition(gens, tree.n, max_order)
+    if len(elements) != order:
+        raise InternalInconsistency(
+            f"generators span {len(elements)} elements, not the order {order}")
+    return _enumerated_group(elements)
+
+
+def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
+    """All label-preserving automorphisms (fixing the mark when present),
+    listed from their structural generators; GroupTooLarge above ``max_order``."""
+    return _listed(tree, tree.labels, max_order)
+
+
+def enumerate_general_aut(tree: LabeledTree,
+                          max_order: int = MAX_GROUP_ORDER) -> AutGroup:
+    """All cellular automorphisms (fixing the mark when present), labels
+    ignored."""
+    return _listed(tree, (0.0,) * tree.n, max_order)
 
 
 # ----------------------------------------------------------------------
@@ -508,20 +501,22 @@ class FixedSet:
 
 
 def fixed_set(group, tree: LabeledTree) -> FixedSet:
-    """Fixed vertices and pointwise-fixed edges of a group of automorphisms.
+    """Fixed vertices and pointwise-fixed edges of a group of automorphisms:
+    an element list, which must pass its closure check, or a
+    ``RootedGroup``, a group by construction.
 
-    A vertex is fixed when each greedy generator fixes it.  Only when no
-    vertex is fixed are the elements scanned, for the flipped invariant edge
-    and the first element that flips it.
+    A vertex is fixed when each generator fixes it.  Only when no vertex is
+    fixed, which a ``RootedGroup`` rules out, are the elements scanned, for
+    the flipped invariant edge and the first element that flips it.
 
     Raises InternalInconsistency when neither a nonempty subtree nor a single
     flipped invariant edge exists, which would contradict the fixed-point
     property of finite groups acting on trees.
     """
-    if not isinstance(group, AutGroup):
-        group = AutGroup(tuple(group))
-    if not verify_group_axioms(group):
-        raise ValueError("fixed_set needs a group (closure check failed)")
+    if not isinstance(group, RootedGroup):
+        group = group if isinstance(group, AutGroup) else AutGroup(tuple(group))
+        if not verify_group_axioms(group):
+            raise ValueError("fixed_set needs a group (closure check failed)")
     gens = group.generators
     n = tree.n
     fixed = [all(t[v] == v for t in gens) for v in range(n)]
@@ -748,14 +743,17 @@ def keeps_sides(cut: TreeCut, perms) -> bool:
     return all({p[v] for v in side} == side for p in perms for side in sides)
 
 
-def certify_splitting(cut: TreeCut, group: AutGroup, side_a: AutGroup | RootedGroup,
+def certify_splitting(cut: TreeCut, group: AutGroup | RootedGroup,
+                      side_a: AutGroup | RootedGroup,
                       side_b: AutGroup | RootedGroup) -> tuple[IsoVerdict, bool]:
     """The verdict of ``verify_isomorphism`` on a group, and whether each
     cut side's base vertices are invariant under it, read off the group's
-    greedy generators T alone.
+    generators T alone: an element list's greedy ones, or a
+    ``RootedGroup``'s sibling swaps.
 
-    T spans the group (its closure check), and restricting maps that keep
-    both sides is multiplicative, so three facts settle the verdict:
+    T spans the group (by an element list's closure check, or by
+    construction), and restricting maps that keep both sides is
+    multiplicative, so three facts settle the verdict:
 
     * the restrictions are defined and lie in side_a x side_b when those of
       every generator are and do: the side groups are groups;
@@ -767,9 +765,9 @@ def certify_splitting(cut: TreeCut, group: AutGroup, side_a: AutGroup | RootedGr
     restrictions and membership tests; of the side groups only ``order``
     and ``in`` are read, so a ``RootedGroup`` serves.  A failing check
     names its generator, the missed vertices or the three orders.  Raises
-    ValueError when ``group`` is not closed.
+    ValueError when an element list ``group`` is not closed.
     """
-    if group.closure[1] is not None:
+    if isinstance(group, AutGroup) and group.closure[1] is not None:
         raise ValueError("certify_splitting needs a group (closure check failed)")
     gens = group.generators
     sides_invariant = keeps_sides(cut, gens)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io as stdio
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -275,6 +276,24 @@ def test_split_verifies_bumps_seven(tmp_path):
     code, out, _ = run(["split", "--input", str(path), "--all-edges"])
     assert code == 0
     assert out.startswith("PASS") and "|G| = 5040 = 1 * 5040" in out
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_split_passes_beyond_the_group_bound(tmp_path, n):
+    # |G| = n! > 10^4: split reads the sphere's and the sides' groups off
+    # their structure, while aut, whose output is the element list, refuses
+    path = tmp_path / f"bumps{n}.json"
+    assert run(["gen", "bumps", "--n", str(n), "--out", str(path)])[0] == 0
+    jsn = tmp_path / "split.json"
+    code, out, _ = run(["split", "--input", str(path), "--all-edges", "--json", str(jsn)])
+    assert code == 0
+    reports = json.loads(jsn.read_text())
+    assert reports and all(r["passed"] for r in reports)
+    assert {r["group_order"] for r in reports} == {math.factorial(n)}
+    if n == 8:
+        code, out, err = run(["aut", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: GroupTooLarge: group exceeds 10000 elements")
 
 
 def test_split_unmarked_side_beyond_the_group_bound(tmp_path):

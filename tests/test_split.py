@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from aut_oracles import backtrack_aut
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from reebsplit.split import (
 from reebsplit.treeaut import (
     AutGroup,
     LabeledTree,
+    RootedGroup,
     cut_tree_at,
     enumerate_aut,
     tree_isomorphic,
@@ -122,9 +124,10 @@ def test_all_fixed_edges_pass_on_symmetric_corpus():
 
 
 def enumerated_gap(cut):
-    """``check_subtree_group_gap`` with the marked side orders enumerated."""
+    """``check_subtree_group_gap`` with the marked side orders listed by the
+    backtracking oracle."""
     return check_subtree_group_gap(cut, side_orders=tuple(
-        enumerate_aut(cut.side(name).tree).order for name in ("A", "B")))
+        len(backtrack_aut(cut.side(name).tree)) for name in ("A", "B")))
 
 
 def test_subtree_group_gap_three_bump(three_bump_tree):
@@ -182,10 +185,10 @@ def test_unmarked_orders_by_orbit_match_enumeration():
                     cut, [n.marked_order for n in notes]), (tree, eid, c)
                 for note in notes:
                     side = cut.side(note.side).tree
-                    assert note.marked_order == enumerate_aut(side).order
+                    assert note.marked_order == RootedGroup(side, side.marked).order
                     unmarked = LabeledTree(side.labels, side.edges)
                     assert note.unmarked_order == \
-                        enumerate_aut(unmarked).order, (tree, eid, c)
+                        len(backtrack_aut(unmarked)), (tree, eid, c)
                     sides += 1
                     gaps += not note.equal
     assert sides > 4000 and gaps > 200, (sides, gaps)
@@ -230,7 +233,8 @@ def test_split_verdict_restricts_generators_only(shape, double_fork_tree, monkey
                                    [(0, 1)] + [(1, 2 + i) for i in range(6)]),
             "five-branches": random_realizable_tree(6, symmetry=5, seed=4)}[shape]
     mesh, field = realize_tree(tree, 4)
-    group = enumerate_aut(build_reeb(mesh, field).tree)
+    sphere_tree = build_reeb(mesh, field).tree
+    group = enumerate_aut(sphere_tree)
     isomorphism_calls, restrictions, enumerated = [], [], []
     check, restrict, enumerate_ = (split.verify_isomorphism, treeaut.restrict_aut,
                                    split.enumerate_aut)
@@ -244,19 +248,18 @@ def test_split_verdict_restricts_generators_only(shape, double_fork_tree, monkey
     reports = verify_all_fixed_edges(mesh, field)
     assert reports and all(r.passed for r in reports)
     assert isomorphism_calls == []
-    assert max(Counter(restrictions).values()) <= 2 * len(group.generators)
-    # the sphere's group is enumerated, the side groups are held by structure
-    assert enumerated == [None]
+    structural = treeaut.unmarked_group(sphere_tree).generators
+    assert max(Counter(restrictions).values()) <= 2 * len(structural)
+    # the sphere's group and the side groups are all held by structure
+    assert enumerated == []
 
     # a replayed list is audited element by element, once per report,
-    # against both enumerated side groups
+    # against both enumerated side groups, and only they are enumerated
     restrictions.clear()
-    enumerated.clear()
     report = verify_theorem(mesh, field, replay_group=AutGroup(group.elements))
     assert report.passed and isomorphism_calls == [report.edge_id]
     assert len(restrictions) == 2 * group.order
-    assert enumerated[0] is None and len(enumerated) == 3
-    assert None not in enumerated[1:]
+    assert len(enumerated) == 2 and None not in enumerated
 
 
 def test_sides_invariant_claim(three_bump):
@@ -334,14 +337,13 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
         # only the sphere's level cycles read the triangles of an edge
         assert "edge_triangles" in vars(mesh)
         assert not any("edge_triangles" in vars(u) for u in unions)
-        assert len(calls["verify_group_axioms"]) == 1
+        # the sphere's group is one by construction: no closure check
+        assert calls["verify_group_axioms"] == []
 
 
-def test_sphere_group_span_built_once_for_all_closure_checks(double_fork_tree,
-                                                            monkeypatch):
+def test_split_spans_no_group(double_fork_tree, monkeypatch):
     mesh, field = realize_tree(double_fork_tree, 4)
-    group = enumerate_aut(reeb_to_tree(build_reeb(mesh, field)))
-    assert group.order > 1
+    assert enumerate_aut(reeb_to_tree(build_reeb(mesh, field))).order > 1
     spans = []
     greedy = treeaut._greedy_span
 
@@ -351,9 +353,9 @@ def test_sphere_group_span_built_once_for_all_closure_checks(double_fork_tree,
 
     monkeypatch.setattr(treeaut, "_greedy_span", counted)
     assert len(verify_all_fixed_edges(mesh, field)) == 2
-    # one span, built at enumeration, gives the generators and serves the
-    # closure checks of fixed_set and of both fixed edges
-    assert spans.count(group.elements) == 1
+    # the fixed set and both certificates read the structural generators,
+    # which span a group by construction: no closure span is grown
+    assert spans == []
 
 def _cut_disk(mesh, field):
     """The lower disk of the octahedron cut across its only edge."""

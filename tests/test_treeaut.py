@@ -3,16 +3,18 @@ import gc
 import random
 import re
 import sys
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
 import pytest
+from aut_oracles import backtrack_aut, backtrack_group, refine_colors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebsplit import selftest
+from reebsplit import selftest, treeaut
 from reebsplit.errors import (
     EdgeNotFound,
     GroupTooLarge,
@@ -33,7 +35,6 @@ from reebsplit.treeaut import (
     LabeledTree,
     RootedGroup,
     _centers,
-    _refine_colors,
     certify_splitting,
     close_under_composition,
     compose,
@@ -46,7 +47,7 @@ from reebsplit.treeaut import (
     perm_order,
     restrict_aut,
     tree_isomorphic,
-    unmarked_order,
+    unmarked_group,
     verify_group_axioms,
     verify_isomorphism,
     verify_isomorphism_pairs,
@@ -197,7 +198,7 @@ def test_refinement_stop_at_discrete_colouring_changes_nothing():
                              for v in range(t.n)],
                             [(t.degree(v), v == t.marked) for v in range(t.n)]):
                 want = refine_to_fixed_point(t, initial)
-                assert _refine_colors(t, initial) == want
+                assert refine_colors(t, initial) == want
                 discrete += len(set(want)) == t.n
         assert list(enumerate_aut(tree).elements) == brute_force_aut(tree)
     assert discrete == 465  # of 800 colourings
@@ -393,12 +394,36 @@ def test_label_scaling_leaves_group_unchanged(seed):
     assert enumerate_aut(tree).elements == enumerate_aut(moved).elements
 
 
-def test_group_order_bound_enforced():
-    from reebsplit.errors import GroupTooLarge
+def distinct_leaf_star(k):
+    """A center with k leaves of distinct labels: trivial labelled group,
+    k! automorphisms with labels ignored."""
+    return LabeledTree([0.0] + [1.0 + i for i in range(k)], [(0, 1 + i) for i in range(k)])
 
+
+def test_group_order_bound_enforced(monkeypatch):
     with pytest.raises(GroupTooLarge):
         enumerate_aut(star_tree(8))  # 8! = 40320 exceeds the explicit bound
     assert enumerate_aut(star_tree(8), max_order=50_000).order == 40_320
+    # the bound itself is listed, one element fewer is refused; the
+    # selftest lists general groups up to 5040
+    assert enumerate_aut(star_tree(5), max_order=120).order == 120
+    with pytest.raises(GroupTooLarge, match="group exceeds 119 elements"):
+        enumerate_aut(star_tree(5), max_order=119)
+    assert enumerate_general_aut(distinct_leaf_star(7), max_order=5040).order == 5040
+    with pytest.raises(GroupTooLarge, match="group exceeds 5039 elements"):
+        enumerate_general_aut(distinct_leaf_star(7), max_order=5039)
+
+    # the order is checked before anything is listed
+    def listing(*args, **kwargs):
+        raise AssertionError("listed a group beyond the bound")
+
+    monkeypatch.setattr(treeaut, "close_under_composition", listing)
+    t0 = time.perf_counter()
+    with pytest.raises(GroupTooLarge, match="group exceeds 10000 elements"):
+        enumerate_aut(star_tree(12))  # 12! = 479001600
+    with pytest.raises(GroupTooLarge, match="group exceeds 5040 elements"):
+        enumerate_general_aut(distinct_leaf_star(12), max_order=5040)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_group_json_dump_is_deterministic(three_bump_tree):
@@ -495,13 +520,13 @@ def assert_checks_agree(elements, cut, ga, gb, pair_of=None):
 
 def fixed_edge_cuts(tree):
     """The group of a tree and, for every fixed edge, (cut, side A group,
-    side B group)."""
-    group = enumerate_aut(tree)
+    side B group), each listed by the backtracking oracle."""
+    group = backtrack_group(tree)
     cuts = []
     for eid in fixed_set(group, tree).edge_ids:
         cut = cut_tree_at(tree, eid)
-        cuts.append((cut, enumerate_aut(cut.side_a.tree),
-                     enumerate_aut(cut.side_b.tree)))
+        cuts.append((cut, backtrack_group(cut.side_a.tree),
+                     backtrack_group(cut.side_b.tree)))
     return group, cuts
 
 
@@ -851,26 +876,44 @@ def test_permutation_tuples_return_to_their_free_list():
 
 
 # ----------------------------------------------------------------------
-# groups by structure against enumeration
+# groups by structure against the backtracking oracle
 
 def unmarked(tree):
     return LabeledTree(tree.labels, tree.edges)
+
+
+def span(group, n):
+    """The sorted span of a structural group's generators."""
+    return close_under_composition(group.generators, n, max_order=10**6)
+
+
+def brute_force_general_aut(tree):
+    """All-permutations filtering with labels ignored."""
+    edges = {frozenset(e) for e in tree.edges}
+    return sorted(p for p in permutations(range(tree.n))
+                  if (tree.marked is None or p[tree.marked] == tree.marked)
+                  and all(frozenset((p[u], p[v])) in edges for u, v in tree.edges))
 
 
 def test_structural_side_groups_match_enumeration():
     sides = 0
     for tree in certificate_trees():
         group, cuts = fixed_edge_cuts(tree)
+        sphere = unmarked_group(tree)
+        assert sphere.order == group.order
+        assert span(sphere, tree.n) == list(group.elements)
+        assert fixed_set(sphere, tree) == fixed_set(group, tree)
         for cut, ga, gb in cuts:
             structural = [RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b)]
             for side, rooted, enumerated in zip((cut.side_a, cut.side_b),
                                                 structural, (ga, gb)):
                 assert rooted.order == enumerated.order
+                assert span(rooted, side.tree.n) == list(enumerated.elements)
                 assert all(p in rooted for p in enumerated.elements)
-                assert unmarked_order(side.tree) == \
-                    enumerate_aut(unmarked(side.tree)).order
+                assert unmarked_group(side.tree).order == \
+                    len(backtrack_aut(unmarked(side.tree)))
                 sides += 1
-            assert certify_splitting(cut, group, *structural) == \
+            assert certify_splitting(cut, sphere, *structural) == \
                 certify_splitting(cut, group, ga, gb)
     assert sides > 2250, sides
 
@@ -878,12 +921,58 @@ def test_structural_side_groups_match_enumeration():
 def test_rooted_orders_match_enumeration_at_every_vertex():
     rooted = 0
     for tree in oracle_corpus(200):
-        assert unmarked_order(tree) == enumerate_aut(tree).order
+        assert unmarked_group(tree).order == len(backtrack_aut(tree))
         for v in range(tree.n):
-            marked = LabeledTree(tree.labels, tree.edges, marked=v)
-            assert RootedGroup(tree, v).order == enumerate_aut(marked).order, (tree, v)
+            want = backtrack_aut(LabeledTree(tree.labels, tree.edges, marked=v))
+            group = RootedGroup(tree, v)
+            assert group.order == len(want), (tree, v)
+            assert span(group, tree.n) == want, (tree, v)
             rooted += 1
     assert rooted > 1000, rooted
+
+
+def test_listed_groups_match_the_oracles_on_corpus():
+    # each tree labelled and unlabelled, unmarked and with vertex 0 marked;
+    # the all-permutations filter also where it is quick
+    flips = 0
+    for tree in oracle_corpus(210):
+        for t in (tree, LabeledTree(tree.labels, tree.edges, marked=0)):
+            for use_labels, listed, brute in (
+                    (True, enumerate_aut, brute_force_aut),
+                    (False, enumerate_general_aut, brute_force_general_aut)):
+                want = backtrack_aut(t, use_labels)
+                assert list(listed(t, max_order=10**6).elements) == want, (t, use_labels)
+                if t.n <= 7:
+                    assert brute(t) == want
+        centers = _centers(tree)
+        flips += len(centers) == 2 and any(
+            p[centers[0]] == centers[1] for p in backtrack_aut(tree, False))
+    assert flips > 10, flips
+
+
+def double_broom(k, labels=None):
+    """Two adjacent centers with k leaves each."""
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(k)] + [(1, 2 + k + i) for i in range(k)]
+    return LabeledTree(labels or [float(v) for v in range(2 + 2 * k)], edges)
+
+
+@pytest.mark.parametrize("tree,order", [
+    (LabeledTree([0.0, 1.0], [(0, 1)]), 2),
+    (LabeledTree([float(v) for v in range(6)], [(v, v + 1) for v in range(5)]), 2),
+    (double_broom(1), 2),
+    (double_broom(3), 2 * 6 * 6),
+    # unequal halves: no flip
+    (LabeledTree([float(v) for v in range(5)], [(0, 1), (0, 2), (0, 3), (1, 4)]), 2),
+], ids=["edge", "path-6", "broom-1", "broom-3", "uneven"])
+def test_flip_of_two_centers_with_equal_halves(tree, order):
+    assert len(_centers(tree)) == 2
+    group = enumerate_general_aut(tree)
+    assert group.order == order
+    assert list(group.elements) == backtrack_aut(tree, False) == brute_force_general_aut(tree)
+    # the tree's own labels differ on the two centers, so they never swap
+    labelled = enumerate_aut(tree)
+    assert all(p[0] == 0 for p in labelled.elements)
+    assert list(labelled.elements) == brute_force_aut(tree)
 
 
 def nested_stars(k, m):
@@ -902,7 +991,7 @@ def test_rooted_orders_of_nested_stars_have_closed_forms(k, m):
     order = factorial(k) ** m * factorial(m)
     tree = nested_stars(k, m)
     assert RootedGroup(tree, 0).order == order
-    assert unmarked_order(tree) == order
+    assert unmarked_group(tree).order == order
     if m == 1:
         assert RootedGroup(bumps_tree(k), 0).order == factorial(k)
     if order <= 50_000:
@@ -934,11 +1023,17 @@ def test_membership_rejects_each_broken_condition():
 def test_rooted_groups_match_enumeration_on_random_trees(n, symmetry, seed, data):
     tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
     root = data.draw(st.integers(0, tree.n - 1))
-    group = enumerate_aut(LabeledTree(tree.labels, tree.edges, marked=root),
-                          max_order=10**6)
+    group = backtrack_group(LabeledTree(tree.labels, tree.edges, marked=root))
     rooted = RootedGroup(tree, root)
     assert rooted.order == group.order
+    assert span(rooted, tree.n) == list(group.elements)
     assert all(p in rooted for p in group.elements)
+    try:
+        general = enumerate_general_aut(tree)
+    except GroupTooLarge:
+        pass
+    else:
+        assert list(general.elements) == backtrack_aut(tree, False)
     # an element followed by a swap of two vertices is a member exactly
     # when it is an element
     g = data.draw(st.sampled_from(group.elements))
