@@ -184,7 +184,9 @@ def classify_field(mesh: TriangleMesh, field: ScalarField, parts=None):
 
     The field is invalid when a flat zone is not exactly a whole boundary
     cycle, when a boundary cycle is non-constant, or when a boundary cycle's
-    interior collar sits on both sides of its value.  Otherwise the class is
+    interior collar sits on both sides of its value or is empty.  Each cycle
+    is read off the mesh's ``boundary_label`` and named by its label, its
+    smallest vertex.  Otherwise the class is
     Morse when all saddles are simple and F-generic when degenerate saddles
     (multiplicity >= 2) occur.
 
@@ -211,37 +213,36 @@ def classify_field(mesh: TriangleMesh, field: ScalarField, parts=None):
     # alone and its collar, the interior vertices next to it, on one side of
     # its value; a constant cycle's zone is reported here or not at all
     accounted = np.zeros(len(sizes), dtype=bool)
-    if mesh.boundary_cycles:
-        lengths = np.fromiter(map(len, mesh.boundary_cycles), np.intp)
-        on_cycles = np.concatenate(mesh.boundary_cycles)
-        heads = np.cumsum(lengths) - lengths
-        first, level = on_cycles[heads], vals[on_cycles[heads]]
-        constant = (np.minimum.reduceat(vals[on_cycles], heads) == level) \
-            & (np.maximum.reduceat(vals[on_cycles], heads) == level)
-        zone = contraction.zone_of[first]
-        accounted[zone[constant]] = True
-        cycle_of = np.empty(n, dtype=np.intp)
-        cycle_of[on_cycles] = np.repeat(np.arange(len(lengths)), lengths)
+    heads = mesh.boundary_heads
+    if len(heads):
+        # a cycle is labelled by its first vertex, and is constant when every
+        # vertex on it has the value at its label
+        on = mesh.is_boundary_vertex
+        label = mesh.boundary_label
+        lengths = np.bincount(label[on], minlength=n)
+        constant = np.bincount(label[on & (vals != vals[label])], minlength=n) == 0
+        zone = contraction.zone_of
+        accounted[zone[heads[constant[heads]]]] = True
         # an edge from a boundary to an interior vertex joins a cycle to its collar
         u, v = mesh.edge_pairs.T
-        at = np.flatnonzero(mesh.is_boundary_vertex[u] != mesh.is_boundary_vertex[v])
-        on = mesh.is_boundary_vertex[u[at]]
-        cyc = cycle_of[np.where(on, u[at], v[at])]
-        collar = np.where(on, v[at], u[at])
-        above = vals[collar] > level[cyc]
-        n_above = np.bincount(cyc[above], minlength=len(lengths))
-        n_collar = np.bincount(cyc, minlength=len(lengths))
-        for j, f in enumerate(first.tolist()):
-            if not constant[j]:
+        at = np.flatnonzero(on[u] != on[v])
+        u_on = on[u[at]]
+        cyc = label[np.where(u_on, u[at], v[at])]
+        collar = np.where(u_on, v[at], u[at])
+        above = vals[collar] > vals[cyc]
+        n_above = np.bincount(cyc[above], minlength=n)
+        n_collar = np.bincount(cyc, minlength=n)
+        for f in heads.tolist():
+            if not constant[f]:
                 name("CriticalBoundary: boundary cycle at vertex {} is not constant", f)
-            elif sizes[zone[j]] != lengths[j]:
-                name(f"FlatZone: constant zone of {sizes[zone[j]]} vertices, smallest "
-                     "vertex {}, leaks off a boundary cycle", members[starts[zone[j]]])
-            elif 0 < n_above[j] < n_collar[j]:
-                mine, up = collar[cyc == j], above[cyc == j]
+            elif sizes[zone[f]] != lengths[f]:
+                name(f"FlatZone: constant zone of {sizes[zone[f]]} vertices, smallest "
+                     "vertex {}, leaks off a boundary cycle", members[starts[zone[f]]])
+            elif 0 < n_above[f] < n_collar[f]:
+                mine, up = collar[cyc == f], above[cyc == f]
                 name("CriticalBoundary: collar sits on both sides of the boundary "
                      "value (vertex {} below, {} above)", mine[~up].min(), mine[up].min())
-            elif not n_collar[j]:
+            elif not n_collar[f]:
                 name("CriticalBoundary: boundary cycle at vertex {} has no interior "
                      "collar", f)
 

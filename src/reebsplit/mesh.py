@@ -2,7 +2,7 @@
 cutting a sphere along a regular level cycle into two disks.
 
 Coordinates are carried for export only; every check and construction in this
-module is purely combinatorial.
+module is purely combinatorial, and a cut piece has none.
 """
 
 from __future__ import annotations
@@ -60,9 +60,17 @@ def components(n: int, u, v) -> np.ndarray:
             return label
         u, v = u[apart], v[apart]
         label[np.maximum(u, v)] = np.minimum(u, v)
-        jumped = label[label]
-        while not (jumped == label).all():
-            label, jumped = jumped, jumped[jumped]
+        label = _jump(label)
+
+
+def _jump(pointer: np.ndarray) -> np.ndarray:
+    """Where each node ends when ``pointer`` is followed to a fixed point,
+    by pointer jumping."""
+    while True:
+        jumped = pointer[pointer]
+        if (jumped == pointer).all():
+            return pointer
+        pointer = jumped
 
 
 def distinct(a) -> np.ndarray:
@@ -116,6 +124,9 @@ class TriangleMesh:
       first read;
     - ``boundary_edges`` (B, 2): the rows of ``edge_pairs`` that lie in one
       triangle;
+    - ``boundary_label`` (n,): each boundary vertex labelled with the
+      smallest vertex of its boundary cycle, that cycle's label, and every
+      other vertex with itself;
     - ``corner_links`` (K, 2): the pairs of corners at one vertex that are
       glued across an interior edge.  The corners of a vertex form one
       component of this graph exactly when its link is connected.
@@ -139,7 +150,11 @@ class TriangleMesh:
         self.triangles = tris
         self._build_edges()
         self._check_links()
-        self._build_boundary_cycles()
+        # every boundary vertex has exactly two boundary neighbours (checked
+        # by _check_links), so each component of the boundary edges is one
+        # cycle; a closed mesh has none to label
+        self.boundary_label = (components(nv, *self.boundary_edges.T)
+                               if len(self.boundary_edges) else np.arange(nv))
 
     # ------------------------------------------------------------------
     # derived structure
@@ -226,32 +241,6 @@ class TriangleMesh:
                     raise PinchedVertex(f"link of vertex {v} is disconnected")
         self.is_boundary_vertex = ends > 0
 
-    def _build_boundary_cycles(self):
-        """Boundary cycles, each starting along its smallest edge.
-
-        Every boundary vertex has exactly two boundary neighbours (checked by
-        ``_check_links``), so each walk is forced.
-        """
-        along: dict[int, list[int]] = {}
-        for u, v in self.boundary_edges.tolist():
-            along.setdefault(u, []).append(v)
-            along.setdefault(v, []).append(u)
-        cycles = []
-        seen = set()
-        for u, v in self.boundary_edges.tolist():  # sorted edges
-            if u in seen:
-                continue
-            cyc = [u, v]
-            while True:
-                a, b = along[cyc[-1]]
-                nxt = b if a == cyc[-2] else a
-                if nxt == u:
-                    break
-                cyc.append(nxt)
-            seen.update(cyc)
-            cycles.append(cyc)
-        self.boundary_cycles = cycles
-
     # ------------------------------------------------------------------
     # queries
 
@@ -269,7 +258,13 @@ class TriangleMesh:
 
     @property
     def closed(self) -> bool:
-        return not self.boundary_cycles
+        return not len(self.boundary_edges)
+
+    @property
+    def boundary_heads(self) -> np.ndarray:
+        """The label of each boundary cycle, its smallest vertex, ascending."""
+        return np.flatnonzero(self.is_boundary_vertex
+                              & (self.boundary_label == np.arange(self.n_vertices)))
 
     def check_orientable(self) -> bool:
         """True when triangles admit a globally consistent winding.
@@ -326,7 +321,7 @@ def validate_surface(mesh: TriangleMesh, parts=None):
     roots = components(n, *mesh.edge_pairs.T) == np.arange(n)
     counts = [np.bincount(part_of[at], minlength=len(bounds) - 1).tolist()
               for at in (mesh.edge_pairs[:, 0], mesh.triangles[:, 0], roots,
-                         [cycle[0] for cycle in mesh.boundary_cycles])]
+                         mesh.boundary_heads)]
     reports = []
     for v, e, t, ncomp, boundary_count in zip(np.diff(bounds).tolist(), *counts):
         euler = v - e + t
@@ -364,12 +359,6 @@ def overflow_scale(*values: float) -> float:
     return 0.5 if max(map(abs, values)) >= 2.0 ** 1023 else 1.0
 
 
-def crossing_parameter(c: float, fu: float, fv: float) -> float:
-    """``(c - fu) / (fv - fu)``, on halved values where they could overflow."""
-    s = overflow_scale(fu, fv)
-    return (c * s - fu * s) / (fv * s - fu * s)
-
-
 def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> np.ndarray:
     """Validate a level cycle against a mesh and value array, and return the
     crossed triangles: triangle ``i`` is shared by crossings ``i`` and ``i+1``.
@@ -404,13 +393,12 @@ def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> np.ndarr
 class CutPiece:
     """One side of a cut sphere: a disk with its restricted field.
 
-    ``mesh`` is built from the arrays ``vertices`` and ``triangles`` when read.
-    ``orig_vertex[i]`` is the source vertex of piece vertex ``i``, or -1 for a
-    vertex created on the cut.  ``boundary`` lists the new boundary vertices
-    in cycle order.
+    A piece holds no coordinates: ``mesh`` is built from ``triangles`` when
+    read, over a zero-stride origin array.  ``orig_vertex[i]`` is the source
+    vertex of piece vertex ``i``, or -1 for a vertex created on the cut.
+    ``boundary`` lists the new boundary vertices in cycle order.
     """
 
-    vertices: np.ndarray
     triangles: np.ndarray
     field: "ScalarField"
     orig_vertex: np.ndarray
@@ -418,18 +406,18 @@ class CutPiece:
 
     @cached_property
     def mesh(self) -> TriangleMesh:
-        return TriangleMesh(self.vertices, self.triangles)
+        return TriangleMesh(np.broadcast_to(0.0, (len(self.field), 3)), self.triangles)
 
 
 def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
                     cycle: LevelCycle) -> tuple[CutPiece, CutPiece]:
     """Cut a closed sphere along a regular level cycle into two disks.
 
-    Every crossed edge is split at its interpolation point and every crossed
-    triangle is retriangulated into the piece holding its lone vertex (one
-    triangle) and the piece holding the opposite pair (a quad, split
-    deterministically from the first cut point).  New boundary vertices carry
-    the cut value exactly; both pieces receive their own copy of the cut
+    Every crossed edge gets one new vertex and every crossed triangle is
+    retriangulated into the piece holding its lone vertex (one triangle) and
+    the piece holding the opposite pair (a quad, split deterministically from
+    the first cut point).  New boundary vertices carry the cut value exactly
+    and no coordinates; both pieces receive their own copy of the cut
     polygon.
     """
     from .field import ScalarField  # local import to avoid a module cycle
@@ -443,7 +431,6 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     nv, nt = mesh.n_vertices, mesh.n_triangles
     ncross = len(cycle)
     eids = list(cycle.edges)
-    ends = mesh.edge_pairs[eids]
     # crossed triangle i lies between crossings i and i + 1, which sit on
     # its two sides at its lone vertex, the apex.  Crossing vertex i is
     # numbered nv + i until the pieces are renumbered; p1 is the one on side
@@ -451,7 +438,7 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     # triangle (apex, p1, p2) and the quad split from p1 as (p1, a, b),
     # (p1, b, p2).
     cut_rows = []
-    pairs = ends.tolist()
+    pairs = mesh.edge_pairs[eids].tolist()
     for i, tri in enumerate(mesh.triangles[crossed_tris].tolist()):
         e1, e2 = pairs[i], pairs[(i + 1) % ncross]
         k = tri.index((set(e1) & set(e2)).pop())
@@ -481,9 +468,6 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     new_tris[(first_row[crossed_tris, None] + [0, 1, 2]).ravel()] = cut_rows
     tri_piece = label[np.where(new_tris[:, 0] < nv, new_tris[:, 0], new_tris[:, 1])]
 
-    ts = np.array([crossing_parameter(c, fu, fv) for fu, fv in values[ends].tolist()])[:, None]
-    coords = np.concatenate((mesh.vertices, (1.0 - ts) * mesh.vertices[ends[:, 0]]
-                             + ts * mesh.vertices[ends[:, 1]]))
     vals = np.concatenate((values, np.full(ncross, c)))
     pieces = []
     for root in roots:
@@ -494,7 +478,6 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
         renumber = np.empty(nv + ncross, dtype=np.intp)
         renumber[used] = np.arange(len(used))
         pieces.append(CutPiece(
-            vertices=coords[used],
             triangles=renumber[new_tris[tri_piece == root]],
             field=ScalarField(vals[used]),
             orig_vertex=np.concatenate((orig, np.full(ncross, -1))),

@@ -37,6 +37,7 @@ from .mesh import (
     LevelCycle,
     SurfaceReport,
     TriangleMesh,
+    _jump,
     components,
     distinct,
     overflow_scale,
@@ -240,16 +241,6 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
         raise GenusNotZero(
             f"contour merge produced {len(arcs)} arcs for {n} nodes")
     return arcs
-
-
-def _jump(pointer: np.ndarray) -> np.ndarray:
-    """Where each node ends when ``pointer`` is followed to a fixed point,
-    by pointer jumping."""
-    while True:
-        jumped = pointer[pointer]
-        if (jumped == pointer).all():
-            return pointer
-        pointer = jumped
 
 
 def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,

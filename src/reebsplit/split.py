@@ -27,7 +27,6 @@ from .treeaut import (
     TreeCut,
     certify_splitting,
     cut_tree_at,
-    enumerate_aut,
     fixed_set,
     keeps_sides,
     tree_isomorphic,
@@ -202,7 +201,7 @@ def _analyze_batch(batch) -> list[tuple]:
     # the union mesh is freed on return, before the next batch is built
     bounds = np.cumsum([0] + [len(p.field) for p in batch])
     union = TriangleMesh(
-        np.concatenate([p.vertices for p in batch]),
+        np.broadcast_to(0.0, (bounds[-1], 3)),
         np.concatenate([p.triangles + b for p, b in zip(batch, bounds.tolist())]))
     surfaces = validate_surface(union, bounds)
     fclasses = classify_field(
@@ -251,10 +250,11 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     group held by structure (``RootedGroup`` at a center or the cut leaf),
     none enumerated.  ``replay_group`` substitutes a dumped element list for
     the sphere's group, to audit it element by element
-    (``verify_isomorphism``) against the enumerated side groups, whose
-    elements name a side pair the dump misses: a tampered dump fails the
-    verdict, and an element that is no permutation of the tree's vertices
-    raises ValueError.  ``sphere`` passes in ``analyze_sphere(mesh, field)``.
+    (``verify_isomorphism``) against the same side groups, which are listed
+    only to name the first side pair a dump misses: a tampered dump fails
+    the verdict, and an element that is no permutation of the tree's
+    vertices raises ValueError.  ``sphere`` passes in
+    ``analyze_sphere(mesh, field)``.
     """
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
@@ -306,14 +306,11 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     reports = []
     for (eid, labels, c, crossings, cut), pair in zip(cuts, zip(disks[::2], disks[1::2])):
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
+        group_a, group_b = (RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
         if replay_group is None:
-            group_a, group_b = (RootedGroup(s.tree, s.marked)
-                                for s in (cut.side_a, cut.side_b))
             phi, sides_invariant = certify_splitting(cut, group, group_a, group_b)
         else:
             # a claimed list need not be a group: audit every element
-            group_a = enumerate_aut(cut.side_a.tree)
-            group_b = enumerate_aut(cut.side_b.tree)
             phi = verify_isomorphism(cut, group, group_a, group_b)
             sides_invariant = keeps_sides(cut, group.elements)
         order_product_ok = group.order == group_a.order * group_b.order

@@ -422,6 +422,16 @@ class RootedGroup:
         """The sibling swaps, which span the group."""
         return self._pass[1]
 
+    @property
+    def n(self) -> int:
+        return self.tree.n
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """The sorted element list, spanned from the generators when read;
+        GroupTooLarge above ``MAX_GROUP_ORDER``."""
+        return tuple(close_under_composition(self.generators, self.n))
+
     def __contains__(self, p: Perm) -> bool:
         return _is_automorphism(self.tree, p, self.tree.labels) and p[self.root] == self.root
 
@@ -656,8 +666,8 @@ class IsoVerdict:
         return {**vars(self), "passed": self.passed}
 
 
-def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
-                             pair_of) -> IsoVerdict:
+def verify_isomorphism_pairs(elements, side_a: AutGroup | RootedGroup,
+                             side_b: AutGroup | RootedGroup, pair_of) -> IsoVerdict:
     """Check that element -> (pair_of(element)) is a group isomorphism onto
     side_a x side_b.
 
@@ -669,7 +679,9 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
     hits |side_a| * |side_b| distinct pairs.  A list that holds an element
     twice is not injective.  A failing check names its witness in
     ``notes``.  ``elements`` may be an AutGroup, whose closure check is then
-    made once for all the cuts checked with it.
+    made once for all the cuts checked with it.  Of the side groups only
+    ``n``, ``order`` and ``in`` are read, and their sorted elements only to
+    name the first pair a list misses, so a ``RootedGroup`` serves.
     """
     group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements))
     elements = group.elements
@@ -718,7 +730,7 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
                 break
 
     hit = set(pairs.values())
-    surjective = len(hit) == len(side_a.element_set) * len(side_b.element_set)
+    surjective = len(hit) == side_a.order * side_b.order
     if not surjective:
         pa, pb = next(p for p in product(side_a.elements, side_b.elements)
                       if p not in hit)
@@ -728,7 +740,8 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup, side_b: AutGroup,
 
 
 def verify_isomorphism(cut: TreeCut, group: AutGroup,
-                       side_a_group: AutGroup, side_b_group: AutGroup) -> IsoVerdict:
+                       side_a_group: AutGroup | RootedGroup,
+                       side_b_group: AutGroup | RootedGroup) -> IsoVerdict:
     """Check that restriction to the two cut sides is an isomorphism of the
     full group onto the product of the side groups."""
     def pair_of(g: Perm):

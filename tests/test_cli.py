@@ -15,6 +15,8 @@ from reebsplit import selftest
 from reebsplit.cli import main
 from reebsplit.gen import octahedron_height, realize_tree
 from reebsplit.io import load_mesh_field, save_mesh_field
+from reebsplit.mesh import cut_along_cycle
+from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
 
 
 def run(argv):
@@ -216,6 +218,78 @@ def test_split_output_digests(tmp_path, name, flags):
     assert (code, digest) == SPLIT_DIGESTS[name, flags]
 
 
+# a disk: the square 0-1-2-3 around the interior edge 4-5; an annulus: the
+# cycle 0-2-4 inside the cycle 1-3-5, with no interior vertex
+SQUARE_TRIANGLES = [[0, 1, 4], [1, 5, 4], [1, 2, 5], [2, 3, 5], [3, 4, 5], [3, 0, 4]]
+ANNULUS_TRIANGLES = [[0, 2, 3], [0, 3, 1], [2, 4, 5], [2, 5, 3], [4, 0, 1], [4, 1, 5]]
+# bounded surfaces for `validate`, as triangles and values: one per boundary
+# reason, a valid disk and an annulus with a different reason on each cycle
+BOUNDED = {
+    "triangle": ([[0, 1, 2]], [0.0, 1.0, 2.0]),                       # not constant
+    "flat-triangle": ([[0, 1, 2]], [1.0, 1.0, 1.0]),                  # no collar
+    "square": (SQUARE_TRIANGLES, [1.0] * 4 + [0.0, 0.5]),              # valid
+    "square-leak": (SQUARE_TRIANGLES, [1.0] * 4 + [1.0, 2.0]),         # zone leaks
+    "square-two-sided": (SQUARE_TRIANGLES, [1.0] * 4 + [0.0, 2.0]),    # collar both sides
+    "annulus": (ANNULUS_TRIANGLES, [0.0, 3.0, 0.0, 2.0, 0.0, 1.0]),
+}
+
+
+def _bounded_fixture(tmp_path, name) -> Path:
+    """A bounded mesh+field file: one of ``BOUNDED``, `bumps --n 3` with two
+    vertex-disjoint triangles dropped, or the first disk cut from it."""
+    path = tmp_path / f"{name}.json"
+    if name in BOUNDED:
+        triangles, values = BOUNDED[name]
+        rows = [[float(i), 0.0, 0.0] for i in range(len(values))]
+        path.write_text(json.dumps({"vertices": rows, "triangles": triangles,
+                                    "values": values}))
+        return path
+    assert run(["gen", "bumps", "--n", "3", "--out", str(path)])[0] == 0
+    mesh, field = load_mesh_field(path)
+    if name == "bumps-3-disk":
+        graph = build_reeb(mesh, field)
+        cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+        piece = cut_along_cycle(mesh, field, cycle)[0]
+        save_mesh_field(path, piece.mesh, piece.field)
+        return path
+    tris = mesh.triangles.tolist()
+    other = next(t for t in tris[::-1] if not set(t) & set(tris[0]))
+    data = json.loads(path.read_text())
+    data["triangles"] = [t for t in tris[1:] if t != other]
+    path.write_text(json.dumps(data))
+    return path
+
+
+# sha256 of `validate --json` text per bounded fixture, with its exit code
+BOUNDED_DIGESTS = {
+    "annulus": (1,
+        "5dfa3f7ad02f6547b08c0dd1db91274fff3c2e5d6ddd6a272c536643edb78978"),
+    "bumps-3-disk": (0,
+        "3581658e8221a65408cb7c7890089b4f3b49f097f59d79f6b658171ae462bd9f"),
+    "bumps-3-holes": (1,
+        "b3b6ef5d932cb62184a38fc4052f898a4da9e830aa907d8ab23e678ba4e07602"),
+    "flat-triangle": (1,
+        "772eeb23e4cdadf878a27938d2620ac9f9e655db4d34d49129aa45fda2e2cc8a"),
+    "square": (0,
+        "b2e6b7f46739cfd3c35cd1e7554dd7201936ea03c47463929d3f6218d41ee3d0"),
+    "square-leak": (1,
+        "3c020521936c097a8888a35fd5f51771d1d31ce73a078482561f6fd0c8805279"),
+    "square-two-sided": (1,
+        "5a588a5c20754d6de520798cd09b6f14ce733787318b79b6097c2e46740f5b7b"),
+    "triangle": (1,
+        "c66bb2b2285322cc55acb0634542d605e03e893e0472d10a8009703114f76bca"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_DIGESTS))
+def test_validate_output_digests_on_bounded_surfaces(tmp_path, name):
+    jsn = tmp_path / "validate.json"
+    code, _, _ = run(["validate", "--input", str(_bounded_fixture(tmp_path, name)),
+                      "--json", str(jsn)])
+    digest = hashlib.sha256(jsn.read_text().encode()).hexdigest()
+    assert (code, digest) == BOUNDED_DIGESTS[name]
+
+
 def test_aut_output(bumps_file, tmp_path):
     jsn = tmp_path / "g.json"
     code, out, _ = run(["aut", "--input", str(bumps_file), "--json", str(jsn)])
@@ -398,9 +472,6 @@ def test_replay_group_malformed_file(bumps_file, tmp_path, dump):
 @pytest.fixture
 def cut_disk(octahedron):
     """The lower disk of the octahedron cut across its only edge."""
-    from reebsplit.mesh import cut_along_cycle
-    from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
-
     mesh, field = octahedron
     graph = build_reeb(mesh, field)
     cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reebsplit.mesh
+import reebsplit.split
 from reebsplit.errors import (
     CutNotSeparating,
     CycleNotLevel,
@@ -24,7 +25,7 @@ from reebsplit.mesh import (
 )
 from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
 from reebsplit.selftest import split_corpus_seeds
-from reebsplit.split import analyze_sphere
+from reebsplit.split import analyze_sphere, verify_all_fixed_edges
 
 
 def test_octahedron_is_a_sphere(octahedron):
@@ -209,8 +210,131 @@ def test_mesh_and_cut_labelling_budget(three_bump, monkeypatch):
     assert sizes == [3 * mesh.n_triangles, mesh.n_vertices]
     sizes.clear()
     # the cut labels the vertex graph once and builds no piece's mesh
-    cut_along_cycle(mesh, field, cycle)
+    piece = cut_along_cycle(mesh, field, cycle)[0]
     assert sizes == [mesh.n_vertices]
+    sizes.clear()
+    # a bounded mesh also labels its boundary edges, once
+    n = len(piece.field)
+    validate_surface(TriangleMesh(np.zeros((n, 3)), piece.triangles))
+    assert sizes == [3 * len(piece.triangles), n, n]
+
+
+def boundary_cycles_by_walk(mesh):
+    """Boundary cycles as vertex lists, each walked from its smallest edge,
+    so that it starts at its smallest vertex; cycles come in the order of
+    those vertices.
+
+    Every boundary vertex has exactly two boundary neighbours (checked by
+    the mesh), so each walk is forced.
+    """
+    along: dict[int, list[int]] = {}
+    for u, v in mesh.boundary_edges.tolist():
+        along.setdefault(u, []).append(v)
+        along.setdefault(v, []).append(u)
+    cycles = []
+    seen = set()
+    for u, v in mesh.boundary_edges.tolist():  # sorted edges
+        if u in seen:
+            continue
+        cyc = [u, v]
+        while True:
+            a, b = along[cyc[-1]]
+            nxt = b if a == cyc[-2] else a
+            if nxt == u:
+                break
+            cyc.append(nxt)
+        seen.update(cyc)
+        cycles.append(cyc)
+    return cycles
+
+
+def assert_boundary_labels_match_walk(mesh):
+    """The mesh's boundary labels against the walked cycles; returns the
+    walked cycles."""
+    cycles = boundary_cycles_by_walk(mesh)
+    label = list(range(mesh.n_vertices))
+    for cycle in cycles:
+        assert cycle[0] == min(cycle)
+        for v in cycle:
+            label[v] = cycle[0]
+    assert mesh.boundary_label.tolist() == label
+    assert mesh.boundary_heads.tolist() == [cycle[0] for cycle in cycles]
+    assert mesh.closed == (not cycles)
+    assert validate_surface(mesh).boundary_count == len(cycles)
+    return cycles
+
+
+def test_boundary_labels_match_a_walk_on_cut_pieces_and_unions(monkeypatch):
+    unions = []
+    made = reebsplit.split.TriangleMesh
+    monkeypatch.setattr(reebsplit.split, "TriangleMesh",
+                        lambda *args: unions.append(made(*args)) or unions[-1])
+    pieces = 0
+    for seed, n, symmetry in split_corpus_seeds(30):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry, seed=seed), 4)
+        assert assert_boundary_labels_match_walk(mesh) == []
+        sphere = analyze_sphere(mesh, field)
+        for eid in sphere.fixed.edge_ids:
+            cycle = level_cycle(mesh, field, sphere.graph, eid,
+                                choose_cut_value(field, sphere.graph, eid))
+            for piece in cut_along_cycle(mesh, field, cycle):
+                # a piece holds no coordinates: its mesh's are one origin
+                assert piece.mesh.vertices.strides == (0, 0)
+                assert not piece.mesh.vertices.any()
+                walked = assert_boundary_labels_match_walk(piece.mesh)
+                assert [sorted(c) for c in walked] == [sorted(piece.boundary)]
+                pieces += 1
+        verify_all_fixed_edges(mesh, field, sphere=sphere)
+    # one cycle per disk in the unions of the split path too
+    assert len(unions) > 30
+    assert all(union.vertices.strides == (0, 0) for union in unions)
+    assert sum(len(assert_boundary_labels_match_walk(u)) for u in unions) == pieces
+
+
+def test_boundary_labels_match_a_walk_on_an_annulus_and_two_disks(octahedron):
+    # the annulus has the cycle 0-2-4 inside the cycle 1-3-5; the disks
+    # interleave their vertices
+    annulus = TriangleMesh(np.zeros((6, 3)), [(0, 2, 3), (0, 3, 1), (2, 4, 5),
+                                              (2, 5, 3), (4, 0, 1), (4, 1, 5)])
+    walked = assert_boundary_labels_match_walk(annulus)
+    assert [sorted(c) for c in walked] == [[0, 2, 4], [1, 3, 5]]
+    disks = TriangleMesh(np.zeros((6, 3)), [(4, 0, 2), (5, 3, 1)])
+    assert annulus.boundary_label.tolist() == disks.boundary_label.tolist() == [0, 1, 0, 1, 0, 1]
+    assert len(assert_boundary_labels_match_walk(disks)) == 2
+    assert assert_boundary_labels_match_walk(octahedron[0]) == []
+
+
+def holed_spheres():
+    """Corpus spheres with one to five random triangles dropped, as meshes
+    and fields; drops that pinch a vertex are skipped."""
+    for seed, n, symmetry in split_corpus_seeds(48):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=symmetry, seed=seed), 4)
+        rng = np.random.default_rng(seed)
+        for drop in range(1, 6):
+            keep = np.delete(mesh.triangles, rng.choice(mesh.n_triangles, drop,
+                                                        replace=False), axis=0)
+            used = np.flatnonzero(np.bincount(keep.ravel(), minlength=mesh.n_vertices))
+            renumber = np.empty(mesh.n_vertices, dtype=np.intp)
+            renumber[used] = np.arange(len(used))
+            try:
+                holed = TriangleMesh(mesh.vertices[used], renumber[keep])
+            except PinchedVertex:
+                continue
+            yield holed, ScalarField(field.values[used])
+
+
+def test_boundary_labels_match_a_walk_on_holed_spheres():
+    bounded = 0
+    for mesh, field in holed_spheres():
+        cycles = assert_boundary_labels_match_walk(mesh)
+        bounded += bool(cycles)
+        # a cycle not constant is named by its smallest vertex
+        reasons = classify_field(mesh, field).reasons
+        for cycle in cycles:
+            if len(set(field.values[cycle].tolist())) > 1:
+                assert (f"CriticalBoundary: boundary cycle at vertex {cycle[0]} "
+                        "is not constant") in reasons
+    assert bounded > 190
 
 
 def test_moebius_band_not_orientable():

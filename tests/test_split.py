@@ -101,8 +101,8 @@ def test_cut_value_choice_does_not_change_groups(three_bump):
 
 def test_cut_points_rounding_onto_a_vertex_still_split(octahedron):
     # an edge from -1e17 to 1 crossed at 0.5 has its crossing parameter
-    # round to 1.0: the cut vertex lands on a mesh vertex in floating point,
-    # but the cut is fixed by the crossed edges, not by where they are cut
+    # round to 1.0, a mesh vertex in floating point; the cut is fixed by the
+    # crossed edges, not by where they are crossed
     mesh, _ = octahedron
     for values in itertools.permutations([-1e17, 0.0, 3.0, 1.0, 1e17, 2.0]):
         reports = verify_all_fixed_edges(mesh, ScalarField(np.array(values)))
@@ -235,15 +235,16 @@ def test_split_verdict_restricts_generators_only(shape, double_fork_tree, monkey
     mesh, field = realize_tree(tree, 4)
     sphere_tree = build_reeb(mesh, field).tree
     group = enumerate_aut(sphere_tree)
-    isomorphism_calls, restrictions, enumerated = [], [], []
-    check, restrict, enumerate_ = (split.verify_isomorphism, treeaut.restrict_aut,
-                                   split.enumerate_aut)
+    isomorphism_calls, restrictions, listed = [], [], []
+    check, restrict, close = (split.verify_isomorphism, treeaut.restrict_aut,
+                              treeaut.close_under_composition)
     monkeypatch.setattr(split, "verify_isomorphism", lambda *args: (
         isomorphism_calls.append(args[0].edge_id), check(*args))[-1])
     monkeypatch.setattr(treeaut, "restrict_aut", lambda cut, g, which: (
         restrictions.append(cut.edge_id), restrict(cut, g, which))[-1])
-    monkeypatch.setattr(split, "enumerate_aut", lambda tree: (
-        enumerated.append(tree.marked), enumerate_(tree))[-1])
+    # every element list, enumerated or a RootedGroup's, is spanned here
+    monkeypatch.setattr(treeaut, "close_under_composition", lambda gens, n, *args: (
+        listed.append(n), close(gens, n, *args))[-1])
 
     reports = verify_all_fixed_edges(mesh, field)
     assert reports and all(r.passed for r in reports)
@@ -251,15 +252,18 @@ def test_split_verdict_restricts_generators_only(shape, double_fork_tree, monkey
     structural = treeaut.unmarked_group(sphere_tree).generators
     assert max(Counter(restrictions).values()) <= 2 * len(structural)
     # the sphere's group and the side groups are all held by structure
-    assert enumerated == []
+    assert listed == []
 
     # a replayed list is audited element by element, once per report,
-    # against both enumerated side groups, and only they are enumerated
+    # against the certificate's side groups, which an honest dump lists not
     restrictions.clear()
     report = verify_theorem(mesh, field, replay_group=AutGroup(group.elements))
     assert report.passed and isomorphism_calls == [report.edge_id]
     assert len(restrictions) == 2 * group.order
-    assert len(enumerated) == 2 and None not in enumerated
+    assert listed == []
+    # a dump that misses a pair lists both side groups, to name the first
+    report = verify_theorem(mesh, field, replay_group=AutGroup(group.elements[:-1]))
+    assert not report.passed and len(listed) == 2
 
 
 def test_sides_invariant_claim(three_bump):
@@ -334,6 +338,9 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
         assert calls["build_reeb"] == [mesh]
         for name in ("validate_surface", "classify_field", "flat_contract"):
             assert calls[name] == [mesh] + unions, name
+        # a union holds no coordinates: its vertex array is one zero-stride
+        # origin
+        assert all(u.vertices.strides == (0, 0) for u in unions)
         # only the sphere's level cycles read the triangles of an edge
         assert "edge_triangles" in vars(mesh)
         assert not any("edge_triangles" in vars(u) for u in unions)

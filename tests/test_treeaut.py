@@ -200,7 +200,6 @@ def test_refinement_stop_at_discrete_colouring_changes_nothing():
                 want = refine_to_fixed_point(t, initial)
                 assert refine_colors(t, initial) == want
                 discrete += len(set(want)) == t.n
-        assert list(enumerate_aut(tree).elements) == brute_force_aut(tree)
     assert discrete == 465  # of 800 colourings
 
 
