@@ -1,9 +1,9 @@
 """Acceptance checks, runnable from the CLI (``reebsplit selftest``) and
 wrapped by the pytest acceptance module.
 
-Each criterion reports one pass/fail line.  Independent oracles (all-
-permutations filtering, explicit lower-link component counting) live here so
-both entry points exercise identical code.
+Each criterion reports one pass/fail line.  The all-permutations oracle
+lives here so both entry points exercise identical code; the lower-link
+walk oracle is ``link_walks`` in ``tests/test_field.py``.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ classification, tree, group, fixed set) are computed once per field in a
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,10 @@ from .treeaut import (
     FixedSet,
     LabeledTree,
     RootedGroup,
-    TreeCut,
     certify_splitting,
     cut_tree_at,
     fixed_set,
     keeps_sides,
-    tree_isomorphic,
     unmarked_group,
     verify_isomorphism,
 )
@@ -164,17 +163,12 @@ class SplitReport:
                 f"homomorphism={self.phi['homomorphism']}")
 
 
-def check_subtree_group_gap(cut: TreeCut, *,
-                            side_orders: tuple[int, int]) -> tuple[GapNote, ...]:
-    """Compare marked-leaf-fixing and unconstrained subtree groups.
-
-    ``side_orders`` are the orders of the two marked side groups.  The
-    unmarked order is read off the side tree's AHU forms rooted at a center
-    (``unmarked_group``), so the unmarked group is never enumerated.
-    """
-    return tuple(GapNote(side=name, marked_order=marked,
-                         unmarked_order=unmarked_group(cut.side(name).tree).order)
-                 for name, marked in zip(("A", "B"), side_orders))
+def check_subtree_group_gap(side_groups) -> tuple[GapNote, ...]:
+    """Compare the groups of sides A and B, ``RootedGroup``s at their cut
+    leaves, with the sides' unmarked groups (``unmarked_order``)."""
+    return tuple(GapNote(side=name, marked_order=group.order,
+                         unmarked_order=group.unmarked_order)
+                 for name, group in zip("AB", side_groups))
 
 
 # a batch of cut pieces closes before its union would pass this many vertices
@@ -210,14 +204,10 @@ def _analyze_batch(batch) -> list[tuple]:
                     part_trees(union, surfaces, fclasses, bounds)))
 
 
-def _disk_check(side: str, cut: TreeCut, c: float, piece, rep, fclass,
+def _disk_check(side: str, group: RootedGroup, c: float, piece, rep, fclass,
                 graph) -> DiskCheck:
-    side_tree = cut.side(side).tree
-    labels = list(side_tree.labels)
-    labels[side_tree.marked] = c
-    match = graph is not None and tree_isomorphic(
-        graph.tree, LabeledTree(labels, side_tree.edges),
-        pin=(int(np.flatnonzero(graph.kinds == BOUNDARY)[0]), side_tree.marked))
+    match = graph is not None and group.root_form_is(
+        graph.tree, int(np.flatnonzero(graph.kinds == BOUNDARY)[0]), float(c))
     bvals = {float(piece.field.values[v]) for v in piece.boundary}
     return DiskCheck(
         side=side,
@@ -248,7 +238,8 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     groups and the sides' invariance are certified on the generators of the
     sphere's group (``certify_splitting``), with that group and each side
     group held by structure (``RootedGroup`` at a center or the cut leaf),
-    none enumerated.  ``replay_group`` substitutes a dumped element list for
+    none enumerated; each side's one pass also serves its disk-tree match
+    and its gap note.  ``replay_group`` substitutes a dumped element list for
     the sphere's group, to audit it element by element
     (``verify_isomorphism``) against the same side groups, which are listed
     only to name the first side pair a dump misses: a tampered dump fails
@@ -285,7 +276,9 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
         if eid not in fixed.edge_ids:
             raise EdgeNotFound(f"edge {eid} is not in the fixed set")
 
-    cuts = []   # (edge, end labels, cut value, crossings, tree cut), as cut
+    # (edge, end labels, cut value, crossings, tree cut, side groups) of the
+    # edges cut but not yet reported, so that each is freed once reported
+    cuts = deque()
 
     def pieces():
         for eid in edge_ids:
@@ -298,15 +291,18 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
             if not ((piece_a.orig_vertex == lower_rep).any()
                     and (piece_b.orig_vertex == upper_rep).any()):
                 raise InternalInconsistency("cut pieces do not separate the edge ends")
-            cuts.append((eid, labels, c, len(cycle), cut_tree_at(tree, eid)))
+            cut = cut_tree_at(tree, eid)
+            sides = tuple(RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
+            cuts.append((eid, labels, c, len(cycle), cut, sides))
             yield from (piece_a, piece_b)
 
-    disks = [_disk_check("AB"[k % 2], cuts[k // 2][4], cuts[k // 2][2], *facts)
-             for k, facts in enumerate(disk_analyses(pieces()))]
+    analyses = disk_analyses(pieces())
     reports = []
-    for (eid, labels, c, crossings, cut), pair in zip(cuts, zip(disks[::2], disks[1::2])):
+    for facts_a, facts_b in zip(analyses, analyses):  # each edge's two disks
+        eid, labels, c, crossings, cut, (group_a, group_b) = cuts.popleft()
+        pair = (_disk_check("A", group_a, c, *facts_a),
+                _disk_check("B", group_b, c, *facts_b))
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
-        group_a, group_b = (RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
         if replay_group is None:
             phi, sides_invariant = certify_splitting(cut, group, group_a, group_b)
         else:
@@ -314,7 +310,7 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
             phi = verify_isomorphism(cut, group, group_a, group_b)
             sides_invariant = keeps_sides(cut, group.elements)
         order_product_ok = group.order == group_a.order * group_b.order
-        gap = check_subtree_group_gap(cut, side_orders=(group_a.order, group_b.order))
+        gap = check_subtree_group_gap((group_a, group_b))
         notes = tuple(
             f"side {note.side}: marking the cut leaf shrinks the subtree "
             f"group ({note.unmarked_order} -> {note.marked_order})"

@@ -1,16 +1,16 @@
 """Labeled trees, their label-preserving automorphism groups, fixed sets,
 and the cut and restriction maps used by the splitting pipeline.
 
-Automorphisms are stored as explicit vertex permutations (tuples).  One
-bottom-up AHU pass, rooted at the mark or else at a center, gives a tree's
-group: its order, a product of factorials, and generators that swap
-equal-form siblings (``_structure``).  A group that fixes a vertex, such as
-a cut side's or a level-set tree's, is held that way alone
-(``RootedGroup``), with membership as an O(n) test and no bound.  An
-enumerated group (``AutGroup``) is the sorted span of those generators, for
+Automorphisms are explicit vertex permutations (tuples).  One bottom-up
+AHU pass, rooted at the mark or else at a center, gives a tree's group: its
+order, a product of factorials, and generators that swap equal-form
+siblings (``_structure``).  A group that fixes a vertex, such as a cut
+side's or a level-set tree's, is held that way alone (``RootedGroup``),
+with membership as an O(n) test and no bound; its kept forms also match
+another rooted tree and give the unmarked order by orbit-stabilizer.  An
+enumerated group (``AutGroup``) is the sorted span of the generators, for
 output and audits; an order above 10^4 (``bumps --n 8`` has 40320) raises
-GroupTooLarge before anything is listed, unless the caller passes a higher
-``max_order``.
+GroupTooLarge before anything is listed, unless ``max_order`` is higher.
 
 Group checks run on generators: one incremental span helper (``_Span``)
 grows the subgroup generated by a greedy generating set T, optionally
@@ -165,10 +165,10 @@ def _swap(kids, a: int, b: int, a_kids) -> Perm:
     return tuple(p)
 
 
-def _structure(tree: LabeledTree, labels, roots) -> tuple[int, tuple[Perm, ...]]:
-    """Order and generators of the automorphisms of ``tree`` that keep
-    ``labels`` and map ``roots``, one vertex or two adjacent centers, onto
-    themselves.
+def _structure(tree: LabeledTree, labels, roots):
+    """The ``_rooted_form`` pass from ``roots[0]``, then the order and
+    generators of the automorphisms of ``tree`` that keep ``labels`` and
+    map ``roots``, one vertex or two adjacent centers, onto themselves.
 
     Those fixing ``roots[0]`` are spanned by one swap per adjacent pair of
     equal-form siblings: at each vertex these generate every permutation of
@@ -187,26 +187,17 @@ def _structure(tree: LabeledTree, labels, roots) -> tuple[int, tuple[Perm, ...]]
         if ids.get((labels[a], tuple([forms[k] for k in half]))) == forms[b]:
             gens.append(_swap(kids, a, b, half))
             order *= 2
-    return order, tuple(gens)
+    return forms, kids, ids, order, tuple(gens)
 
 
-def tree_isomorphic(t1: LabeledTree, t2: LabeledTree,
-                    pin: tuple[int, int] | None = None) -> bool:
-    """Label-preserving isomorphism test via canonical rooted forms.
-
-    With ``pin=(v1, v2)`` the isomorphism must map v1 to v2, so both trees
-    are rooted there; otherwise both are rooted at their centers, which
-    every isomorphism maps onto each other.  Marks are ignored.
-    """
+def tree_isomorphic(t1: LabeledTree, t2: LabeledTree) -> bool:
+    """Label-preserving isomorphism test via canonical forms rooted at the
+    centers, which every isomorphism maps onto each other; marks ignored."""
     if t1.n != t2.n or sorted(t1.labels) != sorted(t2.labels):
         return False
     ids: dict[tuple, int] = {}  # shared by both trees, so their forms compare
-    if pin is not None:
-        return (_rooted_form(t1, pin[0], ids)[0][pin[0]]
-                == _rooted_form(t2, pin[1], ids)[0][pin[1]])
-    forms1 = sorted(_rooted_form(t1, r, ids)[0][r] for r in _centers(t1))
-    forms2 = sorted(_rooted_form(t2, r, ids)[0][r] for r in _centers(t2))
-    return forms1 == forms2
+    return (sorted(_rooted_form(t1, r, ids)[0][r] for r in _centers(t1))
+            == sorted(_rooted_form(t2, r, ids)[0][r] for r in _centers(t2)))
 
 
 def _centers(tree: LabeledTree) -> list[int]:
@@ -386,15 +377,6 @@ def verify_group_axioms(group) -> bool:
     return bool(group.elements) and group.closure[1] is None
 
 
-def _enumerated_group(elements: list[Perm]) -> AutGroup:
-    """The group of enumerated maps, whose closure span is built here once
-    for the generators and every later closure check."""
-    group = AutGroup(tuple(elements))
-    if group.closure[1] is not None:
-        raise InternalInconsistency("enumerated maps are not closed under composition")
-    return group
-
-
 # ----------------------------------------------------------------------
 # groups by structure
 
@@ -402,25 +384,45 @@ def _enumerated_group(elements: list[Perm]) -> AutGroup:
 class RootedGroup:
     """The label-preserving automorphisms of a tree that fix ``root``, held
     by the tree's structure instead of an element list: its order and
-    generators from the rooted AHU forms, and membership by an O(n) test.
-    The tree's own mark is ignored; a cut side's group is rooted at its mark.
+    generators from the rooted AHU forms, whose pass is kept, and membership
+    by an O(n) test.  The tree's own mark is ignored; a cut side's group is
+    rooted at its mark.
     """
 
     tree: LabeledTree
     root: int
 
     @cached_property
-    def _pass(self) -> tuple[int, tuple[Perm, ...]]:
+    def _pass(self):
         return _structure(self.tree, self.tree.labels, [self.root])
 
     @property
     def order(self) -> int:
-        return self._pass[0]
+        return self._pass[3]
 
     @property
     def generators(self) -> tuple[Perm, ...]:
         """The sibling swaps, which span the group."""
-        return self._pass[1]
+        return self._pass[4]
+
+    def root_form_is(self, other: LabeledTree, at: int, label: float) -> bool:
+        """Whether ``other`` rooted at ``at`` is this tree rooted here with the
+        root relabelled to ``label``: one pass over ``other`` in this pass's
+        table, whose root form must be (label, the root's children's forms)."""
+        forms, kids, ids = self._pass[:3]
+        key = (label, tuple([forms[w] for w in kids[self.root]]))
+        return _rooted_form(other, at, ids)[0][at] == ids.setdefault(key, len(ids))
+
+    @property
+    def unmarked_order(self) -> int:
+        """The order of the tree's whole label-preserving group, this one's
+        times the root's orbit (orbit-stabilizer): the vertices of its label
+        and degree whose rooted form, one pass each in this table, is its."""
+        forms, _, ids = self._pass[:3]
+        tree, x = self.tree, self.root
+        return self.order * sum(
+            y == x or _rooted_form(tree, y, ids)[0][y] == forms[x] for y in range(tree.n)
+            if tree.labels[y] == tree.labels[x] and tree.degree(y) == tree.degree(x))
 
     @property
     def n(self) -> int:
@@ -461,17 +463,19 @@ def _listed(tree: LabeledTree, labels, max_order: int) -> AutGroup:
     under composition from its generators.  Raises GroupTooLarge from the
     order before anything is listed."""
     mark = tree.marked
-    order, gens = _structure(tree, labels, _centers(tree) if mark is None else [mark])
+    *_, order, gens = _structure(tree, labels, _centers(tree) if mark is None else [mark])
     if order > max_order:
         raise GroupTooLarge(f"group exceeds {max_order} elements")
     for t in gens:
         if not (_is_automorphism(tree, t, labels) and (mark is None or t[mark] == mark)):
             raise InternalInconsistency(f"structural generator {t} is no automorphism")
-    elements = close_under_composition(gens, tree.n, max_order)
-    if len(elements) != order:
+    group = AutGroup(tuple(close_under_composition(gens, tree.n, max_order)))
+    if group.order != order:
         raise InternalInconsistency(
-            f"generators span {len(elements)} elements, not the order {order}")
-    return _enumerated_group(elements)
+            f"generators span {group.order} elements, not the order {order}")
+    if group.closure[1] is not None:
+        raise InternalInconsistency("enumerated maps are not closed under composition")
+    return group
 
 
 def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
@@ -681,7 +685,8 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup | RootedGroup,
     ``notes``.  ``elements`` may be an AutGroup, whose closure check is then
     made once for all the cuts checked with it.  Of the side groups only
     ``n``, ``order`` and ``in`` are read, and their sorted elements only to
-    name the first pair a list misses, so a ``RootedGroup`` serves.
+    name the first pair a list misses, so a ``RootedGroup`` serves; where
+    one is too large to list, the note names the counts instead.
     """
     group = elements if isinstance(elements, AutGroup) else AutGroup(tuple(elements))
     elements = group.elements
@@ -732,9 +737,13 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup | RootedGroup,
     hit = set(pairs.values())
     surjective = len(hit) == side_a.order * side_b.order
     if not surjective:
-        pa, pb = next(p for p in product(side_a.elements, side_b.elements)
-                      if p not in hit)
-        notes.append(f"a side pair has no preimage: alpha={pa}, beta={pb}")
+        try:
+            pa, pb = next(p for p in product(side_a.elements, side_b.elements)
+                          if p not in hit)
+            notes.append(f"a side pair has no preimage: alpha={pa}, beta={pb}")
+        except GroupTooLarge:  # too many to list: name the counts instead
+            notes.append(f"the image has {len(hit)} side pairs, not |G_A| * |G_B| "
+                         f"= {side_a.order} * {side_b.order}")
 
     return IsoVerdict(injective, surjective, homomorphism, tuple(notes))
 

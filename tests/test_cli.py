@@ -342,6 +342,29 @@ def test_replayed_repeated_element_is_not_injective(bumps_file, tmp_path):
     assert phi["notes"] == ["elements 0 and 6 are the same map g=(0, 1, 2, 3, 4)"]
 
 
+def test_replay_audit_names_counts_where_a_side_group_is_too_large_to_list(tmp_path):
+    # a dump of the identity and one swap of two peaks of bumps 8: side B's
+    # group has 8! = 40320 elements, too many to list for the first side
+    # pair without a preimage, so the note names the counts and the
+    # verdict fails with exit 2
+    path = tmp_path / "b8.json"
+    assert run(["gen", "bumps", "--n", "8", "--out", str(path)])[0] == 0
+    tree = build_reeb(*load_mesh_field(path)).tree
+    a, b = [v for v in range(tree.n) if tree.labels[v] == max(tree.labels)][:2]
+    swap = list(range(tree.n))
+    swap[a], swap[b] = b, a
+    gdump = tmp_path / "dump.json"
+    gdump.write_text(json.dumps({"elements": [list(range(tree.n)), swap]}))
+    jsn = tmp_path / "split.json"
+    code, out, err = run(["split", "--input", str(path), "--replay-group", str(gdump),
+                          "--json", str(jsn)])
+    assert (code, err) == (2, "")
+    assert out.startswith("FAIL") and "|G| = 2 != 1 * 40320" in out
+    phi = json.loads(jsn.read_text())["phi"]
+    assert (phi["injective"], phi["surjective"], phi["homomorphism"]) == (True, False, True)
+    assert phi["notes"] == ["the image has 2 side pairs, not |G_A| * |G_B| = 1 * 40320"]
+
+
 def test_split_verifies_bumps_seven(tmp_path):
     # |G| = 7! = 5040: closure and the homomorphism are checked on generators
     path = tmp_path / "bumps7.json"
@@ -373,7 +396,7 @@ def test_split_passes_beyond_the_group_bound(tmp_path, n):
 def test_split_unmarked_side_beyond_the_group_bound(tmp_path):
     # |G| = 7! = 5040, but on edge 0 the unmarked side B also swaps the cut
     # leaf with the other label-1 leaf: 10080 elements, an order that comes
-    # from the side tree's AHU forms rooted at a centre, not from enumeration
+    # from the side's own AHU forms by orbit-stabilizer, not from enumeration
     from reebsplit.gen import realize_tree
     from reebsplit.treeaut import LabeledTree
 

@@ -33,7 +33,6 @@ from reebsplit.treeaut import (
     RootedGroup,
     cut_tree_at,
     enumerate_aut,
-    tree_isomorphic,
 )
 
 
@@ -123,16 +122,19 @@ def test_all_fixed_edges_pass_on_symmetric_corpus():
     assert count > 10
 
 
-def enumerated_gap(cut):
-    """``check_subtree_group_gap`` with the marked side orders listed by the
-    backtracking oracle."""
-    return check_subtree_group_gap(cut, side_orders=tuple(
-        len(backtrack_aut(cut.side(name).tree)) for name in ("A", "B")))
+def side_groups(cut):
+    """The two cut sides' groups, rooted at their cut leaves, as
+    ``verify_fixed_edges`` makes them."""
+    return tuple(RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
+
+
+def side_gap(cut):
+    return check_subtree_group_gap(side_groups(cut))
 
 
 def test_subtree_group_gap_three_bump(three_bump_tree):
     cut = cut_tree_at(three_bump_tree, 0)
-    notes = enumerated_gap(cut)
+    notes = side_gap(cut)
     assert all(n.equal for n in notes)
 
 
@@ -143,7 +145,7 @@ def test_subtree_group_gap_detects_marking():
                        [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
     cut = cut_tree_at(tree, 1)  # between labels 2 and 4: cut label 3
     assert cut.cut_label == 3.0
-    notes = {n.side: n for n in enumerated_gap(cut)}
+    notes = {n.side: n for n in side_gap(cut)}
     assert notes["B"].marked_order == 2
     assert notes["B"].unmarked_order == 4
     assert not notes["B"].equal
@@ -153,15 +155,13 @@ def test_subtree_group_gap_detects_marking():
 def orbit_unmarked_orders(cut, side_orders):
     """The unmarked side orders by orbit counting: the marked group is the
     stabilizer of the cut leaf x in the unmarked one, so the unmarked order
-    is the marked order times the size of x's orbit, the vertices y with
-    x's label that an isomorphism of the side tree onto itself can map x to
-    (``tree_isomorphic`` ignores the mark)."""
+    is the marked order times the size of x's orbit {p[x]} under the
+    unmarked side's automorphisms, listed by the backtracking oracle."""
     orders = []
     for name, marked in zip("AB", side_orders):
         t = cut.side(name).tree
-        x = t.marked
-        orders.append(marked * sum(tree_isomorphic(t, t, pin=(x, y))
-                                   for y in range(t.n) if t.labels[y] == t.labels[x]))
+        orbit = {p[t.marked] for p in backtrack_aut(LabeledTree(t.labels, t.edges))}
+        orders.append(marked * len(orbit))
     return orders
 
 
@@ -180,18 +180,105 @@ def test_unmarked_orders_by_orbit_match_enumeration():
             lo, hi = sorted(tree.labels[v] for v in tree.edges[eid])
             for c in [None] + sorted({x for x in tree.labels if lo < x < hi}):
                 cut = cut_tree_at(tree, eid, c)
-                notes = enumerated_gap(cut)
+                notes = side_gap(cut)
                 assert [n.unmarked_order for n in notes] == orbit_unmarked_orders(
                     cut, [n.marked_order for n in notes]), (tree, eid, c)
                 for note in notes:
                     side = cut.side(note.side).tree
-                    assert note.marked_order == RootedGroup(side, side.marked).order
+                    assert note.marked_order == len(backtrack_aut(side))
                     unmarked = LabeledTree(side.labels, side.edges)
                     assert note.unmarked_order == \
                         len(backtrack_aut(unmarked)), (tree, eid, c)
                     sides += 1
                     gaps += not note.equal
     assert sides > 4000 and gaps > 200, (sides, gaps)
+
+
+# ----------------------------------------------------------------------
+# the disk match read off the side's own AHU pass
+
+
+def pinned_isomorphic(t1, t2, v1, v2):
+    """Whether some label-preserving isomorphism of ``t1`` onto ``t2`` maps
+    v1 to v2: both trees' forms rooted there, in one intern table."""
+    if t1.n != t2.n or sorted(t1.labels) != sorted(t2.labels):
+        return False
+    ids = {}
+    return (treeaut._rooted_form(t1, v1, ids)[0][v1]
+            == treeaut._rooted_form(t2, v2, ids)[0][v2])
+
+
+def relabel_and_pin(side_tree, c, disk_tree, boundary):
+    """The disk match's former path, kept as its oracle: the side tree
+    copied with its cut leaf relabelled to c, pinned there against the disk
+    tree pinned at its boundary vertex."""
+    labels = list(side_tree.labels)
+    labels[side_tree.marked] = c
+    return pinned_isomorphic(disk_tree, LabeledTree(labels, side_tree.edges),
+                             boundary, side_tree.marked)
+
+
+def nudged(tree, v):
+    labels = list(tree.labels)
+    labels[v] = float(np.nextafter(labels[v], np.inf))
+    return LabeledTree(labels, tree.edges)
+
+
+def test_disk_match_equals_relabel_and_pin(monkeypatch):
+    disks = []
+    check = split._disk_check
+
+    def recorded(side, group, c, piece, rep, fclass, graph):
+        disks.append((group, float(c), graph))
+        return check(side, group, c, piece, rep, fclass, graph)
+
+    monkeypatch.setattr(split, "_disk_check", recorded)
+    fields = list(_split_corpus_fields(30)) + [
+        realize_tree(random_realizable_tree(2 + s % 9, symmetry=5, seed=s), 4)
+        for s in range(12)]
+    matched = mismatched = 0
+    for mesh, field in fields:
+        disks.clear()
+        reports = verify_all_fixed_edges(mesh, field)
+        assert [d.tree_matches_cut_side for r in reports for d in r.disks] == \
+            [True] * len(disks)
+        for k, (group, c, graph) in enumerate(disks):
+            tree = graph.tree
+            boundary = int(np.flatnonzero(graph.kinds == field_module.BOUNDARY)[0])
+            assert relabel_and_pin(group.tree, c, tree, boundary)
+            matched += 1
+            # the disk with one label nudged (at vertex k mod n), and the
+            # other side's tree: the match agrees with the oracle, which
+            # mostly rejects them
+            other = disks[k ^ 1][0]
+            for side, disk in ((group, nudged(tree, k % tree.n)), (other, tree)):
+                want = relabel_and_pin(side.tree, c, disk, boundary)
+                assert side.root_form_is(disk, boundary, c) == want, (k, want)
+                mismatched += not want
+    assert matched > 200 and mismatched > 300, (matched, mismatched)
+
+
+def test_split_makes_four_tree_passes_per_fixed_edge(double_fork_tree, monkeypatch):
+    mesh, field = realize_tree(double_fork_tree, 4)
+    calls = Counter()
+
+    def counted(name, original):
+        return lambda *args, **kwargs: (calls.update([name]),
+                                        original(*args, **kwargs))[-1]
+
+    for name in ("_rooted_form", "_centers", "tree_isomorphic"):
+        monkeypatch.setattr(treeaut, name, counted(name, getattr(treeaut, name)))
+    monkeypatch.setattr(LabeledTree, "__init__",
+                        counted("LabeledTree", LabeledTree.__init__))
+    sphere = split.analyze_sphere(mesh, field)
+    # the sphere: its level-set tree, and one pass from one center
+    assert calls == {"LabeledTree": 1, "_centers": 1, "_rooted_form": 1}
+    calls.clear()
+    reports = verify_all_fixed_edges(mesh, field, sphere=sphere)
+    assert len(reports) == 2 and all(r.passed for r in reports)
+    # per edge: two side trees and their groups' passes, and two disk trees
+    # each interned in its side's table; no centers, no isomorphism test
+    assert calls == {"LabeledTree": 4 * 2, "_rooted_form": 4 * 2}
 
 
 def test_report_serialization_shape(octahedron):

@@ -831,7 +831,7 @@ def test_isomorphism_of_renumbered_trees():
         copy, new = renumbered(tree, seed)
         assert tree_isomorphic(tree, copy)
         for v in range(tree.n):
-            assert tree_isomorphic(tree, copy, pin=(v, new[v]))
+            assert RootedGroup(tree, v).root_form_is(copy, new[v], tree.labels[v])
         # one leaf label moved off every other label breaks it
         leaf = next(v for v in range(tree.n) if tree.degree(v) == 1)
         labels = list(copy.labels)
@@ -844,10 +844,20 @@ def test_long_path_pinned_isomorphism():
     path = symmetric_path(n)
     copy, new = renumbered(path, 3)
     assert tree_isomorphic(path, copy)
-    assert tree_isomorphic(path, copy, pin=(0, new[0]))
-    assert tree_isomorphic(path, copy, pin=(0, new[n - 1]))  # the mirror
-    assert not tree_isomorphic(path, copy, pin=(0, new[1]))
-    assert not tree_isomorphic(path, copy, pin=(1, new[2]))
+
+    def match(v, w):
+        return RootedGroup(path, v).root_form_is(copy, w, path.labels[v])
+
+    assert match(0, new[0])
+    assert match(0, new[n - 1])  # the mirror
+    assert not match(0, new[1])
+    assert not match(1, new[2])
+    # a copy whose end is relabelled matches the end relabelled alike
+    labels = list(copy.labels)
+    labels[new[0]] = 0.5
+    moved = LabeledTree(labels, copy.edges)
+    assert RootedGroup(path, 0).root_form_is(moved, new[0], 0.5)
+    assert not RootedGroup(path, 0).root_form_is(moved, new[0], path.labels[0])
 
 
 def test_permutation_tuples_return_to_their_free_list():
