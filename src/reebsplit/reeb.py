@@ -244,50 +244,68 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
 
 
 def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
-                      members, starts) -> ReebGraph:
-    """Contour tree of a node graph with its regular nodes suppressed.
+                      members, starts, zones, valid):
+    """Contour trees of the parts of a node graph, regular nodes suppressed.
 
-    ``indptr`` and ``indices`` are the connected graph's CSR adjacency, and
-    ``kinds`` and ``multiplicities`` each node's kind code and multiplicity,
-    as arrays; node ``z`` expands back to the mesh vertices
-    ``members[starts[z]:starts[z + 1]]``, which become the preimage of its
-    tree vertex.  The sweeps and the peel run over the critical nodes only,
-    joined by monotone paths through the regular ones, which are not placed
-    on any arc.  Raises InvalidFieldClass when an arc fails to increase the
-    label strictly, which happens exactly when two critical components share
-    a level component, and InternalInconsistency when a node called regular
-    does not behave as one.
+    ``indptr`` and ``indices`` are the graph's CSR adjacency, and ``kinds``
+    and ``multiplicities`` each node's kind code and multiplicity, as
+    arrays; node ``z`` expands back to the mesh vertices
+    ``members[starts[z]:starts[z + 1]]``.  Part ``i`` is the connected graph
+    on nodes ``zones[i]`` to ``zones[i + 1] - 1``, and no edge leaves a part.
+    Yields each part's tree in part order, or None where ``valid[i]`` is
+    false; a tree vertex's preimage is its node's members, less the part's
+    first vertex ``members[starts[zones[i]]]``.  A graph of one part is
+    ``zones=[0, len(values)]``.
+
+    The array stages run once over all parts: the (value, id) ranks, the
+    monotone paths through the regular nodes, the graph reduced to the
+    critical nodes and the preimage rows.  Parts share no edge, so the
+    union's ranks order each part's nodes as its own would and no path
+    leaves its part.  Per part remain the sweeps and the peel over its
+    critical nodes, which are not placed on any arc, and the checks, run
+    when its tree is asked for, so that a caller can refuse a part before
+    its tree is built.  Raises InvalidFieldClass when an arc fails to
+    increase the label strictly, which happens exactly when two critical
+    components share a level component, and InternalInconsistency when a
+    node called regular does not behave as one.
     """
+    values = np.asarray(values, dtype=float)
     nz = len(values)
+    part_of = np.repeat(np.arange(len(valid)), np.diff(zones))
     order = np.argsort(values, kind="stable")
     rank = np.empty(nz, dtype=np.intp)
     rank[order] = np.arange(nz)
     regular = kinds == REGULAR
 
     # monotone-path pointers: a regular node steps down to its highest
-    # neighbour below it and up to its lowest one above it (-1 and nz mark
-    # none, which only a node wrongly called regular has), and a critical
-    # node stays put.  Down and up share one array, so one pointer jumping
-    # ends both on critical nodes
+    # neighbour below it and up to its lowest one above it, and a critical
+    # node stays put.  A node called regular with no neighbour on one side
+    # is stuck: it stays put too, and its part is refused.  Down and up
+    # share one array, so one pointer jumping ends both on kept nodes
     nbr = rank[indices]
     ids = np.arange(nz)
     row = np.repeat(ids, np.diff(indptr))
     below = nbr < rank[row]
-    lower = np.maximum.reduceat(np.where(below, nbr, -1), indptr[:-1])
-    upper = np.minimum.reduceat(np.where(below, nz, nbr), indptr[:-1])
+    # an isolated node, which only a part whose field is invalid can have,
+    # reads a neighbour's row: no pointer leads to it, and its part is
+    # never asked for
+    heads = np.minimum(indptr[:-1], len(nbr) - 1)
+    lower = np.maximum.reduceat(np.where(below, nbr, -1), heads)
+    upper = np.minimum.reduceat(np.where(below, nz, nbr), heads)
+    stuck = regular & ((lower < 0) | (upper == nz))
+    regular &= ~stuck
     pointer = _jump(np.concatenate((
-        np.where(regular & (lower >= 0), order[lower], ids),
-        np.where(regular & (upper < nz), order.take(upper, mode="clip"), ids) + nz)))
+        np.where(regular, order[lower], ids),
+        np.where(regular, order.take(upper, mode="clip"), ids) + nz)))
     down, up = pointer[:nz], pointer[nz:] - nz
-    if regular[down].any() or regular[up].any():
-        raise InternalInconsistency(
-            "a regular component's monotone path stalls on a regular component")
 
-    # the reduced graph on the critical nodes, numbered in (value, id) order:
-    # critical x is joined to where each lower neighbour descends to and
-    # each upper one ascends to, along a monotone path between the two, so
-    # both sweeps over it give the full graph's trees restricted to them
+    # the reduced graph on the kept nodes: kept x is joined to where each
+    # lower neighbour descends to and each upper one ascends to, along a
+    # monotone path between the two, so both sweeps over it give the full
+    # graph's trees restricted to them.  A stable sort by part numbers each
+    # part's kept nodes in a block, in (value, id) order
     keep = order[~regular[order]]
+    keep = keep[np.argsort(part_of[keep], kind="stable")]
     k = len(keep)
     vid = np.empty(nz, dtype=np.intp)
     vid[keep] = np.arange(k)
@@ -298,25 +316,7 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     pairs = distinct(np.concatenate((a * k + b, b * k + a)))
     cindptr = np.zeros(k + 1, dtype=np.intp)
     np.cumsum(np.bincount(pairs // k, minlength=k), out=cindptr[1:])
-
-    labels = [values[z] for z in keep.tolist()]
-    try:
-        arcs = sorted(_contour_tree(labels, cindptr, pairs % k))
-    except GenusNotZero as exc:
-        # the reduction keeps the join and split trees only when every node
-        # called regular is one
-        raise InternalInconsistency(f"reduced to the critical nodes, {exc}") from None
-    for lo, hi in arcs:
-        if not labels[lo] < labels[hi]:
-            raise InvalidFieldClass(
-                "two critical components share one level value on a "
-                "common level component")
-    # the sorted arcs are kept as they are, so the tree's edge ids are the
-    # arcs' positions
-    try:
-        tree = LabeledTree(labels, arcs)
-    except InvalidTree:
-        raise GenusNotZero("level-set graph is not a tree") from None
+    cindices = pairs % k
 
     # the preimages: tree vertex i is row i, the members of zone keep[i],
     # which ascend already
@@ -324,7 +324,48 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     bounds = np.zeros(k + 1, dtype=np.intp)
     np.cumsum(rows, out=bounds[1:])
     flat = members[np.repeat(starts[keep] - bounds[:-1], rows) + np.arange(bounds[-1])]
-    return ReebGraph(tree, kinds[keep], multiplicities[keep], (flat, bounds))
+    kinds, multiplicities = kinds[keep], multiplicities[keep]
+    labels = values[keep].tolist()
+    blocks = np.searchsorted(part_of[keep], np.arange(len(valid) + 1)).tolist()
+    firsts = members[starts[zones[:-1]]].tolist()
+    stalls = np.flatnonzero(stuck).tolist()
+    edge_at, row_at = cindptr.tolist(), bounds.tolist()
+
+    for i, ok in enumerate(valid):
+        if not ok:
+            yield None
+            continue
+        z0, z1 = zones[i], zones[i + 1]
+        stall = next((z for z in stalls if z0 <= z < z1), None)
+        if stall is not None:
+            raise InternalInconsistency(
+                "a regular component's monotone path stalls on the regular "
+                f"component at vertex {members[starts[stall]] - firsts[i]}")
+        k0, k1 = blocks[i], blocks[i + 1]
+        e0, e1 = edge_at[k0], edge_at[k1]
+        part = labels[k0:k1]
+        try:
+            arcs = sorted(_contour_tree(part, cindptr[k0:k1 + 1] - e0,
+                                        cindices[e0:e1] - k0))
+        except GenusNotZero as exc:
+            # the reduction keeps the join and split trees only when every
+            # node called regular is one
+            raise InternalInconsistency(f"reduced to the critical nodes, {exc}") from None
+        v0, v1 = row_at[k0], row_at[k1]
+        pre = (flat[v0:v1] - firsts[i], bounds[k0:k1 + 1] - v0)
+        for lo, hi in arcs:
+            if not part[lo] < part[hi]:
+                raise InvalidFieldClass(
+                    "two critical components share one level value on a "
+                    f"common level component (vertices {pre[0][pre[1][lo]]} "
+                    f"and {pre[0][pre[1][hi]]} at {part[lo]!r})")
+        # the sorted arcs are kept as they are, so the tree's edge ids are
+        # the arcs' positions
+        try:
+            tree = LabeledTree(part, arcs)
+        except InvalidTree:
+            raise GenusNotZero("level-set graph is not a tree") from None
+        yield ReebGraph(tree, kinds[k0:k1], multiplicities[k0:k1], pre)
 
 
 def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
@@ -365,33 +406,32 @@ def part_trees(mesh: TriangleMesh, surfaces: list[SurfaceReport],
     """``build_reeb`` of each part of a disjoint union with ``parts``, from
     its ``validate_surface`` and ``classify_field`` reports; None where the
     field is invalid.  Zones are numbered by their smallest vertex, so each
-    part's tree is made from slices of the union's contraction."""
+    part's zones are one block of the union's contraction, and one
+    ``_tree_from_sweeps`` call reduces the whole union at once.  Parts are
+    refused in part order: the first part that fails raises its error."""
     # a zone's kind is its smallest vertex's; on a valid field the only
     # zones of several vertices are boundary cycles, whose vertices are all
     # boundary vertices
     contraction = fclasses[0].contraction
     members, starts = contraction.members, contraction.starts
     first = members[starts[:-1]]
-    kinds, mults = fclasses[0].kinds[first], fclasses[0].multiplicities[first]
-    indptr, indices = contraction.zone_neighbors(mesh)
     zones = contraction.zone_of[parts[:-1]].tolist() + [len(first)]
-    graphs = [None] * len(fclasses)
-    for i, (surface, fclass) in enumerate(zip(surfaces, fclasses)):
-        if not fclass.valid:
-            continue
-        if surface.genus != 0 or not surface.connected:
+    trees = _tree_from_sweeps(
+        contraction.zone_values, *contraction.zone_neighbors(mesh),
+        fclasses[0].kinds[first], fclasses[0].multiplicities[first],
+        members, starts, zones, [fclass.valid for fclass in fclasses])
+    graphs = []
+    for surface, fclass in zip(surfaces, fclasses):
+        if fclass.valid and (surface.genus != 0 or not surface.connected):
             raise GenusNotZero(f"need a connected genus-0 surface, got genus {surface.genus}")
-        z0, z1 = zones[i], zones[i + 1]
-        a, b = indptr[z0], indptr[z1]
-        graphs[i] = graph = _tree_from_sweeps(
-            contraction.zone_values[z0:z1], indptr[z0:z1 + 1] - a,
-            indices[a:b] - z0, kinds[z0:z1], mults[z0:z1],
-            members[starts[z0]:starts[z1]] - parts[i], starts[z0:z1 + 1] - starts[z0])
-        degree = np.fromiter(map(len, graph.tree.adj), np.intp, graph.n_vertices)
-        bad = np.flatnonzero(degree != np.where(graph.kinds == SADDLE,
-                                                graph.multiplicities + 2, 1))
-        if len(bad):
-            v = int(bad[0])
+        graph = next(trees)
+        graphs.append(graph)
+        if graph is None:
+            continue
+        degree = [len(nb) for nb in graph.tree.adj]
+        want = np.where(graph.kinds == SADDLE, graph.multiplicities + 2, 1).tolist()
+        if degree != want:
+            v = next(v for v, d in enumerate(want) if d != degree[v])
             raise InternalInconsistency(
                 f"{VERTEX_KINDS[graph.kinds[v]]} {v} of multiplicity "
                 f"{graph.multiplicities[v]} has degree {degree[v]}")

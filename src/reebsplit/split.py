@@ -192,6 +192,10 @@ def disk_analyses(pieces):
 
 
 def _analyze_batch(batch) -> list[tuple]:
+    """Each piece of ``batch`` with its ``validate_surface``,
+    ``classify_field`` and tree, all from one disjoint-union mesh of the
+    pieces: one validation, one classification and one reduction
+    (``part_trees``) for the whole batch."""
     # the union mesh is freed on return, before the next batch is built
     bounds = np.cumsum([0] + [len(p.field) for p in batch])
     union = TriangleMesh(

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from reebsplit import selftest
 from reebsplit.cli import main
-from reebsplit.gen import octahedron_height, realize_tree
+from reebsplit.gen import (
+    octahedron_height,
+    random_field,
+    random_realizable_tree,
+    realize_tree,
+)
 from reebsplit.io import load_mesh_field, save_mesh_field
 from reebsplit.mesh import cut_along_cycle
 from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
@@ -216,6 +221,26 @@ def test_split_output_digests(tmp_path, name, flags):
     code, _, _ = run(argv + ["--json", str(jsn)])
     digest = hashlib.sha256(jsn.read_text().encode()).hexdigest()
     assert (code, digest) == SPLIT_DIGESTS[name, flags]
+
+
+# sha256 of `split --all-edges --json` on a random field of the tree of the
+# `large_sphere` benchmark realized at resolution 8: 708 vertices and 383
+# fixed edges, whose 766 disks reach the batched disk pass in unions of one
+# to three pieces
+SCALE_DIGEST = "2f4c06f2cc55d5b22a745fa114f38933283452072359a8b265faa2717e450226"
+
+
+def test_split_all_edges_digest_on_a_random_field(tmp_path):
+    mesh, _ = realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 8)
+    assert mesh.n_vertices == 708
+    path, jsn = tmp_path / "in.json", tmp_path / "split.json"
+    save_mesh_field(path, mesh, random_field(mesh, 0))
+    code, _, _ = run(["split", "--all-edges", "--input", str(path), "--json", str(jsn)])
+    text = jsn.read_text()
+    reports = json.loads(text)
+    assert (code, len(reports)) == (0, 383)
+    assert all(report["passed"] for report in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALE_DIGEST
 
 
 # a disk: the square 0-1-2-3 around the interior edge 4-5; an annulus: the

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import random
 from collections import deque
 
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebsplit import kernels, reeb
+from reebsplit import kernels, reeb, split
 from reebsplit.cli import main
 from reebsplit.errors import (
     EdgeNotFound,
     GenusNotZero,
     InternalInconsistency,
     InvalidFieldClass,
+    ReebSplitError,
     ValueCollision,
 )
 from reebsplit.field import (
@@ -26,9 +28,14 @@ from reebsplit.field import (
     classify_field,
     flat_contract,
 )
-from reebsplit.gen import random_field, random_realizable_tree, realize_tree
+from reebsplit.gen import (
+    octahedron_height,
+    random_field,
+    random_realizable_tree,
+    realize_tree,
+)
 from reebsplit.io import save_mesh_field
-from reebsplit.mesh import TriangleMesh, cut_along_cycle
+from reebsplit.mesh import TriangleMesh, cut_along_cycle, validate_surface
 from reebsplit.reeb import (
     ReebEdge,
     ReebVertex,
@@ -41,8 +48,8 @@ from reebsplit.reeb import (
     part_trees,
 )
 from reebsplit.selftest import split_corpus_seeds
-from reebsplit.split import analyze_sphere, reeb_to_tree
-from reebsplit.treeaut import tree_isomorphic
+from reebsplit.split import analyze_sphere, reeb_to_tree, verify_all_fixed_edges
+from reebsplit.treeaut import LabeledTree, tree_isomorphic
 
 
 def test_octahedron_reeb_is_a_path(octahedron):
@@ -304,6 +311,11 @@ def singletons(n):
     return np.arange(n), np.arange(n + 1)
 
 
+def one_tree(values, *args):
+    """``_tree_from_sweeps`` of a graph that is one part."""
+    return next(_tree_from_sweeps(values, *args, [0, len(values)], [True]))
+
+
 def test_shared_level_component_rejected():
     # three basins joined by two necks at one height: the sweep must refuse
     # to split that single critical component into two tree vertices
@@ -311,9 +323,8 @@ def test_shared_level_component_rejected():
     neighbors = [[3], [3, 4], [4], [0, 1, 5], [1, 2, 5], [3, 4, 6], [5]]
     kinds = np.array([MINIMUM, MINIMUM, MINIMUM, SADDLE, SADDLE, REGULAR,
                       MAXIMUM])
-    with pytest.raises(InvalidFieldClass):
-        _tree_from_sweeps(values, *csr(neighbors), kinds, np.ones(7, dtype=int),
-                          *singletons(7))
+    with pytest.raises(InvalidFieldClass, match=r"\(vertices 3 and 4 at 1\.0\)$"):
+        one_tree(values, *csr(neighbors), kinds, np.ones(7, dtype=int), *singletons(7))
 
 
 def test_equal_labels_on_distinct_components_are_fine(three_bump):
@@ -558,9 +569,23 @@ def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
     return vertices, edges
 
 
+def part_args(args, i):
+    """The arguments of ``_tree_from_sweeps`` for part ``i`` of a union alone,
+    in the one-part form without ``zones`` and ``valid``: the part's slices,
+    renumbered from its first node and its first vertex."""
+    values, indptr, indices, kinds, multiplicities, members, starts, zones, _ = args
+    z0, z1 = zones[i], zones[i + 1]
+    a, b = indptr[z0], indptr[z1]
+    return (values[z0:z1], indptr[z0:z1 + 1] - a, indices[a:b] - z0,
+            kinds[z0:z1], multiplicities[z0:z1],
+            members[starts[z0]:starts[z1]] - members[starts[z0]],
+            starts[z0:z1 + 1] - starts[z0])
+
+
 def oracle_args(values, indptr, indices, kinds, multiplicities, members, starts):
-    """The arguments of ``_tree_from_sweeps`` in the oracle's terms: kind
-    names, and each node's members as a list."""
+    """The arguments of ``_tree_from_sweeps`` for one part, as
+    ``part_args`` gives them, in the oracle's terms: kind names, and each
+    node's members as a list."""
     return (values, indptr, indices,
             [reeb.VERTEX_KINDS[k] for k in kinds.tolist()],
             multiplicities.tolist(),
@@ -575,12 +600,13 @@ def checked_against_oracle(monkeypatch):
     checked = []
 
     def both(*args):
-        got = reduced(*args)
-        want = oracle_tree_from_sweeps(*oracle_args(*args))
-        assert got.vertices == want[0]
-        assert got.edges == want[1]
-        checked.append(len(args[0]))
-        return got
+        for i, got in enumerate(reduced(*args)):
+            if got is not None:
+                want = oracle_tree_from_sweeps(*oracle_args(*part_args(args, i)))
+                assert got.vertices == want[0]
+                assert got.edges == want[1]
+                checked.append(i)
+            yield got
 
     monkeypatch.setattr(reeb, "_tree_from_sweeps", both)
     return checked
@@ -684,7 +710,146 @@ def test_reduced_tree_matches_oracle_on_random_trees(data):
         want = oracle_tree_from_sweeps(*oracle_args(*args))
     except InvalidFieldClass:
         with pytest.raises(InvalidFieldClass):
-            _tree_from_sweeps(*args)
+            one_tree(*args)
     else:
-        got = _tree_from_sweeps(*args)
+        got = one_tree(*args)
         assert (got.vertices, got.edges) == want
+
+
+# ----------------------------------------------------------------------
+# one reduction per union: every part's tree is its piece's tree alone
+
+def graph_facts(graph):
+    """Everything a level-set tree holds, as plain values."""
+    flat, starts = graph.preimages
+    assert all(type(label) is float for label in graph.tree.labels)
+    return (graph.tree.labels, graph.tree.edges, graph.kinds.tolist(),
+            graph.multiplicities.tolist(), flat.tolist(), starts.tolist())
+
+
+def bumps_tree(k):
+    return LabeledTree([0.0, 1.0] + [2.0] * k, [(0, 1)] + [(1, 2 + i) for i in range(k)])
+
+
+def test_disk_pass_unions_equal_each_piece_alone(monkeypatch):
+    batches = []
+    analyze = split._analyze_batch
+
+    def recorded(batch):
+        batches.append(analyze(batch))
+        return batches[-1]
+
+    monkeypatch.setattr(split, "_analyze_batch", recorded)
+    trees = [random_realizable_tree(n, symmetry=symmetry, seed=seed)
+             for seed, n, symmetry in split_corpus_seeds(30)]
+    trees += [random_realizable_tree(2 + s % 9, symmetry=5, seed=s) for s in range(12)]
+    trees += [bumps_tree(k) for k in range(3, 8)]
+    for tree in trees:
+        reports = verify_all_fixed_edges(*realize_tree(tree, 4))
+        assert reports and all(r.passed for r in reports)
+    for analyses in batches:
+        for piece, _, _, graph in analyses:
+            assert graph_facts(graph) == graph_facts(build_reeb(piece.mesh, piece.field))
+    parts = [len(analyses) for analyses in batches]
+    assert (len(parts), sum(parts), max(parts)) == (93, 420, 10)
+
+
+def called_regular(fclasses, vertices):
+    """The reports of one union with ``vertices`` called regular."""
+    kinds = fclasses[0].kinds.copy()
+    kinds[list(vertices)] = REGULAR
+    return [dataclasses.replace(fclass, kinds=kinds) for fclass in fclasses]
+
+
+def union_trees(pieces):
+    """``part_trees`` of the disjoint union of (mesh, field, vertices called
+    regular) pieces."""
+    bounds = np.cumsum([0] + [len(field) for _, field, _ in pieces])
+    mesh = TriangleMesh(np.broadcast_to(0.0, (bounds[-1], 3)), np.concatenate(
+        [m.triangles + b for (m, _, _), b in zip(pieces, bounds.tolist())]))
+    field = ScalarField(np.concatenate([f.values for _, f, _ in pieces]))
+    fclasses = called_regular(classify_field(mesh, field, bounds),
+                              [v + b for (_, _, vs), b in zip(pieces, bounds) for v in vs])
+    return part_trees(mesh, validate_surface(mesh, bounds), fclasses, bounds)
+
+
+def alone(piece):
+    """``build_reeb`` of one piece: its tree's facts, or its error's type and
+    message."""
+    mesh, field, vertices = piece
+    try:
+        fclass, = called_regular([classify_field(mesh, field)], vertices)
+        return graph_facts(build_reeb(mesh, field, fclass=fclass))
+    except ReebSplitError as exc:
+        return type(exc), str(exc)
+
+
+def flat_top():
+    """The octahedron with a flat top: its zone {0, 1} is called regular
+    after vertex 0, whose upper neighbour 1 lies in the zone, and has no
+    neighbour above."""
+    mesh, _ = octahedron_height()
+    return mesh, ScalarField(np.array([3.0, 3.0, 1.0, 2.0, 1.5, 0.0])), ()
+
+
+def valid_pieces():
+    """The octahedron, and the upper disk of three bumps cut below their
+    saddle."""
+    mesh, field = realize_tree(bumps_tree(3), 4)
+    graph = build_reeb(mesh, field)
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    disk = cut_along_cycle(mesh, field, cycle)[1]
+    return (*octahedron_height(), ()), (disk.mesh, disk.field, ())
+
+
+def test_invalid_part_between_valid_ones_is_never_checked():
+    flat = flat_top()
+    mesh, field, _ = flat
+    fclass = classify_field(mesh, field)
+    assert not fclass.valid
+    # asked for, the flat top's monotone path would stall
+    with pytest.raises(InternalInconsistency,
+                       match="stalls on the regular component at vertex 0$"):
+        part_trees(mesh, [validate_surface(mesh)],
+                   [dataclasses.replace(fclass, field_class="Morse")], [0, 6])
+    # a constant field is one zone with no neighbour, here the union's last
+    constant = (mesh, ScalarField(np.ones(6)), ())
+    first, last = valid_pieces()
+    for pieces in ([first, flat, last], [last, flat, first, constant]):
+        got = union_trees(pieces)
+        assert [g is None for g in got] == [p is flat or p is constant for p in pieces]
+        for piece, graph in zip(pieces, got):
+            if graph is not None:
+                assert graph_facts(graph) == alone(piece)
+
+
+def degree_failure():
+    """A random field with a saddle called regular that leaves a tree whose
+    degrees do not fit its kinds."""
+    mesh, _ = realize_tree(random_realizable_tree(n=6, symmetry=1, seed=3), 8)
+    field = random_field(mesh, 0)
+    for vertex in np.flatnonzero(classify_field(mesh, field).kinds == SADDLE).tolist():
+        piece = (mesh, field, (vertex,))
+        error = alone(piece)
+        if " has degree " in error[1]:
+            return piece
+
+
+def test_first_failing_part_raises_its_own_error(torus):
+    mesh, field = octahedron_height()
+    failing = {
+        "stall": (mesh, field, (5,)),       # the maximum called regular
+        "degree": degree_failure(),
+        "genus": (*torus, ()),
+    }
+    errors = {name: alone(piece) for name, piece in failing.items()}
+    assert errors["stall"] == (
+        InternalInconsistency,
+        "a regular component's monotone path stalls on the regular component at vertex 5")
+    assert errors["genus"][0] is GenusNotZero
+    first, last = valid_pieces()
+    for x, y in itertools.permutations(failing, 2):
+        pieces = [first, failing[x], flat_top(), failing[y], last]
+        with pytest.raises(ReebSplitError) as err:
+            union_trees(pieces)
+        assert (type(err.value), str(err.value)) == errors[x], (x, y)

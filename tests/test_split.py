@@ -435,6 +435,37 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
         assert calls["verify_group_axioms"] == []
 
 
+def test_one_reduction_per_disk_pass_union(monkeypatch):
+    # the corpus field with the most fixed edges among the first twenty
+    mesh, field = max(_split_corpus_fields(20),
+                      key=lambda mf: len(split.analyze_sphere(*mf).fixed.edge_ids))
+    calls = Counter()
+    parts = []
+
+    def count(module, name, record=lambda *args: None):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            record(*args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(reeb, "_tree_from_sweeps")
+    count(split, "_analyze_batch", lambda batch: parts.append(len(batch)))
+    # unions of up to five pieces, or under a cap of one vertex one piece each
+    for cap, sizes in ((split.BATCH_VERTICES, [5, 4, 3, 4, 2]), (1, [1] * 18)):
+        monkeypatch.setattr(split, "BATCH_VERTICES", cap)
+        calls.clear()
+        parts.clear()
+        assert len(verify_all_fixed_edges(mesh, field)) == 9
+        assert parts == sizes
+        # the sphere's tree, then one reduction per union
+        assert calls == {"_analyze_batch": len(sizes),
+                         "_tree_from_sweeps": len(sizes) + 1}
+
+
 def test_split_spans_no_group(double_fork_tree, monkeypatch):
     mesh, field = realize_tree(double_fork_tree, 4)
     assert enumerate_aut(reeb_to_tree(build_reeb(mesh, field))).order > 1

@@ -992,8 +992,11 @@ def nested_stars(k, m):
     return LabeledTree(labels, edges)
 
 
-@pytest.mark.parametrize("k,m", [(k, 1) for k in range(1, 13)]
-                         + [(2, 5), (3, 3), (3, 4), (4, 3), (5, 4), (6, 6)])
+NESTED_STARS = [(k, 1) for k in range(1, 13)] + [(2, 5), (3, 3), (3, 4), (4, 3),
+                                                 (5, 4), (6, 6)]
+
+
+@pytest.mark.parametrize("k,m", NESTED_STARS)
 def test_rooted_orders_of_nested_stars_have_closed_forms(k, m):
     # the root's m children are swapped in m! ways, and each one's k leaves
     # in k! ways; at m = 1 the child and its leaves are bumps --n k
@@ -1005,6 +1008,35 @@ def test_rooted_orders_of_nested_stars_have_closed_forms(k, m):
         assert RootedGroup(bumps_tree(k), 0).order == factorial(k)
     if order <= 50_000:
         assert enumerate_aut(tree, max_order=10**6).order == order
+
+
+def test_rooted_orders_equal_schreier_sims_orders():
+    # the order of the span of the generators by Schreier-Sims, an oracle
+    # that lists no element: it also shows that the generators span the
+    # whole group, past the 7! that listing reaches
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def assert_order(group):
+        span = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p))
+             for p in (identity_perm(group.n), *group.generators)])
+        assert span.order() == group.order, group.tree
+
+    for k in (8, 10, 12):
+        assert_order(unmarked_group(bumps_tree(k)))
+    for k, m in NESTED_STARS:
+        assert_order(unmarked_group(nested_stars(k, m)))
+    sides = 0
+    for seed, n, symmetry in split_corpus_seeds(200):
+        tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
+        for eid in fixed_set(unmarked_group(tree), tree).edge_ids:
+            cut = cut_tree_at(tree, eid)
+            for side in (cut.side_a, cut.side_b):
+                group = RootedGroup(side.tree, side.marked)
+                if group.order > 1:
+                    assert_order(group)
+                    sides += 1
+    assert sides == 533
 
 
 def test_membership_rejects_each_broken_condition():
