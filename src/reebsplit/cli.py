@@ -85,7 +85,7 @@ def _load_replay(path: str) -> AutGroup:
     """The element list of a group dump; its other keys are not read.
     ``verify_theorem`` checks that each element permutes the tree's
     vertices."""
-    data = json.loads(Path(path).read_text())
+    data = rio.load_json(path)
     elems = data.get("elements") if isinstance(data, dict) else None
     if not isinstance(elems, list) or not elems:
         raise ValueError("--replay-group needs a JSON object whose "

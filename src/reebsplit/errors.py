@@ -42,14 +42,6 @@ class InvalidFieldClass(FieldError):
     or several critical vertices sharing one level component)."""
 
 
-class FlatZone(InvalidFieldClass):
-    """Adjacent equal values outside a whole constant boundary cycle."""
-
-
-class CriticalBoundary(InvalidFieldClass):
-    """A boundary cycle is non-constant or carries critical structure."""
-
-
 class GenusNotZero(ReebSplitError):
     """Surface is not a connected genus-zero one, whose level-set graph is a
     tree, or not closed where a sphere is needed."""

@@ -263,14 +263,20 @@ def random_realizable_tree(n: int, symmetry: int = 1,
     l1 = _fresh_label(rng, taken, 2.0, 3.0)
     labels = [l0, l1]
     edges = [(0, 1)]
+    degree = [1, 1]
 
     def add_vertex(label: float) -> int:
         labels.append(label)
+        degree.append(0)
         return len(labels) - 1
 
+    def add_edge(a: int, b: int):
+        edges.append((a, b))
+        degree[a] += 1
+        degree[b] += 1
+
     def grow_once():
-        internal = [v for v in range(len(labels))
-                    if sum(1 for a, b in edges if v in (a, b)) >= 2]
+        internal = [v for v in range(len(labels)) if degree[v] >= 2]
         if internal and rng.random() < 0.3:
             # extra leaf on an internal vertex (raises its multiplicity)
             host = rng.choice(internal)
@@ -281,7 +287,7 @@ def random_realizable_tree(n: int, symmetry: int = 1,
                 lab += 1e-3
             taken.add(lab)
             leaf = add_vertex(lab)
-            edges.append((host, leaf))
+            add_edge(host, leaf)
         else:
             # subdivide an edge and hang a leaf off the new vertex
             a, b = rng.choice(edges)
@@ -292,6 +298,7 @@ def random_realizable_tree(n: int, symmetry: int = 1,
             edges.remove((a, b) if (a, b) in edges else (b, a))
             edges.append((a, w))
             edges.append((w, b))
+            degree[w] = 2  # a and b keep their degrees
             up = rng.random() < 0.5
             span = 1.0 + rng.random()
             lab = mid + span if up else mid - span
@@ -299,15 +306,14 @@ def random_realizable_tree(n: int, symmetry: int = 1,
                 lab += 1e-3
             taken.add(lab)
             leaf = add_vertex(lab)
-            edges.append((w, leaf))
+            add_edge(w, leaf)
 
     while len(labels) < n:
         grow_once()
 
     if symmetry >= 2:
         host = rng.randrange(len(labels))
-        deg = sum(1 for a, b in edges if host in (a, b))
-        if deg == 1:
+        if degree[host] == 1:
             nbr = next(a if b == host else b for a, b in edges if host in (a, b))
             go_up = labels[host] > labels[nbr]  # keep the host two-sided
         else:
@@ -320,11 +326,11 @@ def random_realizable_tree(n: int, symmetry: int = 1,
         leaf_lab = root_lab + sgn * d2
         for _ in range(symmetry):
             root = add_vertex(root_lab)
-            edges.append((host, root))
+            add_edge(host, root)
             if fork:
                 for off in (0.0, 0.37):
                     leaf = add_vertex(leaf_lab + sgn * off)
-                    edges.append((root, leaf))
+                    add_edge(root, leaf)
 
     tree = LabeledTree(labels, edges)
     validate_realizable(tree)

@@ -37,6 +37,16 @@ def save_mesh_field(path, mesh: TriangleMesh, field: ScalarField) -> None:
     Path(path).write_text(dumps_canonical(mesh_field_to_dict(mesh, field)) + "\n")
 
 
+def load_json(path):
+    """The JSON value in a file.  The decoder recurses once per level of
+    nesting, so a file nested too deeply for it is a ValueError."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _numbers(items) -> bool:
     """Whether every item is an int or a float; numpy would take booleans
     and numeric strings for numbers without a trace."""
@@ -77,8 +87,7 @@ def load_mesh_field(path, values_path=None) -> tuple[TriangleMesh, ScalarField]:
         return load_off(path, values_path)
     if values_path is not None:
         raise ValueError("a sidecar value file is read only with OFF input")
-    data = json.loads(path.read_text())
-    return mesh_field_from_dict(data)
+    return mesh_field_from_dict(load_json(path))
 
 
 def load_off(path, values_path=None) -> tuple[TriangleMesh, ScalarField]:

@@ -160,15 +160,16 @@ def export_dot(graph: ReebGraph) -> str:
 # ----------------------------------------------------------------------
 # construction
 
-def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
+def _contour_tree(order, indptr, indices) -> list[tuple[int, int]]:
     """Contour tree of a connected, simply connected graph.
 
-    ``values`` orders the nodes, ties broken by node id; ``indptr`` and
-    ``indices`` are the graph's CSR adjacency, as arrays.  Returns the arcs
-    as (lower, upper) node pairs.  Only the join and split trees of the
-    graph matter, so any graph with the same two trees, such as the
-    reduction of a surface's graph to its critical nodes, gives the same
-    arcs.
+    ``order`` lists every node once, in the sweep's total order from the
+    lowest up, and is swept as given: the caller sorts, by value with ties
+    broken by node id.  ``indptr`` and ``indices`` are the graph's CSR
+    adjacency, as arrays.  Returns the arcs as (lower, upper) node pairs.
+    Only the join and split trees of the graph matter, so any graph with
+    the same two trees, such as the reduction of a surface's graph to its
+    critical nodes, gives the same arcs.
 
     The join tree (parents from the ascending sweep) and the split tree (from
     the descending one) are peeled as in Carr, Snoeyink and Axen: a node with
@@ -181,8 +182,7 @@ def _contour_tree(values, indptr, indices) -> list[tuple[int, int]]:
     On a graph with cycles the peel still ends, but its arcs mean nothing
     and can even form a tree, so callers check the genus before.
     """
-    n = len(values)
-    order = np.argsort(values, kind="stable").tolist()
+    n = len(order)
     indptr, indices = indptr.tolist(), indices.tolist()
     live = [True] * n
     # every node starts as a candidate; a peel adds the node that lost a child
@@ -345,7 +345,8 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
         e0, e1 = edge_at[k0], edge_at[k1]
         part = labels[k0:k1]
         try:
-            arcs = sorted(_contour_tree(part, cindptr[k0:k1 + 1] - e0,
+            # the part's nodes are numbered in (value, id) order already
+            arcs = sorted(_contour_tree(range(k1 - k0), cindptr[k0:k1 + 1] - e0,
                                         cindices[e0:e1] - k0))
         except GenusNotZero as exc:
             # the reduction keeps the join and split trees only when every

@@ -12,7 +12,7 @@ enumerated group (``AutGroup``) is the sorted span of the generators, for
 output and audits; an order above 10^4 (``bumps --n 8`` has 40320) raises
 GroupTooLarge before anything is listed, unless ``max_order`` is higher.
 
-Group checks run on generators: one incremental span helper (``_Span``)
+Group checks run on generators: one incremental span (``_greedy_span``)
 grows the subgroup generated by a greedy generating set T, optionally
 confined to a set of permutations.  Each element list builds that span
 once, as its cached ``closure``, and takes its generators from it.  Closure
@@ -246,66 +246,45 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-class _Span:
-    """The subgroup generated by the generators adjoined so far, grown
-    incrementally: adjoining ``t`` multiplies the elements already there by
-    ``t``, and every element that turns up by every generator.  A set of
-    permutations that holds the identity and is closed under multiplication
-    by the generators is their span.
+def _greedy_span(elements, n: int, within=None, max_order: int | None = None):
+    """The span of the greedy generators of ``elements``: in the given
+    order, each element outside the span of the earlier picks is picked.
+    Picking ``t`` multiplies the elements already there by ``t``, and every
+    element that turns up by every pick.  A set of permutations that holds
+    the identity and is closed under multiplication by the picks is their
+    span.
 
-    With ``within`` every product must lie in that set (the identity too);
-    the first one that does not is kept as ``escape = (g, t, g o t)`` and
-    growth stops.  ``max_order`` bounds an unconfined span.
+    Returns the span's elements, the picks and the escape.  With ``within``
+    every product must lie in that set (the identity too); the first one
+    that does not is the escape ``(g, t, g o t)``, and growth stops there.
+    Otherwise the escape is None and the span covers every element.
+    ``max_order`` bounds an unconfined span.
     """
-
-    def __init__(self, n: int, within=None, max_order: int | None = None):
-        ident = identity_perm(n)
-        self.elements = [ident]
-        self.seen = {ident} if within is None or ident in within else set()
-        self.gens: list[Perm] = []
-        self.within = within
-        self.max_order = max_order
-        self.escape: tuple[Perm, Perm, Perm] | None = None
-
-    def adjoin(self, t: Perm) -> bool:
-        """Add generator ``t``; False once a product leaves ``within``."""
-        gens, elems, seen, within = self.gens, self.elements, self.seen, self.within
+    ident = identity_perm(n)
+    elems, gens = [ident], []
+    seen = {ident} if within is None or ident in within else set()
+    for t in elements:
+        if t in seen:
+            continue
         gens.append(t)
         old = len(elems)
-        i = 0
-        while i < len(elems):
-            g = elems[i]
+        for i, g in enumerate(elems):  # grows while it is read
             for s in (gens if i >= old else (t,)):
                 gs = tuple([g[k] for k in s])
                 if gs in seen:
                     continue
                 if within is not None and gs not in within:
-                    self.escape = (g, s, gs)
-                    return False
+                    return elems, gens, (g, s, gs)
                 seen.add(gs)
                 elems.append(gs)
-                if self.max_order is not None and len(elems) > self.max_order:
-                    raise GroupTooLarge(f"group exceeds {self.max_order} elements")
-            i += 1
-        return True
-
-
-def _greedy_span(elements, n: int, within=None,
-                 max_order: int | None = None) -> _Span:
-    """Span of the greedy generators of ``elements``: in the given order,
-    each element outside the span of the earlier picks is picked.  Stops at
-    the first product outside ``within``; otherwise the span covers every
-    element."""
-    span = _Span(n, within, max_order)
-    for g in elements:
-        if g not in span.seen and not span.adjoin(g):
-            break
-    return span
+                if max_order is not None and len(elems) > max_order:
+                    raise GroupTooLarge(f"group exceeds {max_order} elements")
+    return elems, gens, None
 
 
 def close_under_composition(gens, n: int, max_order: int = MAX_GROUP_ORDER) -> list[Perm]:
     """Subgroup generated by ``gens``, sorted."""
-    return sorted(_greedy_span(gens, n, max_order=max_order).elements)
+    return sorted(_greedy_span(gens, n, max_order=max_order)[0])
 
 
 @dataclass(frozen=True)
@@ -336,8 +315,7 @@ class AutGroup:
         (g, t, g o t) of their span that leaves the elements, or None when
         the elements are a group.  Worked out once for every closure check
         on this group; the span's own element list is not kept."""
-        span = _greedy_span(self.elements, self.n, self.element_set)
-        return span.gens, span.escape
+        return _greedy_span(self.elements, self.n, self.element_set)[1:]
 
     @property
     def generators(self) -> tuple[Perm, ...]:
@@ -567,11 +545,7 @@ class MarkedSubtree:
     tree: LabeledTree          # has its marked vertex set to the cut point
     orig: tuple[int, ...]      # subtree index -> base-tree vertex (-1 for the cut point)
     # base-tree vertex -> subtree index, for the side's base vertices only
-    position: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "position",
-                           {o: i for i, o in enumerate(self.orig) if o != -1})
+    position: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def marked(self) -> int:
@@ -610,15 +584,17 @@ def cut_tree_at(tree: LabeledTree, edge_id: int,
     lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
 
     def side_from(start: int, banned: int) -> MarkedSubtree:
-        members = sorted(walk(tree.adj, start, avoid=banned)[0])
-        index = {o: i for i, o in enumerate(members)}
+        """The side of ``start`` away from ``banned``: one walk gives its
+        vertices, numbered by base id, and each one's edge to its parent."""
+        order, parent = walk(tree.adj, start, avoid=banned)
+        members = sorted(order)
+        position = {o: i for i, o in enumerate(members)}
         labels = [tree.labels[o] for o in members] + [cut_label]
         x = len(members)
-        edges = [(index[a], index[b]) for a, b in tree.edges
-                 if a in index and b in index]
-        edges.append((index[start], x))
+        edges = [(position[parent[o]], position[o]) for o in order[1:]]
+        edges.append((position[start], x))
         sub = LabeledTree(labels, edges, marked=x)
-        return MarkedSubtree(tree=sub, orig=tuple(members) + (-1,))
+        return MarkedSubtree(tree=sub, orig=tuple(members) + (-1,), position=position)
 
     return TreeCut(
         base=tree,

@@ -326,6 +326,44 @@ def test_aut_output(bumps_file, tmp_path):
     assert len(data["elements"]) == 6
 
 
+# sha256 of `aut` stdout and --json per fixture, with the exit code; the
+# dump's "generators" are the greedy picks of the closure span
+AUT_DIGESTS = {
+    "bumps-3": (0,
+        "669b6379bc9c47d91e3f1963a2ec7446fa826c7950c29d7287a559b2548cc937",
+        "bf217953fb010bb03d367df73aa0fa3db1560b494b801cf67b376de57c4099cb"),
+    "bumps-5": (0,
+        "890cd4b8f9403fbc3518bd3e244a9ce8ee7477b40ac2f72cfa9bfabc3586e9d1",
+        "6889d4a443bb0bb991d1229bf377c392437999717b580dc4e8e0bce5f727be7c"),
+    "bumps-7": (0,
+        "48ee95b9ba80695ce0eb6596d9a69bbff0457471372a7a85e83e0a3ae8ae6d94",
+        "23a68f1a01a2e2ea520bcc5261cde767d99ec7f531dd8e1530e9861ed661786f"),
+    "double-fork": (0,
+        "d48170d4f652425a39cbc923bf3e28b84b6b4493b915be60b6552553a2b91f47",
+        "146fb30b2e1ab5a7c61baee79389ff404101c71d39ed3b9162b031a4854a34be"),
+    "octahedron": (0,
+        "e0406bca17e14883626f3e91a22eb7fd1746e6fb105092c7dfc8ec4894f11b97",
+        "ff1532964fc332e5449877016af723d5eace87288d99aeeb025aee2ae0eb6bc3"),
+    "tree-8": (0,
+        "5fecdda763d614f834d5c765145a81cd7c67111cfa1aca160bf450eb4eafbb95",
+        "cae3abf9b88eb406b3396af4decaaa96d09a49220c8bc1bf9834c0dd76f52c1e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUT_DIGESTS))
+def test_aut_output_digests(tmp_path, name):
+    if name == "tree-8":
+        path = tmp_path / "tree.json"
+        assert run(["gen", *REEB_FIXTURES[name], "--out", str(path)])[0] == 0
+    else:
+        path = _split_fixture(tmp_path, name)
+    jsn = tmp_path / "g.json"
+    code, out, _ = run(["aut", "--input", str(path), "--json", str(jsn)])
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (out, jsn.read_text()))
+    assert (code, *digests) == AUT_DIGESTS[name]
+
+
 def test_split_pass_and_exit_codes(octa_file, bumps_file, tmp_path):
     code, out, _ = run(["split", "--input", str(octa_file)])
     assert code == 0 and "PASS" in out
@@ -512,6 +550,19 @@ def test_replay_group_malformed_file(bumps_file, tmp_path, dump):
     gdump.write_text(json.dumps(dump))
     code, _, err = run(["split", "--input", str(bumps_file),
                         "--replay-group", str(gdump)])
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["input", "replay-group"])
+def test_deeply_nested_json_is_invalid(octa_file, tmp_path, where):
+    # the JSON decoder recurses once per nesting level
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    argv = (["split", "--input", str(deep)] if where == "input" else
+            ["split", "--input", str(octa_file), "--replay-group", str(deep)])
+    code, _, err = run(argv)
     assert code == 1
     assert err.startswith("error: ValueError: ")
     assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,21 @@ def test_random_tree_determinism_and_minimum():
     assert t3.n == 2
     with pytest.raises(InvalidTree):
         random_realizable_tree(1, seed=0)
+
+
+# sha256 over the labels and edges of every random_realizable_tree(n, k, s)
+# for n 2-40, symmetry k in {1, 2, 3, 5} and seed s 0-4
+TREE_DIGEST = "b47d6dccfb74ee655e92333ba955584f6c1ebf9c9e01f7cfd9f6a2b4d828e854"
+
+
+def test_random_tree_digest():
+    h = hashlib.sha256()
+    for n in range(2, 41):
+        for k in (1, 2, 3, 5):
+            for s in range(5):
+                tree = random_realizable_tree(n, symmetry=k, seed=s)
+                h.update(repr((tree.labels, tree.edges)).encode())
+    assert h.hexdigest() == TREE_DIGEST
 
 
 @pytest.mark.parametrize("k,divisor", [(2, 2), (3, 6)])

@@ -448,7 +448,7 @@ def assert_peel_matches_oracle(values, indptr, indices):
     neighbors = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
     ties = [(v, i) for i, v in enumerate(values)]
     want, _ = oracle_contour_tree(values, ties, neighbors)
-    got = _contour_tree(values, indptr, indices)
+    got = _contour_tree(np.argsort(values, kind="stable").tolist(), indptr, indices)
     assert len(got) == len(values) - 1
     assert set(got) == set(want)
     return got
@@ -531,7 +531,8 @@ def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
     nz = len(values)
     down = [[] for _ in range(nz)]
     up = [[] for _ in range(nz)]
-    for lo, hi in _contour_tree(values, indptr, indices):
+    for lo, hi in _contour_tree(np.argsort(values, kind="stable").tolist(),
+                                indptr, indices):
         up[lo].append(hi)
         down[hi].append(lo)
 

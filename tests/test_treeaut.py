@@ -280,6 +280,43 @@ def test_cut_single_edge():
         assert side.tree.labels[side.marked] == 0.5
 
 
+# the cut side built by scanning every base edge, which the walk's parent
+# links replaced, kept as an oracle
+
+def oracle_side(tree, start, banned, cut_label):
+    """The side of ``start`` away from ``banned``, closed up with the cut
+    point: (tree, orig, position), side vertices numbered by base id."""
+    members = sorted(walk(tree.adj, start, avoid=banned)[0])
+    index = {o: i for i, o in enumerate(members)}
+    labels = [tree.labels[o] for o in members] + [cut_label]
+    x = len(members)
+    edges = [(index[a], index[b]) for a, b in tree.edges
+             if a in index and b in index]
+    edges.append((index[start], x))
+    return LabeledTree(labels, edges, marked=x), tuple(members) + (-1,), index
+
+
+def test_cut_sides_match_the_edge_scan():
+    trees = [random_realizable_tree(n, symmetry=symmetry, seed=seed)
+             for seed, n, symmetry in split_corpus_seeds(30)]
+    trees += [random_realizable_tree(2 + s % 9, symmetry=5, seed=s) for s in range(12)]
+    trees += [bumps_tree(k) for k in range(1, 8)]
+    trees += [random_realizable_tree(2 + s, symmetry=(1, 2, 3, 5)[s % 4], seed=100 + s)
+              for s in range(50)]
+    sides = 0
+    for tree in trees:
+        for eid, (u, v) in enumerate(tree.edges):   # every edge, fixed or not
+            cut = cut_tree_at(tree, eid)
+            lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
+            for side, start, banned in ((cut.side_a, lo, hi), (cut.side_b, hi, lo)):
+                sub, orig, position = oracle_side(tree, start, banned, cut.cut_label)
+                assert side.tree.labels == sub.labels
+                assert set(side.tree.edges) == set(sub.edges)
+                assert (side.marked, side.orig, side.position) == (sub.marked, orig, position)
+                sides += 1
+    assert sides > 3000
+
+
 def test_restrict_and_glue_roundtrip(three_bump_tree):
     group = enumerate_aut(three_bump_tree)
     cut = cut_tree_at(three_bump_tree, 0)
