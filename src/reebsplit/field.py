@@ -108,7 +108,7 @@ class FlatContraction:
     zone_of: np.ndarray          # vertex -> zone id
     members: np.ndarray          # the vertices sorted by zone, ascending in one
     starts: np.ndarray           # where each zone's members start, and the end
-    zone_values: tuple[float, ...]
+    zone_values: np.ndarray      # each zone's value
 
     def zone_neighbors(self, mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency of the zones: ``indices[indptr[z]:indptr[z + 1]]``
@@ -140,7 +140,7 @@ def flat_contract(mesh: TriangleMesh, field: ScalarField) -> FlatContraction:
         zone_of=zone_of,
         members=np.argsort(zone_of, kind="stable"),
         starts=starts,
-        zone_values=tuple(vals[reps].tolist()),
+        zone_values=vals[reps],
     )
 
 

@@ -264,6 +264,7 @@ def random_realizable_tree(n: int, symmetry: int = 1,
     labels = [l0, l1]
     edges = [(0, 1)]
     degree = [1, 1]
+    internal = []  # the vertices of degree 2 or more, ascending
 
     def add_vertex(label: float) -> int:
         labels.append(label)
@@ -276,7 +277,6 @@ def random_realizable_tree(n: int, symmetry: int = 1,
         degree[b] += 1
 
     def grow_once():
-        internal = [v for v in range(len(labels)) if degree[v] >= 2]
         if internal and rng.random() < 0.3:
             # extra leaf on an internal vertex (raises its multiplicity)
             host = rng.choice(internal)
@@ -295,10 +295,11 @@ def random_realizable_tree(n: int, symmetry: int = 1,
             mid = _fresh_label(rng, taken, lo + 0.05 * (hi - lo),
                                hi - 0.05 * (hi - lo))
             w = add_vertex(mid)
-            edges.remove((a, b) if (a, b) in edges else (b, a))
+            edges.remove((a, b))
             edges.append((a, w))
             edges.append((w, b))
             degree[w] = 2  # a and b keep their degrees
+            internal.append(w)  # growth makes no other: a leaf gains no edge
             up = rng.random() < 0.5
             span = 1.0 + rng.random()
             lab = mid + span if up else mid - span

@@ -27,9 +27,9 @@ def dumps_canonical(obj) -> str:
 def mesh_field_to_dict(mesh: TriangleMesh, field: ScalarField) -> dict:
     return {
         "schema": SCHEMA,
-        "vertices": [[float(x) for x in row] for row in mesh.vertices],
+        "vertices": mesh.vertices.tolist(),
         "triangles": mesh.triangles.tolist(),
-        "values": [float(v) for v in field.values],
+        "values": field.values.tolist(),
     }
 
 

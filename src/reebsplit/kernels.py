@@ -5,8 +5,9 @@ graph are processed in a fixed total order, and whenever a node is reached,
 every component already touched among its neighbours is merged into a single
 component now topped by that node.  The returned list maps each node ``x`` to
 the node at which the component whose top was ``x`` got extended or merged
-(-1 for the final top).  Running the same routine on the reversed order yields
-the dual forest.
+(-1 for the final top).  A component's top is always its union-find root, the
+node that last extended it, so each parent pointer is set at a component's
+root.  Running the same routine on the reversed order yields the dual forest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ def merge_forest(order, indptr, indices) -> list[int]:
     n = len(order)
     parent = [-1] * n
     uf = list(range(n))
-    top = list(range(n))
     seen = [False] * n
 
     for v in order:
@@ -37,8 +37,7 @@ def merge_forest(order, indptr, indices) -> list[int]:
                 uf[r] = uf[uf[r]]
                 r = uf[r]
             if r != v:
-                parent[top[r]] = v
+                parent[r] = v
                 uf[r] = v
-        top[v] = v
         seen[v] = True
     return parent

@@ -120,8 +120,8 @@ class TriangleMesh:
 
     - ``edge_pairs`` (E, 2): the edges as ascending vertex pairs, sorted;
     - ``edge_triangles`` (E, 2): the triangles of each edge in ascending
-      order, with -1 in place of the second on a boundary edge; made on
-      first read;
+      order, with -1 in place of the second on a boundary edge; read off the
+      edge sort on first read;
     - ``boundary_edges`` (B, 2): the rows of ``edge_pairs`` that lie in one
       triangle;
     - ``boundary_label`` (n,): each boundary vertex labelled with the
@@ -177,32 +177,27 @@ class TriangleMesh:
             pair = tuple(divmod(int(key[start[e]]), nv))
             raise NonManifoldEdge(f"edge {pair} lies in {counts[e]} triangles")
         inner = np.flatnonzero(counts - 1)
-        p, q = by_edge[start[inner]], by_edge[start[inner] + 1]
+        first_side = by_edge[start]  # of each edge
+        p, q = first_side[inner], by_edge[start[inner] + 1]
         key = key[start]
         self.edge_pairs = np.empty((len(start), 2), dtype=np.intp)
         np.divmod(key, nv, out=(self.edge_pairs[:, 0], self.edge_pairs[:, 1]))
         self.boundary_edges = self.edge_pairs[counts == 1]
 
         same_way = heads[p] == heads[q]
+        self._edge_sides = (first_side, inner)
         self._interior_sides = (p, q, same_way)
         self._orientable = None if same_way.any() else True  # None: labelled on demand
 
     @cached_property
     def edge_triangles(self) -> np.ndarray:
         # made on first read, which only a sphere's level cycles make, and
-        # kept.  Each side finds its edge by its vertex pair, which puts the
-        # one triangle on a boundary edge; an interior edge's two come from
-        # its sides p < q
-        nv = self.n_vertices
-        heads = self.triangles.ravel()
-        tails = self.triangles[:, [1, 2, 0]].ravel()
-        edge = np.searchsorted(self.edge_pairs[:, 0] * nv + self.edge_pairs[:, 1],
-                               np.minimum(heads, tails) * nv + np.maximum(heads, tails))
-        tris = np.full((len(self.edge_pairs), 2), -1)
-        tris[edge, 0] = np.arange(len(heads)) // 3
-        p, q, _ = self._interior_sides
-        tris[edge[p], 0] = p // 3
-        tris[edge[p], 1] = q // 3
+        # kept.  The edge sort put each edge's sides together in side order:
+        # its first side's triangle, and an interior edge's second side's
+        first_side, inner = self._edge_sides
+        tris = np.full((self.n_edges, 2), -1)
+        tris[:, 0] = first_side // 3
+        tris[inner, 1] = self._interior_sides[1] // 3
         return tris
 
     @property

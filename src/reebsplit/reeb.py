@@ -455,10 +455,7 @@ def choose_cut_value(field: ScalarField, graph: ReebGraph, edge_id: int) -> floa
     inside = distinct(vals[(vals > lo) & (vals < hi)]).tolist()
     s = overflow_scale(lo, hi)
     stops = [x * s for x in [lo] + inside + [hi]]
-    best = 0
-    for i in range(1, len(stops)):
-        if stops[i] - stops[i - 1] > stops[best + 1] - stops[best]:
-            best = i - 1
+    best = int(np.argmax(np.diff(stops)))  # the first of the largest gaps
     return (stops[best] + stops[best + 1]) / (2 * s)
 
 
@@ -490,15 +487,12 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     level = np.flatnonzero(~crosses)
     crossed = np.flatnonzero(crosses)
     comp = components(mesh.n_vertices, u[level], v[level])
-    lo_comp, hi_comp = comp[lo_rep], comp[hi_rep]
-    ends = mesh.edge_pairs[crossed]
-    for start, (a, b) in enumerate(ends.tolist()):
-        if above[a]:
-            a, b = b, a
-        if comp[a] == lo_comp and comp[b] == hi_comp:
-            break
-    else:
+    a, b = u[crossed], v[crossed]
+    low, high = np.where(above[a], b, a), np.where(above[a], a, b)
+    hits = np.flatnonzero((comp[low] == comp[lo_rep]) & (comp[high] == comp[hi_rep]))
+    if not len(hits):
         raise InternalInconsistency("no level component matches the requested edge")
+    start = int(hits[0])
 
     # walk from the smallest such edge through its smaller triangle; side 2j
     # and 2j + 1 are edge crossed[j] seen from its first and second

@@ -181,11 +181,12 @@ def disk_analyses(pieces):
     """Each cut piece with its ``validate_surface``, ``classify_field`` and
     tree (None where its field is invalid), taken as they come in batches of
     at most ``BATCH_VERTICES`` vertices, each one disjoint-union mesh."""
-    batch = []
+    batch, vertices = [], 0
     for piece in pieces:
-        if batch and sum(len(p.field) for p in batch + [piece]) > BATCH_VERTICES:
+        vertices += len(piece.field)
+        if batch and vertices > BATCH_VERTICES:
             yield from _analyze_batch(batch)
-            batch = []
+            batch, vertices = [], len(piece.field)
         batch.append(piece)
     if batch:
         yield from _analyze_batch(batch)

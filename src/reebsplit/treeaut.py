@@ -336,9 +336,8 @@ class AutGroup:
         }
 
 
-def element_order_histogram(group) -> dict[int, int]:
-    elems = group.elements if isinstance(group, AutGroup) else tuple(group)
-    return dict(Counter(perm_order(p) for p in elems))
+def element_order_histogram(group: AutGroup) -> dict[int, int]:
+    return dict(Counter(perm_order(p) for p in group.elements))
 
 
 def verify_group_axioms(group) -> bool:

@@ -153,6 +153,45 @@ def test_reeb_output_digests(tmp_path, name):
     assert digests == REEB_DIGESTS[name]
 
 
+# sha256 of the mesh+field JSON of each `gen` fixture above (the random
+# field's tree file and its field file), and of `save_mesh_field` on the
+# `large_sphere` realization with its own field and with `random_field`
+MESH_JSON_DIGESTS = {
+    "octahedron":
+        "9f996e6842ad8c1d4f54d9a7d4a32c0100dc4c5f63f0a87a64acbc4d35c4065b",
+    "bumps-3":
+        "6565e084aa96aac31bff36f9089420dacbf181f7be39964647f7cd215f27dd41",
+    "tree-8":
+        "ced514ae045e0d7af7ab06781dc73ddf07ae01452e214fb51c16f2e5fa9fcd9e",
+    "random-field":
+        "4092d5f70cf92c25b1d74a276e943e1e3eae059e76e2138e24b2bd4a93224554",
+    "random-field-3":
+        "67f56183c6f6138cd4689eb2e7bf93be120be50ae0017dbe322944125e8251d3",
+    "large-sphere":
+        "1f24f14cdf58853b26e7cdcc237f4c6bebef15321215e7bb88f3e670187c7d14",
+    "large-sphere-random":
+        "0bd6f4fe75414ed9dc17d364c96a197f23a0c2be53f2e9a2a73dba717d0d9e3c",
+}
+
+
+def test_mesh_json_digests(tmp_path):
+    paths = {}
+    for name, argv in REEB_FIXTURES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        assert run(["gen", *argv, "--out", str(paths[name])])[0] == 0
+    paths["random-field-3"] = tmp_path / "rf.json"
+    assert run(["gen", "random-field", "--input", str(paths["random-field"]),
+                "--seed", "3", "--out", str(paths["random-field-3"])])[0] == 0
+    mesh, field = realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 48)
+    assert mesh.n_vertices == 4148
+    for name, f in (("large-sphere", field), ("large-sphere-random", random_field(mesh, 0))):
+        paths[name] = tmp_path / f"{name}.json"
+        save_mesh_field(paths[name], mesh, f)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == MESH_JSON_DIGESTS
+
+
 def _split_fixture(tmp_path, name) -> Path:
     path = tmp_path / f"{name}.json"
     if name == "double-fork":

@@ -136,6 +136,48 @@ def test_edge_triangles_match_a_loop_on_closed_and_bounded_meshes(octahedron, to
         assert made.edge_triangles is made.edge_triangles
 
 
+def edge_triangles_by_side_key(mesh):
+    """``edge_triangles`` as the side-key search makes it: each side finds
+    its edge by a binary search of its vertex-pair key in ``edge_pairs``, and
+    an edge's first and last side give its two triangles."""
+    nv = mesh.n_vertices
+    heads = mesh.triangles.ravel()
+    tails = mesh.triangles[:, [1, 2, 0]].ravel()
+    edge = np.searchsorted(mesh.edge_pairs[:, 0] * nv + mesh.edge_pairs[:, 1],
+                           np.minimum(heads, tails) * nv + np.maximum(heads, tails))
+    sides = np.arange(len(heads))
+    first = np.full(mesh.n_edges, len(heads))
+    last = np.full(mesh.n_edges, -1)
+    np.minimum.at(first, edge, sides)
+    np.maximum.at(last, edge, sides)
+    return np.stack((first // 3, np.where(first < last, last // 3, -1)), axis=1)
+
+
+def test_edge_triangles_match_the_side_key_search(monkeypatch):
+    meshes = [realize_tree(random_realizable_tree(n, symmetry=k, seed=s), 4)[0]
+              for s, n, k in split_corpus_seeds(30)]
+    meshes.append(realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 48)[0])
+    assert meshes[-1].n_vertices == 4148
+    # every other triangle of the octahedron wound the other way: some edge
+    # is then run the same way by both its triangles
+    octa = octahedron_height()[0]
+    tris = [t[::-1] if i % 2 else t for i, t in enumerate(octa.triangles.tolist())]
+    sides = [(t[i], t[i - 2]) for t in tris for i in range(3)]
+    assert len(set(sides)) < len(sides)
+    meshes.append(TriangleMesh(octa.vertices, tris))
+    # the disk pass's union meshes, whose edges include boundary edges
+    unions = []
+    part_trees = reebsplit.split.part_trees
+    monkeypatch.setattr(reebsplit.split, "part_trees", lambda union, *args: (
+        unions.append(union), part_trees(union, *args))[-1])
+    for s, n, k in split_corpus_seeds(5):
+        verify_all_fixed_edges(*realize_tree(random_realizable_tree(n, symmetry=k, seed=s), 4))
+    assert unions and all(len(u.boundary_edges) for u in unions)
+    assert not any("edge_triangles" in vars(u) for u in unions)  # never read
+    for mesh in meshes + unions:
+        assert np.array_equal(mesh.edge_triangles, edge_triangles_by_side_key(mesh))
+
+
 def dfs_labels(n, edges):
     """Smallest node of each node's component, by depth-first search."""
     adj = [[] for _ in range(n)]

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import random
@@ -232,6 +233,42 @@ def test_choose_cut_value_matches_python_oracle(octahedron):
     graph = build_reeb(mesh, field)
     assert graph.n_edges == 1
     assert choose_cut_value(field, graph, 0) == python_cut_value(field, graph, 0) == 1.25
+    # the same tie mapped onto [-2**1023, 2**1023], where hi - lo overflows
+    # unscaled: the gaps are 1/4, 3/4, 1/4 and 3/4 of 2**1023
+    big = 2.0 ** 1023
+    field = ScalarField(np.array([-1.0, -0.75, 0.0, 0.25, 0.0, 1.0]) * big)
+    graph = build_reeb(mesh, field)
+    c = choose_cut_value(field, graph, 0)
+    assert c == -0.375 * big
+    # the level circles the two lowest vertices, which share an edge
+    assert len(level_cycle(mesh, field, graph, 0, c)) == 6
+
+
+# sha256 over every tree edge, fixed or not, of the ``split_corpus_seeds(30)``
+# spheres and of a random field on the tree of the ``large_sphere`` benchmark
+# realized at resolution 8: of the bits of ``choose_cut_value`` and of the
+# ``level_cycle`` edges at that value.  The random field's levels cross
+# several circles
+CUT_VALUE_DIGEST = "4b0285c92fc014b2c07766cf992cc66fe293b71efc4be4eb8dd289ffb744777a"
+LEVEL_CYCLE_DIGEST = "ba9b2e4ddd63992d06691f89abaf469ce50eddfc7912aec7748120e2630054ce"
+
+
+def test_cut_values_and_level_cycles_on_every_tree_edge():
+    inputs = [realize_tree(random_realizable_tree(n, symmetry=symmetry, seed=seed), 4)
+              for seed, n, symmetry in split_corpus_seeds(30)]
+    mesh, _ = realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 8)
+    inputs.append((mesh, random_field(mesh, 0)))
+    values, cycles, edges = hashlib.sha256(), hashlib.sha256(), 0
+    for mesh, field in inputs:
+        graph = build_reeb(mesh, field)
+        for eid in range(graph.n_edges):
+            c = choose_cut_value(field, graph, eid)
+            values.update(c.hex().encode())
+            cycles.update(repr(level_cycle(mesh, field, graph, eid, c).edges).encode())
+            edges += 1
+    assert edges == 600
+    assert values.hexdigest() == CUT_VALUE_DIGEST
+    assert cycles.hexdigest() == LEVEL_CYCLE_DIGEST
 
 
 @pytest.fixture
