@@ -178,15 +178,14 @@ class TriangleMesh:
             raise NonManifoldEdge(f"edge {pair} lies in {counts[e]} triangles")
         inner = np.flatnonzero(counts - 1)
         first_side = by_edge[start]  # of each edge
-        p, q = first_side[inner], by_edge[start[inner] + 1]
+        q = by_edge[start[inner] + 1]  # of each interior edge, its second side
         key = key[start]
         self.edge_pairs = np.empty((len(start), 2), dtype=np.intp)
         np.divmod(key, nv, out=(self.edge_pairs[:, 0], self.edge_pairs[:, 1]))
         self.boundary_edges = self.edge_pairs[counts == 1]
 
-        same_way = heads[p] == heads[q]
-        self._edge_sides = (first_side, inner)
-        self._interior_sides = (p, q, same_way)
+        same_way = heads[first_side[inner]] == heads[q]
+        self._edge_sides = (first_side, inner, q, same_way)
         self._orientable = None if same_way.any() else True  # None: labelled on demand
 
     @cached_property
@@ -194,10 +193,10 @@ class TriangleMesh:
         # made on first read, which only a sphere's level cycles make, and
         # kept.  The edge sort put each edge's sides together in side order:
         # its first side's triangle, and an interior edge's second side's
-        first_side, inner = self._edge_sides
+        first_side, inner, q, _ = self._edge_sides
         tris = np.full((self.n_edges, 2), -1)
         tris[:, 0] = first_side // 3
-        tris[inner, 1] = self._interior_sides[1] // 3
+        tris[inner, 1] = q // 3
         return tris
 
     @property
@@ -205,7 +204,8 @@ class TriangleMesh:
         # made when read, not kept.  The corners at each end of an interior
         # edge are glued; its sides p and q run opposite ways unless the
         # winding flips across it, and then q's corner at p's head is q
-        p, q, same_way = self._interior_sides
+        first_side, inner, q, same_way = self._edge_sides
+        p = first_side[inner]
         m = len(p)
         links = np.empty((2 * m, 2), dtype=np.intp)
         links[:m, 0] = p
@@ -270,9 +270,9 @@ class TriangleMesh:
         double cover, whose nodes t and t + T are triangle t kept and flipped.
         """
         if self._orientable is None:
-            p, q, same_way = self._interior_sides
+            first_side, inner, q, same_way = self._edge_sides
             nt = self.n_triangles
-            s, t, flip = p // 3, q // 3, same_way * nt
+            s, t, flip = first_side[inner] // 3, q // 3, same_way * nt
             label = components(2 * nt, np.concatenate((s, s + nt)),
                                np.concatenate((t + flip, t + nt - flip)))
             self._orientable = not np.any(label[:nt] == label[nt:])

@@ -1,16 +1,17 @@
 """Labeled trees, their label-preserving automorphism groups, fixed sets,
 and the cut and restriction maps used by the splitting pipeline.
 
-Automorphisms are explicit vertex permutations (tuples).  One bottom-up
-AHU pass, rooted at the mark or else at a center, gives a tree's group: its
-order, a product of factorials, and generators that swap equal-form
-siblings (``_structure``).  A group that fixes a vertex, such as a cut
-side's or a level-set tree's, is held that way alone (``RootedGroup``),
-with membership as an O(n) test and no bound; its kept forms also match
-another rooted tree and give the unmarked order by orbit-stabilizer.  An
-enumerated group (``AutGroup``) is the sorted span of the generators, for
-output and audits; an order above 10^4 (``bumps --n 8`` has 40320) raises
-GroupTooLarge before anything is listed, unless ``max_order`` is higher.
+Automorphisms are explicit vertex permutations (tuples).  One bottom-up AHU
+pass, rooted at the mark or else at a center, gives a tree's group
+(``RootedGroup``): its order, a product of factorials, and generators that
+swap equal-form siblings.  A group that fixes a vertex, such as a cut
+side's or a level-set tree's, is held that way alone, with membership as an
+O(n) test and no bound; its kept forms also match another rooted tree and
+give the unmarked order by orbit-stabilizer.  An enumerated group
+(``AutGroup``) is the sorted span of the generators, for output and audits;
+an order above 10^4 (``bumps --n 8`` has 40320) raises GroupTooLarge before
+anything is listed, unless ``max_order`` is higher.  Labels ignored, the
+group is the labelled group of the subdivided tree.
 
 Group checks run on generators: one incremental span (``_greedy_span``)
 grows the subgroup generated by a greedy generating set T, optionally
@@ -120,11 +121,10 @@ class LabeledTree:
         return f"LabeledTree(n={self.n}{mk})"
 
 
-def _rooted_form(tree: LabeledTree, root: int, ids: dict, labels=None):
+def _rooted_form(tree: LabeledTree, root: int, ids: dict):
     """Bottom-up AHU from ``root``: each vertex's form, each vertex's
     children sorted by (form, id), and the order of the group of
-    automorphisms that fix ``root`` and keep ``labels`` (by default the
-    tree's own).
+    label-preserving automorphisms that fix ``root``.
 
     A vertex's form is its label and its children's sorted form ids,
     interned in ``ids`` as one int; children precede parents in reverse BFS
@@ -132,7 +132,6 @@ def _rooted_form(tree: LabeledTree, root: int, ids: dict, labels=None):
     the group permutes each class of k of them in all k! ways, independently
     at every vertex, so its order is the product of those factorials.
     """
-    labels = tree.labels if labels is None else labels
     order, parent = walk(tree.adj, root)
     forms = [0] * tree.n
     kids: list[list[int]] = [[] for _ in range(tree.n)]
@@ -146,48 +145,23 @@ def _rooted_form(tree: LabeledTree, root: int, ids: dict, labels=None):
             for a, b in zip(ks, ks[1:]):  # a run of k equal forms gives k!
                 run = run + 1 if forms[a] == forms[b] else 1
                 size *= run
-        forms[v] = ids.setdefault((labels[v], tuple([forms[w] for w in ks])), len(ids))
+        forms[v] = ids.setdefault((tree.labels[v], tuple([forms[w] for w in ks])), len(ids))
         if v != root:
             kids[parent[v]].append(v)
     return forms, kids, size
 
 
-def _swap(kids, a: int, b: int, a_kids) -> Perm:
-    """The involution exchanging ``a`` with ``b``, ``a_kids`` with the
-    children of ``b``, and so on down, children paired in (form, id) order;
-    the two subtrees must have equal forms."""
+def _swap(kids, a: int, b: int) -> Perm:
+    """The involution exchanging ``a`` with ``b``, the children of ``a``
+    with those of ``b``, and so on down, children paired in (form, id)
+    order; the two subtrees must have equal forms."""
     p = list(range(len(kids)))
     p[a], p[b] = b, a
-    pairs = list(zip(a_kids, kids[b]))
+    pairs = list(zip(kids[a], kids[b]))
     for x, y in pairs:
         p[x], p[y] = y, x
         pairs.extend(zip(kids[x], kids[y]))
     return tuple(p)
-
-
-def _structure(tree: LabeledTree, labels, roots):
-    """The ``_rooted_form`` pass from ``roots[0]``, then the order and
-    generators of the automorphisms of ``tree`` that keep ``labels`` and
-    map ``roots``, one vertex or two adjacent centers, onto themselves.
-
-    Those fixing ``roots[0]`` are spanned by one swap per adjacent pair of
-    equal-form siblings: at each vertex these generate every permutation of
-    each class of equal-form children, and they pair subtrees consistently.
-    Two centers also swap when their halves have equal forms, which the
-    tree's own labels rule out; one flip of the halves then doubles the
-    group.
-    """
-    ids: dict[tuple, int] = {}
-    forms, kids, order = _rooted_form(tree, roots[0], ids, labels)
-    gens = [_swap(kids, a, b, kids[a]) for ks in kids
-            for a, b in zip(ks, ks[1:]) if forms[a] == forms[b]]
-    if len(roots) == 2:
-        a, b = roots
-        half = [k for k in kids[a] if k != b]
-        if ids.get((labels[a], tuple([forms[k] for k in half]))) == forms[b]:
-            gens.append(_swap(kids, a, b, half))
-            order *= 2
-    return forms, kids, ids, order, tuple(gens)
 
 
 def tree_isomorphic(t1: LabeledTree, t2: LabeledTree) -> bool:
@@ -371,7 +345,15 @@ class RootedGroup:
 
     @cached_property
     def _pass(self):
-        return _structure(self.tree, self.tree.labels, [self.root])
+        """The ``_rooted_form`` pass from the root, with one swap per
+        adjacent pair of equal-form siblings.  At each vertex these generate
+        every permutation of each class of equal-form children, and they
+        pair subtrees consistently, so they span the group."""
+        ids: dict[tuple, int] = {}
+        forms, kids, order = _rooted_form(self.tree, self.root, ids)
+        gens = tuple([_swap(kids, a, b) for ks in kids
+                      for a, b in zip(ks, ks[1:]) if forms[a] == forms[b]])
+        return forms, kids, ids, order, gens
 
     @property
     def order(self) -> int:
@@ -412,14 +394,14 @@ class RootedGroup:
         return tuple(close_under_composition(self.generators, self.n))
 
     def __contains__(self, p: Perm) -> bool:
-        return _is_automorphism(self.tree, p, self.tree.labels) and p[self.root] == self.root
+        return _is_automorphism(self.tree, p) and p[self.root] == self.root
 
 
-def _is_automorphism(tree: LabeledTree, p: Perm, labels) -> bool:
-    """Whether ``p`` permutes the vertices, keeps ``labels`` and maps every
+def _is_automorphism(tree: LabeledTree, p: Perm) -> bool:
+    """Whether ``p`` permutes the vertices, keeps the labels and maps every
     edge to an edge.  The n - 1 edges then go to n - 1 distinct edges,
     which are all of them, so ``p`` is an automorphism."""
-    arcs = tree.arcs
+    arcs, labels = tree.arcs, tree.labels
     return (sorted(p) == list(range(tree.n))
             and all(labels[w] == label for w, label in zip(p, labels))
             and all((p[u], p[v]) in arcs for u, v in tree.edges))
@@ -435,37 +417,39 @@ def unmarked_group(tree: LabeledTree) -> RootedGroup:
     return RootedGroup(tree, _centers(tree)[0])
 
 
-def _listed(tree: LabeledTree, labels, max_order: int) -> AutGroup:
-    """The group of ``_structure`` as its sorted element list, closed
-    under composition from its generators.  Raises GroupTooLarge from the
-    order before anything is listed."""
-    mark = tree.marked
-    *_, order, gens = _structure(tree, labels, _centers(tree) if mark is None else [mark])
-    if order > max_order:
+def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
+    """All label-preserving automorphisms (fixing the mark when present),
+    listed from the generators of the group rooted at the mark, or else at
+    a center, and checked; GroupTooLarge from the order above ``max_order``,
+    before anything is listed."""
+    rooted = unmarked_group(tree) if tree.marked is None else RootedGroup(tree, tree.marked)
+    if rooted.order > max_order:
         raise GroupTooLarge(f"group exceeds {max_order} elements")
-    for t in gens:
-        if not (_is_automorphism(tree, t, labels) and (mark is None or t[mark] == mark)):
+    for t in rooted.generators:
+        if t not in rooted:
             raise InternalInconsistency(f"structural generator {t} is no automorphism")
-    group = AutGroup(tuple(close_under_composition(gens, tree.n, max_order)))
-    if group.order != order:
+    group = AutGroup(tuple(close_under_composition(rooted.generators, tree.n, max_order)))
+    if group.order != rooted.order:
         raise InternalInconsistency(
-            f"generators span {group.order} elements, not the order {order}")
+            f"generators span {group.order} elements, not the order {rooted.order}")
     if group.closure[1] is not None:
         raise InternalInconsistency("enumerated maps are not closed under composition")
     return group
 
 
-def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGroup:
-    """All label-preserving automorphisms (fixing the mark when present),
-    listed from their structural generators; GroupTooLarge above ``max_order``."""
-    return _listed(tree, tree.labels, max_order)
-
-
 def enumerate_general_aut(tree: LabeledTree,
                           max_order: int = MAX_GROUP_ORDER) -> AutGroup:
     """All cellular automorphisms (fixing the mark when present), labels
-    ignored."""
-    return _listed(tree, (0.0,) * tree.n, max_order)
+    ignored: the labelled group of the tree with a point of label 1 inside
+    each edge i, numbered n + i, and label 0 on the vertices, where two
+    centers are siblings under the one center between them.  Each element's
+    first n entries fix the rest, so the list keeps its order and
+    ``max_order`` counts the same group."""
+    n = tree.n
+    sub = LabeledTree([0.0] * n + [1.0] * len(tree.edges),
+                      [e for i, (u, v) in enumerate(tree.edges)
+                       for e in ((u, n + i), (n + i, v))], tree.marked)
+    return AutGroup(tuple([p[:n] for p in enumerate_aut(sub, max_order).elements]))
 
 
 # ----------------------------------------------------------------------

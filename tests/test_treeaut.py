@@ -1,5 +1,7 @@
 import ast
 import gc
+import hashlib
+import inspect
 import random
 import re
 import sys
@@ -18,6 +20,7 @@ from reebsplit import selftest, treeaut
 from reebsplit.errors import (
     EdgeNotFound,
     GroupTooLarge,
+    InternalInconsistency,
     InvalidTree,
     SideNotInvariant,
 )
@@ -460,6 +463,37 @@ def test_group_order_bound_enforced(monkeypatch):
     with pytest.raises(GroupTooLarge, match="group exceeds 5040 elements"):
         enumerate_general_aut(distinct_leaf_star(12), max_order=5040)
     assert time.perf_counter() - t0 < 0.1
+
+
+def half_swap(kids, a, b, *rest):
+    """Exchanges ``a`` and ``b`` alone, leaving their children behind."""
+    p = list(range(len(kids)))
+    p[a], p[b] = b, a
+    return tuple(p)
+
+
+def short_span(gens, n, max_order=treeaut.MAX_GROUP_ORDER):
+    return treeaut._greedy_span(gens, n, max_order=max_order)[0][:-1]
+
+
+def escaping_closure(group):
+    ident = group.elements[0]
+    return list(group.elements[1:]), (ident, ident, ident)
+
+
+@pytest.mark.parametrize("owner,name,fault,message", [
+    (treeaut, "_swap", half_swap, "is no automorphism"),
+    (treeaut, "close_under_composition", short_span, "generators span 1 elements"),
+    (AutGroup, "closure", property(escaping_closure), "not closed"),
+], ids=["swap", "span", "closure"])
+def test_listing_self_checks_name_their_fault(monkeypatch, owner, name, fault, message):
+    # a root of label 5 with two children of label 1, each with a leaf of
+    # label 3: the one swap exchanges both children and both leaves
+    tree = LabeledTree([5.0, 1.0, 1.0, 3.0, 3.0], [(0, 1), (0, 2), (1, 3), (2, 4)])
+    assert enumerate_aut(tree).elements == ((0, 1, 2, 3, 4), (0, 2, 1, 4, 3))
+    monkeypatch.setattr(owner, name, fault)
+    with pytest.raises(InternalInconsistency, match=message):
+        enumerate_aut(tree)
 
 
 def test_group_json_dump_is_deterministic(three_bump_tree):
@@ -921,6 +955,22 @@ def test_permutation_tuples_return_to_their_free_list():
     assert grown < 100, grown
 
 
+def tuples_from_generators(source):
+    """Lines that call ``tuple`` on a generator expression."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple" and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)]
+
+
+def test_no_tuple_is_built_from_a_generator():
+    # the free-list test above runs two star trees; this reads every tuple
+    # the module builds, as ``compose`` asks
+    assert tuples_from_generators("x = tuple([g for g in y])\nz = tuple(y)") == []
+    assert tuples_from_generators("x = 1\nz = tuple(g for g in y)") == [2]
+    assert tuples_from_generators(inspect.getsource(treeaut)) == []
+
+
 # ----------------------------------------------------------------------
 # groups by structure against the backtracking oracle
 
@@ -994,6 +1044,25 @@ def test_listed_groups_match_the_oracles_on_corpus():
         flips += len(centers) == 2 and any(
             p[centers[0]] == centers[1] for p in backtrack_aut(tree, False))
     assert flips > 10, flips
+
+
+# sha256 over the unlabelled groups of random_realizable_tree(n, k, s), each
+# unmarked and with vertex 0 marked; a refused group counts as one token
+GENERAL_AUT_DIGEST = "b0afd500e64b716369cff93a9cdcdadac847b62a1b666d1a1bb890958a1ade2d"
+
+
+def test_general_group_digest():
+    h = hashlib.sha256()
+    for n, k, s in product(range(2, 15), (1, 2, 3), range(3)):
+        tree = random_realizable_tree(n, symmetry=k, seed=s)
+        for t in (tree, LabeledTree(tree.labels, tree.edges, marked=0)):
+            try:
+                elements = enumerate_general_aut(t, max_order=5040).elements
+            except GroupTooLarge:
+                h.update(b"GroupTooLarge;")
+            else:
+                h.update(repr(elements).encode() + b";")
+    assert h.hexdigest() == GENERAL_AUT_DIGEST
 
 
 def double_broom(k, labels=None):
