@@ -21,7 +21,7 @@ from .field import classify_field
 from .gen import octahedron_height, random_field, random_realizable_tree, realize_tree
 from .mesh import validate_surface
 from .reeb import build_reeb, export_dot
-from .split import analyze_sphere, verify_fixed_edges, verify_theorem
+from .split import verify_all_fixed_edges, verify_theorem
 from .treeaut import AutGroup, element_order_histogram, enumerate_aut
 
 EXIT_OK = 0
@@ -106,8 +106,7 @@ def cmd_split(args) -> int:
         replay = _load_replay(args.replay_group)
     if args.all_edges:
         # one report per fixed edge, or the one saying there is none
-        sphere = analyze_sphere(mesh, field)
-        reports = verify_fixed_edges(mesh, field, sphere.fixed.edge_ids, sphere=sphere)
+        reports = verify_all_fixed_edges(mesh, field)
     else:
         reports = [verify_theorem(mesh, field, replay_group=replay)]
     for r in reports:

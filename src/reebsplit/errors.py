@@ -5,39 +5,31 @@ class ReebSplitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MeshError(ReebSplitError):
-    pass
-
-
-class DegenerateTriangle(MeshError):
+class DegenerateTriangle(ReebSplitError):
     """A triangle repeats a vertex index."""
 
 
-class NonManifoldEdge(MeshError):
+class NonManifoldEdge(ReebSplitError):
     """An undirected edge belongs to three or more triangles."""
 
 
-class PinchedVertex(MeshError):
+class PinchedVertex(ReebSplitError):
     """A vertex link is not a single cycle (interior) or a single path (boundary)."""
 
 
-class NonOrientable(MeshError):
+class NonOrientable(ReebSplitError):
     """No globally consistent triangle winding exists."""
 
 
-class CycleNotLevel(MeshError):
+class CycleNotLevel(ReebSplitError):
     """Crossing data of a level cycle is inconsistent with its stated value."""
 
 
-class CutNotSeparating(MeshError):
+class CutNotSeparating(ReebSplitError):
     """Cutting along a cycle did not produce exactly two pieces."""
 
 
-class FieldError(ReebSplitError):
-    pass
-
-
-class InvalidFieldClass(FieldError):
+class InvalidFieldClass(ReebSplitError):
     """Field is unusable for level-set sweeps (flat zones, critical boundary,
     or several critical vertices sharing one level component)."""
 
@@ -55,19 +47,15 @@ class EdgeNotFound(ReebSplitError):
     pass
 
 
-class TreeError(ReebSplitError):
-    pass
-
-
-class InvalidTree(TreeError):
+class InvalidTree(ReebSplitError):
     """Labeled tree violates structural constraints."""
 
 
-class SideNotInvariant(TreeError):
+class SideNotInvariant(ReebSplitError):
     """An automorphism does not preserve a cut side's vertex set."""
 
 
-class GroupTooLarge(TreeError):
+class GroupTooLarge(ReebSplitError):
     """Automorphism group exceeds the supported explicit-element bound."""
 
 

@@ -57,13 +57,12 @@ class _Builder:
     def triangle(self, a: int, b: int, c: int) -> None:
         self.tris.append((a, b, c))
 
-    def ring(self, size: int, center, base_value: float, jitter: float,
-             radius: float = 1.0) -> list[int]:
+    def ring(self, size: int, center, base_value: float, jitter: float) -> list[int]:
         ids = []
         for i in range(size):
             ang = 2.0 * np.pi * i / size
-            xyz = (center[0] + radius * np.cos(ang),
-                   center[1] + radius * np.sin(ang),
+            xyz = (center[0] + np.cos(ang),
+                   center[1] + np.sin(ang),
                    base_value)
             ids.append(self.vertex(xyz, base_value + jitter * i / size))
         return ids

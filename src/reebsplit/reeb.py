@@ -344,28 +344,26 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
         k0, k1 = blocks[i], blocks[i + 1]
         e0, e1 = edge_at[k0], edge_at[k1]
         part = labels[k0:k1]
+        v0, v1 = row_at[k0], row_at[k1]
+        pre = (flat[v0:v1] - firsts[i], bounds[k0:k1 + 1] - v0)
         try:
             # the part's nodes are numbered in (value, id) order already
             arcs = sorted(_contour_tree(range(k1 - k0), cindptr[k0:k1 + 1] - e0,
                                         cindices[e0:e1] - k0))
-        except GenusNotZero as exc:
+            for lo, hi in arcs:
+                if not part[lo] < part[hi]:
+                    raise InvalidFieldClass(
+                        "two critical components share one level value on a "
+                        f"common level component (vertices {pre[0][pre[1][lo]]} "
+                        f"and {pre[0][pre[1][hi]]} at {part[lo]!r})")
+            # the sorted arcs are kept as they are, so the tree's edge ids
+            # are the arcs' positions
+            tree = LabeledTree(part, arcs)
+        except (GenusNotZero, InvalidTree) as exc:
+            # the part passed its genus check, so the peel must give a tree;
             # the reduction keeps the join and split trees only when every
             # node called regular is one
             raise InternalInconsistency(f"reduced to the critical nodes, {exc}") from None
-        v0, v1 = row_at[k0], row_at[k1]
-        pre = (flat[v0:v1] - firsts[i], bounds[k0:k1 + 1] - v0)
-        for lo, hi in arcs:
-            if not part[lo] < part[hi]:
-                raise InvalidFieldClass(
-                    "two critical components share one level value on a "
-                    f"common level component (vertices {pre[0][pre[1][lo]]} "
-                    f"and {pre[0][pre[1][hi]]} at {part[lo]!r})")
-        # the sorted arcs are kept as they are, so the tree's edge ids are
-        # the arcs' positions
-        try:
-            tree = LabeledTree(part, arcs)
-        except InvalidTree:
-            raise GenusNotZero("level-set graph is not a tree") from None
         yield ReebGraph(tree, kinds[k0:k1], multiplicities[k0:k1], pre)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EdgeNotFound, GenusNotZero, InternalInconsistency
 from .field import BOUNDARY, FieldClassReport, ScalarField, classify_field
-from .mesh import SurfaceReport, TriangleMesh, cut_along_cycle, validate_surface
+from .mesh import TriangleMesh, cut_along_cycle, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle, part_trees
 from .treeaut import (
     AutGroup,
@@ -44,11 +44,10 @@ class SphereAnalysis:
     """What every fixed-edge cut of one field needs to know about the sphere.
 
     Made by ``analyze_sphere`` and passed as ``sphere=`` to
-    ``verify_theorem`` and ``verify_all_fixed_edges``, so a field's tree,
-    group and fixed set are computed once however many edges are cut.
+    ``verify_fixed_edges`` and ``verify_all_fixed_edges``, so a field's
+    tree, group and fixed set are computed once however many edges are cut.
     """
 
-    surface: SurfaceReport
     fclass: FieldClassReport
     graph: ReebGraph
     group: RootedGroup  # by structure, never a replayed dump
@@ -69,8 +68,8 @@ def analyze_sphere(mesh: TriangleMesh, field: ScalarField) -> SphereAnalysis:
     fclass = classify_field(mesh, field)
     graph = build_reeb(mesh, field, surface=surface, fclass=fclass)
     group = unmarked_group(graph.tree)
-    return SphereAnalysis(surface=surface, fclass=fclass, graph=graph,
-                          group=group, fixed=fixed_set(group, graph.tree))
+    return SphereAnalysis(fclass=fclass, graph=graph, group=group,
+                          fixed=fixed_set(group, graph.tree))
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,11 @@ def _disk_check(side: str, group: RootedGroup, c: float, piece, rep, fclass,
 
 
 def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
-                       cut_value: float | None = None,
                        replay_group: AutGroup | None = None, *,
                        sphere: SphereAnalysis | None = None) -> list[SplitReport]:
     """Verify the product splitting across each fixed edge of ``edge_ids``,
-    cut at ``cut_value`` or at ``choose_cut_value``; one report per edge, or
-    the one report that the hypothesis fails when the fixed set has no edge.
+    cut at ``choose_cut_value``; one report per edge, or the one report that
+    the hypothesis fails when the fixed set has no edge.
 
     An edge outside the fixed set raises EdgeNotFound.  The map to the side
     groups and the sides' invariance are certified on the generators of the
@@ -288,7 +286,7 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     def pieces():
         for eid in edge_ids:
             labels, (lower_rep, upper_rep) = graph.edge_ends(eid)
-            c = choose_cut_value(field, graph, eid) if cut_value is None else cut_value
+            c = choose_cut_value(field, graph, eid)
             cycle = level_cycle(mesh, field, graph, eid, c)
             # piece A holds the lower end of crossing 0, which level_cycle
             # takes from the lower end's sublevel component
@@ -344,24 +342,20 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
 
 
 def verify_theorem(mesh: TriangleMesh, field: ScalarField,
-                   edge_id: int | None = None,
-                   cut_value: float | None = None,
-                   replay_group: AutGroup | None = None, *,
-                   sphere: SphereAnalysis | None = None) -> SplitReport:
-    """Verify the product splitting across one fixed edge, by default the
-    one with the smallest id: ``verify_fixed_edges`` of that edge alone."""
-    if sphere is None:
-        sphere = analyze_sphere(mesh, field)
-    edges = sphere.fixed.edge_ids[:1] if edge_id is None else (edge_id,)
-    return verify_fixed_edges(mesh, field, edges, cut_value, replay_group,
-                              sphere=sphere)[0]
+                   replay_group: AutGroup | None = None) -> SplitReport:
+    """Verify the product splitting across the fixed edge with the smallest
+    id: ``verify_fixed_edges`` of that edge alone.  Any other fixed edge
+    ``eid`` is ``verify_fixed_edges(mesh, field, [eid])[0]``."""
+    sphere = analyze_sphere(mesh, field)
+    return verify_fixed_edges(mesh, field, sphere.fixed.edge_ids[:1],
+                              replay_group, sphere=sphere)[0]
 
 
 def verify_all_fixed_edges(mesh: TriangleMesh, field: ScalarField, *,
                            sphere: SphereAnalysis | None = None
                            ) -> list[SplitReport]:
-    """``verify_fixed_edges`` of every fixed edge; empty when there is none."""
+    """``verify_fixed_edges`` of every fixed edge: what ``split --all-edges``
+    prints, so the one report that the hypothesis fails when there is none."""
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
-    fixed = sphere.fixed.edge_ids
-    return verify_fixed_edges(mesh, field, fixed, sphere=sphere) if fixed else []
+    return verify_fixed_edges(mesh, field, sphere.fixed.edge_ids, sphere=sphere)

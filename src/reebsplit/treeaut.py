@@ -543,7 +543,6 @@ class TreeCut:
 
     base: LabeledTree
     edge_id: int
-    cut_label: float
     side_a: MarkedSubtree
     side_b: MarkedSubtree
 
@@ -555,15 +554,13 @@ class TreeCut:
         raise ValueError("side must be 'A' or 'B'")
 
 
-def cut_tree_at(tree: LabeledTree, edge_id: int,
-                cut_label: float | None = None) -> TreeCut:
-    """Cut a tree inside an edge; the new point's label defaults to the
-    midpoint of the endpoint labels."""
+def cut_tree_at(tree: LabeledTree, edge_id: int) -> TreeCut:
+    """Cut a tree inside an edge; the new point's label is the midpoint of
+    the endpoint labels."""
     if not 0 <= edge_id < len(tree.edges):
         raise EdgeNotFound(f"no edge {edge_id}")
     u, v = tree.edges[edge_id]
-    if cut_label is None:
-        cut_label = (tree.labels[u] + tree.labels[v]) / 2.0
+    cut_label = (tree.labels[u] + tree.labels[v]) / 2.0
     lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
 
     def side_from(start: int, banned: int) -> MarkedSubtree:
@@ -582,7 +579,6 @@ def cut_tree_at(tree: LabeledTree, edge_id: int,
     return TreeCut(
         base=tree,
         edge_id=edge_id,
-        cut_label=float(cut_label),
         side_a=side_from(lo, hi),
         side_b=side_from(hi, lo),
     )

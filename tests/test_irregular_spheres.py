@@ -1,0 +1,55 @@
+"""The splitting verifier on convex-hull spheres, which share no structure
+with ``gen``'s stacked rings."""
+
+import numpy as np
+import pytest
+from spheres import hull_sphere
+
+from reebsplit.errors import InvalidFieldClass
+from reebsplit.field import ScalarField
+from reebsplit.mesh import validate_surface
+from reebsplit.split import verify_all_fixed_edges
+
+
+def hull_fields(n, seed):
+    """A hull sphere with a random field, a height field with a small ramp
+    to part equal heights, and a trigonometric field."""
+    mesh = hull_sphere(n, seed)
+    x, y, z = mesh.vertices.T
+    rng = np.random.default_rng(1000 + seed)
+    fields = (rng.random(n),
+              z + 1e-9 * np.arange(n),
+              np.sin(3 * x + 1) * np.cos(2 * y) + 0.5 * z)
+    return mesh, [ScalarField(values) for values in fields]
+
+
+def test_hull_is_a_closed_outward_sphere():
+    mesh = hull_sphere(120, 0)
+    surface = validate_surface(mesh)
+    assert mesh.n_vertices == 120
+    assert surface.closed and surface.connected and surface.genus == 0
+    a, b, c = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
+    assert ((np.cross(b - a, c - a) * a).sum(axis=1) > 0).all()
+
+
+def test_every_fixed_edge_splits_on_hull_spheres():
+    fields = reports = 0
+    for seed in range(20):
+        mesh, seed_fields = hull_fields(120, seed)
+        for field in seed_fields:
+            out = verify_all_fixed_edges(mesh, field)
+            assert out and all(r.passed for r in out), (seed, [r.notes for r in out])
+            fields += 1
+            reports += len(out)
+    assert fields == 60 and reports > 1000, reports
+
+
+@pytest.mark.parametrize("levels", [3, 8, 40])
+def test_quantized_fields_end_in_a_flat_zone(levels):
+    # floor(k * u) puts adjacent vertices on one value: a flat zone, which
+    # must be refused with its witness and never end in a traceback
+    for seed in range(30):
+        mesh = hull_sphere(80, seed)
+        values = np.floor(levels * np.random.default_rng(seed).random(80))
+        with pytest.raises(InvalidFieldClass, match="FlatZone"):
+            verify_all_fixed_edges(mesh, ScalarField(values))

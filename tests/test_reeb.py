@@ -723,6 +723,20 @@ def test_tampered_random_field_raises_typed_error():
     assert any(" has degree " in message for message in messages)
 
 
+def test_peel_that_gives_no_tree_is_an_internal_failure(three_bump, monkeypatch):
+    # n - 1 arcs that do not form a tree, on a surface that passed its genus
+    # check, are a bug in the peel, as too few arcs are, not invalid input
+    peel = reeb._contour_tree
+
+    def repeated(*args):
+        arcs = peel(*args)
+        return arcs[:-1] + arcs[:1]
+
+    monkeypatch.setattr(reeb, "_contour_tree", repeated)
+    with pytest.raises(InternalInconsistency, match="duplicate edge"):
+        build_reeb(*three_bump)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_reduced_tree_matches_oracle_on_random_trees(data):

@@ -4,6 +4,7 @@ import json
 import random
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from reebsplit.split import (
     check_subtree_group_gap,
     reeb_to_tree,
     verify_all_fixed_edges,
+    verify_fixed_edges,
     verify_theorem,
 )
 from reebsplit.treeaut import (
@@ -81,10 +83,11 @@ def test_hypothesis_failure_is_clean():
     assert not report.passed
     assert report.fixed_variant == "subtree"
     assert len(report.fixed_vertices) == 1
-    assert verify_all_fixed_edges(mesh, field) == []
+    # the same one report that split --all-edges prints
+    assert verify_all_fixed_edges(mesh, field) == [report]
 
 
-def test_cut_value_choice_does_not_change_groups(three_bump):
+def test_cut_value_choice_does_not_change_groups(three_bump, monkeypatch):
     mesh, field = three_bump
     graph = build_reeb(mesh, field)
     lo = graph.vertices[graph.edges[0].lower].label
@@ -92,7 +95,9 @@ def test_cut_value_choice_does_not_change_groups(three_bump):
     probes = [lo + 0.31 * (hi - lo), lo + 0.77 * (hi - lo)]
     keys = set()
     for c in probes:
-        r = verify_theorem(mesh, field, edge_id=0, cut_value=c)
+        monkeypatch.setattr(split, "choose_cut_value", lambda field, graph, eid: c)
+        r = verify_theorem(mesh, field)
+        assert (r.edge_id, r.cut_value) == (0, c)
         assert r.passed
         keys.add((r.group_order, r.side_orders, r.phi["passed"]))
     assert len(keys) == 1
@@ -144,7 +149,7 @@ def test_subtree_group_gap_detects_marking():
     tree = LabeledTree([0.0, 2.0, 4.0, 3.0, 6.0, 6.0],
                        [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
     cut = cut_tree_at(tree, 1)  # between labels 2 and 4: cut label 3
-    assert cut.cut_label == 3.0
+    assert cut.side_b.tree.labels[cut.side_b.marked] == 3.0
     notes = {n.side: n for n in side_gap(cut)}
     assert notes["B"].marked_order == 2
     assert notes["B"].unmarked_order == 4
@@ -165,6 +170,21 @@ def orbit_unmarked_orders(cut, side_orders):
     return orders
 
 
+def relabelled_cut(tree, eid, label):
+    """``cut_tree_at`` with both cut leaves relabelled ``label``, or as it
+    is when ``label`` is None."""
+    cut = cut_tree_at(tree, eid)
+    if label is None:
+        return cut
+
+    def relabel(side):
+        labels = list(side.tree.labels)
+        labels[side.marked] = label
+        return replace(side, tree=LabeledTree(labels, side.tree.edges, marked=side.marked))
+
+    return replace(cut, side_a=relabel(cut.side_a), side_b=relabel(cut.side_b))
+
+
 def test_unmarked_orders_by_orbit_match_enumeration():
     trees = [random_realizable_tree(n, symmetry=k, seed=s)
              for s, n, k in split_corpus_seeds(200)]
@@ -179,7 +199,7 @@ def test_unmarked_orders_by_orbit_match_enumeration():
         for eid in treeaut.fixed_set(enumerate_aut(tree), tree).edge_ids:
             lo, hi = sorted(tree.labels[v] for v in tree.edges[eid])
             for c in [None] + sorted({x for x in tree.labels if lo < x < hi}):
-                cut = cut_tree_at(tree, eid, c)
+                cut = relabelled_cut(tree, eid, c)
                 notes = side_gap(cut)
                 assert [n.unmarked_order for n in notes] == orbit_unmarked_orders(
                     cut, [n.marked_order for n in notes]), (tree, eid, c)
@@ -379,7 +399,7 @@ def test_shared_analysis_matches_standalone_reports(double_fork_tree):
     for mesh, field in fields:
         shared = verify_all_fixed_edges(*_fresh(mesh, field))
         edges = verify_theorem(*_fresh(mesh, field)).fixed_edge_ids
-        alone = [verify_theorem(*_fresh(mesh, field), edge_id=e) for e in edges]
+        alone = [verify_fixed_edges(*_fresh(mesh, field), [e])[0] for e in edges]
         assert edges
         assert dumps_canonical([r.to_dict() for r in shared]) == \
             dumps_canonical([r.to_dict() for r in alone])
@@ -555,7 +575,7 @@ def test_edge_outside_the_fixed_set_is_not_found(three_bump):
     assert verify_theorem(mesh, field).fixed_edge_ids == (0,)
     for edge in (1, 99):
         with pytest.raises(ReebSplitError) as caught:
-            verify_theorem(mesh, field, edge_id=edge)
+            verify_fixed_edges(mesh, field, [edge])
         assert type(caught.value) is EdgeNotFound, edge
 
 

@@ -268,9 +268,10 @@ def test_cut_tree_basic(three_bump_tree):
     assert cut.side_a.tree.n == 2
     assert cut.side_b.tree.n == 5
     lo, hi = three_bump_tree.edges[0]
+    cut_label = cut.side_b.tree.labels[cut.side_b.marked]
     assert min(three_bump_tree.labels[lo], three_bump_tree.labels[hi]) \
-        < cut.cut_label < max(three_bump_tree.labels[lo], three_bump_tree.labels[hi])
-    assert cut.side_a.tree.labels[cut.side_a.marked] == cut.cut_label
+        < cut_label < max(three_bump_tree.labels[lo], three_bump_tree.labels[hi])
+    assert cut.side_a.tree.labels[cut.side_a.marked] == cut_label
     with pytest.raises(EdgeNotFound):
         cut_tree_at(three_bump_tree, 9)
 
@@ -311,8 +312,9 @@ def test_cut_sides_match_the_edge_scan():
         for eid, (u, v) in enumerate(tree.edges):   # every edge, fixed or not
             cut = cut_tree_at(tree, eid)
             lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
+            midpoint = (tree.labels[u] + tree.labels[v]) / 2.0
             for side, start, banned in ((cut.side_a, lo, hi), (cut.side_b, hi, lo)):
-                sub, orig, position = oracle_side(tree, start, banned, cut.cut_label)
+                sub, orig, position = oracle_side(tree, start, banned, midpoint)
                 assert side.tree.labels == sub.labels
                 assert set(side.tree.edges) == set(sub.edges)
                 assert (side.marked, side.orig, side.position) == (sub.marked, orig, position)

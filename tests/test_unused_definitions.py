@@ -1,9 +1,18 @@
-"""Every top-level function and class of the package is read somewhere.
+"""Every definition and every setting of the package is used somewhere.
 
 A definition counts as read when code in ``src/`` or ``perfbench/`` reads
 its name (a bare name, or an attribute such as ``treeaut.walk``) or an
 ``__all__`` lists it.  Tests do not count: a helper that only tests call,
 or an exception class nothing raises or catches, is dead code.
+
+The same readers must use each setting, matched by name:
+
+- every parameter with a default is passed by some call (a call of a class
+  passes its ``__init__``'s, ``import ... as`` aliases are resolved, and a
+  call that unpacks ``*`` or ``**`` passes everything);
+- every dataclass field is read as an attribute, unless the class
+  serializes itself through ``vars(self)``;
+- every class is used other than as a base class.
 """
 
 import ast
@@ -39,11 +48,99 @@ def unused_definitions(package: dict[str, str], readers: list[str]) -> list[str]
             for name in definitions(source) if name not in read]
 
 
-def test_every_definition_is_read_by_the_package_or_the_benchmark():
+def scopes(node, prefix=""):
+    """(dotted name, node, whether a method) of each class and function
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            method = isinstance(node, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list)
+            yield prefix + child.name, child, method
+            yield from scopes(child, f"{prefix}{child.name}.")
+        else:
+            yield from scopes(child, prefix)
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def unused_settings(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Each setting of ``package`` (module name -> source) that no source in
+    ``readers`` uses: ``module.function(parameter=)``, ``module.Class.field``
+    or ``module.Class``."""
+    trees = [ast.parse(source) for source in readers]
+    aliases = {a.asname: a.name for t in trees for node in ast.walk(t)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.asname}
+    calls, fields, uses = {}, set(), set()
+    for t in trees:
+        bases = {id(b) for node in ast.walk(t) if isinstance(node, ast.ClassDef)
+                 for b in node.bases}
+        for node in ast.walk(t):
+            if isinstance(node, ast.Call):
+                callee = _name(node.func)
+                calls.setdefault(aliases.get(callee, callee), []).append(node)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                fields.add(node.attr)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in bases:
+                uses.add(_name(node))
+            if isinstance(node, ast.Assign) and any(
+                    _name(x) == "__all__" for x in node.targets):
+                uses |= {e.value for e in node.value.elts}
+
+    def passed(call, name, index) -> bool:
+        return (any(k.arg in (name, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or index is not None and index < len(call.args))
+
+    found = []
+    for module, source in sorted(package.items()):
+        for qualname, node, method in scopes(ast.parse(source)):
+            where = f"{module}.{qualname}"
+            if isinstance(node, ast.ClassDef):
+                if node.name not in uses:
+                    found.append(where)
+                serialized = "vars(self)" in ast.unparse(node)
+                if _is_dataclass(node) and not serialized:
+                    found += [f"{where}.{s.target.id}" for s in node.body
+                              if isinstance(s, ast.AnnAssign)
+                              and s.target.id not in fields]
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            callee = qualname.split(".")[-2] if node.name == "__init__" else node.name
+            shift = int(method)
+            defaulted = [(a.arg, i - shift) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found += [f"{where}({name}=)" for name, index in defaulted
+                      if not any(passed(c, name, index) for c in calls.get(callee, []))]
+    return found
+
+
+def _sources():
     package = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     bench = [path.read_text() for path in (ROOT / "perfbench").glob("*.py")
              if not path.name.startswith("test_")]
-    assert unused_definitions(package, list(package.values()) + bench) == []
+    return package, list(package.values()) + bench
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    package, readers = _sources()
+    assert unused_definitions(package, readers) == []
+
+
+def test_every_setting_is_used_by_the_package_or_the_benchmark():
+    package, readers = _sources()
+    assert unused_settings(package, readers) == []
 
 
 def test_guard_sees_a_leftover_definition():
@@ -56,3 +153,29 @@ def test_guard_sees_a_leftover_definition():
                      "x = called() or m.attr\n"
                      "def attr():\n    pass\n")}
     assert unused_definitions(package, list(package.values())) == ["m.Dead", "m.dead"]
+
+
+def test_guard_sees_a_leftover_setting():
+    package = {"m": ("from dataclasses import dataclass\n"
+                     "from .m import g as alias\n"
+                     "class Base(Exception):\n    pass\n"
+                     "class Leaf(Base):\n    pass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Kept:\n    read: int\n    unread: int\n"
+                     "@dataclass\n"
+                     "class Dumped:\n    unread: int\n"
+                     "    def to_dict(self):\n        return vars(self)\n"
+                     "class Box:\n"
+                     "    def __init__(self, a, b=0, c=0):\n        pass\n"
+                     "    def put(self, x, y=1):\n        pass\n"
+                     "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                     "def g(a=1):\n    pass\n"
+                     "def h(a=1):\n    pass\n"
+                     "def run(args, kw):\n"
+                     "    Box(1, c=2).put(1, 2)\n"
+                     "    f(1, 2, d=4)\n"
+                     "    alias(5)\n"
+                     "    h(*args)\n"
+                     "    raise Leaf(Kept(1, 2).read, Dumped(3))\n")}
+    assert unused_settings(package, list(package.values())) == [
+        "m.Base", "m.Kept.unread", "m.Box.__init__(b=)", "m.f(c=)"]
