@@ -57,8 +57,9 @@ def _kinds(boundary: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.nda
     return kinds
 
 
-def _link_runs(mesh: TriangleMesh, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper runs of every vertex link, without walking a link.
+def _link_runs(mesh: TriangleMesh, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper runs of every vertex link, without walking a link;
+    ``order`` lists the vertices in (value, index) order.
 
     Each incident triangle is one link edge; it changes side when its other
     two corners straddle the vertex in (value, index) order.  A cyclic link
@@ -69,7 +70,7 @@ def _link_runs(mesh: TriangleMesh, field: ScalarField) -> tuple[np.ndarray, np.n
     """
     n = mesh.n_vertices
     rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(field.values, kind="stable")] = np.arange(n)
+    rank[order] = np.arange(n)
     corners = mesh.triangles.ravel()
     r = rank[mesh.triangles]
     to_next = (r[:, [1, 2, 0]] - r).ravel()  # its sign: which side the next corner is on
@@ -159,6 +160,9 @@ class FieldClassReport:
     # per vertex: the kind code and the lower runs of its link
     kinds: np.ndarray = dataclass_field(compare=False, repr=False)
     lower: np.ndarray = dataclass_field(compare=False, repr=False)
+    # the vertices in (value, index) order, which the link runs are read in
+    # and build_reeb sweeps in
+    order: np.ndarray = dataclass_field(compare=False, repr=False)
 
     @property
     def multiplicities(self) -> np.ndarray:
@@ -250,7 +254,8 @@ def classify_field(mesh: TriangleMesh, field: ScalarField, parts=None):
         name(f"FlatZone: {sizes[zid]} adjacent vertices share a value, smallest "
              "vertex {}", members[starts[zid]])
 
-    lower, upper = _link_runs(mesh, field)
+    order = np.argsort(vals, kind="stable")
+    lower, upper = _link_runs(mesh, order)
     kinds = _kinds(mesh.is_boundary_vertex, lower, upper)
     reports = []
     for why, a, b in zip(reasons, bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -266,6 +271,7 @@ def classify_field(mesh: TriangleMesh, field: ScalarField, parts=None):
             contraction=contraction,
             kinds=kinds,
             lower=lower,
+            order=order,
         ))
     return reports[0] if parts is None else reports
 

@@ -66,14 +66,16 @@ def mesh_field_from_dict(data: dict) -> tuple[TriangleMesh, ScalarField]:
     vertices, values = data["vertices"], data["values"]
     if type(values) is not list or not _numbers(values):
         raise ValueError("values must be a flat list of numbers")
+    # the rows are read through one flat list of their entries, which numpy
+    # converts far faster than nested rows
     if (type(vertices) is not list or not {list}.issuperset(map(type, vertices))
             or not {3}.issuperset(map(len, vertices))
-            or not _numbers(chain.from_iterable(vertices))):
+            or not _numbers(coords := list(chain.from_iterable(vertices)))):
         raise ValueError("vertices must be a list of [x, y, z] number rows")
     if len(values) != len(vertices):
         raise ValueError("values and vertices have different lengths")
     try:
-        vertices = np.asarray(vertices, dtype=float)
+        vertices = np.array(coords, dtype=float).reshape(-1, 3)
         values = np.asarray(values, dtype=float)
     except OverflowError:
         raise ValueError("an integer is too large for a float") from None

@@ -87,16 +87,27 @@ def distinct(a) -> np.ndarray:
 
 def _triangle_array(triangles) -> np.ndarray:
     """``triangles`` as a (T, 3) int array; ValueError unless it is a (T, 3)
-    list of integers."""
-    tris = np.asarray(triangles)
+    array or list of integers.  A list is read through one flat list of its
+    rows' entries, which numpy converts far faster than nested rows."""
+    if isinstance(triangles, np.ndarray):
+        tris = triangles
+    elif (isinstance(triangles, (list, tuple))
+          and {list, tuple, np.ndarray}.issuperset(map(type, triangles))
+          and {3}.issuperset(map(len, triangles))):
+        flat = list(chain.from_iterable(triangles))
+        tris = np.array(flat)
+        # numpy turns booleans among ints into ints without a trace, and
+        # equal-length lists among the entries into a further axis
+        if tris.ndim != 1 or not {bool, np.bool_}.isdisjoint(map(type, flat)):
+            raise ValueError("triangle vertex indices must be integers")
+        tris = tris.reshape(-1, 3)
+    else:
+        raise ValueError("triangles must be a (T, 3) list of rows")
     if tris.size == 0:
         raise ValueError("empty triangle list")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise ValueError(f"triangles must be a (T, 3) list, got shape {tris.shape}")
-    if tris.dtype.kind not in "iu" or (
-            # numpy turns booleans among ints into ints without a trace
-            not isinstance(triangles, np.ndarray)
-            and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(triangles)))):
+    if tris.dtype.kind not in "iu":
         raise ValueError("triangle vertex indices must be integers")
     return tris.astype(np.intp, copy=False)
 

@@ -160,16 +160,16 @@ def export_dot(graph: ReebGraph) -> str:
 # ----------------------------------------------------------------------
 # construction
 
-def _contour_tree(order, indptr, indices) -> list[tuple[int, int]]:
-    """Contour tree of a connected, simply connected graph.
-
-    ``order`` lists every node once, in the sweep's total order from the
-    lowest up, and is swept as given: the caller sorts, by value with ties
-    broken by node id.  ``indptr`` and ``indices`` are the graph's CSR
-    adjacency, as arrays.  Returns the arcs as (lower, upper) node pairs.
-    Only the join and split trees of the graph matter, so any graph with
-    the same two trees, such as the reduction of a surface's graph to its
-    critical nodes, gives the same arcs.
+def _contour_tree(lower, upper) -> list[tuple[int, int]]:
+    """Contour tree of a connected, simply connected graph whose nodes are
+    numbered in the sweep's total order, from the lowest up: by value, with
+    ties broken by node id.  ``lower`` and ``upper`` are two halves of the
+    graph's CSR adjacency, each an (indptr, indices) pair of lists: the
+    neighbours numbered below each node, and those numbered above it.
+    Returns the arcs as (lower, upper) node pairs.  Only the join and split
+    trees of the graph matter, so any graph with the same two trees, such as
+    the reduction of a surface's graph to its critical nodes, gives the same
+    arcs.
 
     The join tree (parents from the ascending sweep) and the split tree (from
     the descending one) are peeled as in Carr, Snoeyink and Axen: a node with
@@ -178,17 +178,18 @@ def _contour_tree(order, indptr, indices) -> list[tuple[int, int]]:
     has at most one child in either tree, so each tree stays the original
     tree restricted to the live nodes: a node's parent is its nearest live
     ancestor, found with path compression, and only child counts change.
+    Each sweep can only merge with nodes it has passed, so the ascending one
+    reads the lower half alone and the descending one the upper half.
 
     On a graph with cycles the peel still ends, but its arcs mean nothing
     and can even form a tree, so callers check the genus before.
     """
-    n = len(order)
-    indptr, indices = indptr.tolist(), indices.tolist()
+    n = len(lower[0]) - 1
     live = [True] * n
     # every node starts as a candidate; a peel adds the node that lost a child
     stack = list(range(n))
 
-    def tree(sweep):
+    def tree(sweep, indptr, indices):
         """Parents and child counts of the merge forest of one sweep."""
         parent = kernels.merge_forest(sweep, indptr, indices)
         count = [0] * n
@@ -223,7 +224,7 @@ def _contour_tree(order, indptr, indices) -> list[tuple[int, int]]:
             stack.append(w)
         return w
 
-    join, split = tree(order), tree(order[::-1])
+    join, split = tree(range(n), *lower), tree(range(n - 1, -1, -1), *upper)
     arcs = []
     while stack:
         v = stack.pop()
@@ -243,10 +244,11 @@ def _contour_tree(order, indptr, indices) -> list[tuple[int, int]]:
     return arcs
 
 
-def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
+def _tree_from_sweeps(values, order, indptr, indices, kinds, multiplicities,
                       members, starts, zones, valid):
     """Contour trees of the parts of a node graph, regular nodes suppressed.
 
+    ``order`` lists the nodes by value, with ties broken by node id.
     ``indptr`` and ``indices`` are the graph's CSR adjacency, and ``kinds``
     and ``multiplicities`` each node's kind code and multiplicity, as
     arrays; node ``z`` expands back to the mesh vertices
@@ -259,7 +261,8 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
 
     The array stages run once over all parts: the (value, id) ranks, the
     monotone paths through the regular nodes, the graph reduced to the
-    critical nodes and the preimage rows.  Parts share no edge, so the
+    critical nodes, split into the halves that the two sweeps read, and the
+    preimage rows.  Parts share no edge, so the
     union's ranks order each part's nodes as its own would and no path
     leaves its part.  Per part remain the sweeps and the peel over its
     critical nodes, which are not placed on any arc, and the checks, run
@@ -272,7 +275,6 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     values = np.asarray(values, dtype=float)
     nz = len(values)
     part_of = np.repeat(np.arange(len(valid)), np.diff(zones))
-    order = np.argsort(values, kind="stable")
     rank = np.empty(nz, dtype=np.intp)
     rank[order] = np.arange(nz)
     regular = kinds == REGULAR
@@ -313,10 +315,17 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     x, u = row[crit], indices[crit]
     a = vid[x]
     b = vid[np.where(below[crit], down[u], up[u])]
-    pairs = distinct(np.concatenate((a * k + b, b * k + a)))
-    cindptr = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(np.bincount(pairs // k, minlength=k), out=cindptr[1:])
-    cindices = pairs % k
+    a, b = np.divmod(distinct(np.concatenate((a * k + b, b * k + a))), k)
+    blocks = np.searchsorted(part_of[keep], np.arange(len(valid) + 1))
+    # a sweep in node order reads only the neighbours it has passed: the
+    # lower half of each row going up, the upper half going down.  The
+    # halves' indices count from their part's first node, once per union
+    part_start = np.repeat(blocks[:-1], np.diff(blocks))
+    halves = []
+    for side in (b < a, b > a):
+        ptr = np.zeros(k + 1, dtype=np.intp)
+        np.cumsum(np.bincount(a[side], minlength=k), out=ptr[1:])
+        halves.append((ptr, ptr.tolist(), (b[side] - part_start[a[side]]).tolist()))
 
     # the preimages: tree vertex i is row i, the members of zone keep[i],
     # which ascend already
@@ -326,10 +335,10 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
     flat = members[np.repeat(starts[keep] - bounds[:-1], rows) + np.arange(bounds[-1])]
     kinds, multiplicities = kinds[keep], multiplicities[keep]
     labels = values[keep].tolist()
-    blocks = np.searchsorted(part_of[keep], np.arange(len(valid) + 1)).tolist()
+    blocks = blocks.tolist()
     firsts = members[starts[zones[:-1]]].tolist()
     stalls = np.flatnonzero(stuck).tolist()
-    edge_at, row_at = cindptr.tolist(), bounds.tolist()
+    row_at = bounds.tolist()
 
     for i, ok in enumerate(valid):
         if not ok:
@@ -342,14 +351,13 @@ def _tree_from_sweeps(values, indptr, indices, kinds, multiplicities,
                 "a regular component's monotone path stalls on the regular "
                 f"component at vertex {members[starts[stall]] - firsts[i]}")
         k0, k1 = blocks[i], blocks[i + 1]
-        e0, e1 = edge_at[k0], edge_at[k1]
         part = labels[k0:k1]
         v0, v1 = row_at[k0], row_at[k1]
         pre = (flat[v0:v1] - firsts[i], bounds[k0:k1 + 1] - v0)
         try:
-            # the part's nodes are numbered in (value, id) order already
-            arcs = sorted(_contour_tree(range(k1 - k0), cindptr[k0:k1 + 1] - e0,
-                                        cindices[e0:e1] - k0))
+            arcs = sorted(_contour_tree(*[
+                ((ptr[k0:k1 + 1] - at[k0]).tolist(), nbrs[at[k0]:at[k1]])
+                for ptr, at, nbrs in halves]))
             for lo, hi in arcs:
                 if not part[lo] < part[hi]:
                     raise InvalidFieldClass(
@@ -415,8 +423,12 @@ def part_trees(mesh: TriangleMesh, surfaces: list[SurfaceReport],
     members, starts = contraction.members, contraction.starts
     first = members[starts[:-1]]
     zones = contraction.zone_of[parts[:-1]].tolist() + [len(first)]
+    # the zones in (value, zone id) order are the vertex order's zones, each
+    # taken at its smallest vertex
+    zone_order = contraction.zone_of[fclasses[0].order]
+    zone_order = zone_order[first[zone_order] == fclasses[0].order]
     trees = _tree_from_sweeps(
-        contraction.zone_values, *contraction.zone_neighbors(mesh),
+        contraction.zone_values, zone_order, *contraction.zone_neighbors(mesh),
         fclasses[0].kinds[first], fclasses[0].multiplicities[first],
         members, starts, zones, [fclass.valid for fclass in fclasses])
     graphs = []

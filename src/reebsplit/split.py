@@ -209,16 +209,23 @@ def _analyze_batch(batch) -> list[tuple]:
 
 
 def _disk_check(side: str, group: RootedGroup, c: float, piece, rep, fclass,
-                graph) -> DiskCheck:
+                graph) -> tuple[DiskCheck, tuple[str, ...]]:
+    """The check of one cut piece, and the notes that name the witnesses of
+    its invalid field and of a boundary vertex off the cut value."""
     match = graph is not None and group.root_form_is(
         graph.tree, int(np.flatnonzero(graph.kinds == BOUNDARY)[0]), float(c))
-    bvals = {float(piece.field.values[v]) for v in piece.boundary}
+    off = np.flatnonzero(piece.field.values.take(piece.boundary) != c)
+    notes = tuple(f"disk {side}: {reason}" for reason in fclass.reasons)
+    if len(off):
+        v = piece.boundary[off[0]]
+        notes += (f"disk {side}: boundary vertex {v} has value "
+                  f"{float(piece.field.values[v])!r}, not the cut value {float(c)!r}",)
     return DiskCheck(
         side=side,
         euler=rep.euler,
         boundary_count=rep.boundary_count,
         genus=rep.genus,
-        boundary_constant=bvals == {float(c)},
+        boundary_constant=not len(off),
         boundary_value=float(c),
         field_class=fclass.field_class,
         vertex_count=rep.vertex_count,
@@ -227,7 +234,7 @@ def _disk_check(side: str, group: RootedGroup, c: float, piece, rep, fclass,
         interior_maxima=fclass.maxima,
         saddle_multiplicities=fclass.saddle_multiplicities,
         tree_matches_cut_side=match,
-    )
+    ), notes
 
 
 def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
@@ -303,8 +310,9 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     reports = []
     for facts_a, facts_b in zip(analyses, analyses):  # each edge's two disks
         eid, labels, c, crossings, cut, (group_a, group_b) = cuts.popleft()
-        pair = (_disk_check("A", group_a, c, *facts_a),
-                _disk_check("B", group_b, c, *facts_b))
+        disk_a, notes_a = _disk_check("A", group_a, c, *facts_a)
+        disk_b, notes_b = _disk_check("B", group_b, c, *facts_b)
+        pair = (disk_a, disk_b)
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
         if replay_group is None:
             phi, sides_invariant = certify_splitting(cut, group, group_a, group_b)
@@ -314,7 +322,7 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
             sides_invariant = keeps_sides(cut, group.elements)
         order_product_ok = group.order == group_a.order * group_b.order
         gap = check_subtree_group_gap((group_a, group_b))
-        notes = tuple(
+        notes = notes_a + notes_b + tuple(
             f"side {note.side}: marking the cut leaf shrinks the subtree "
             f"group ({note.unmarked_order} -> {note.marked_order})"
             for note in gap if not note.equal)

@@ -74,7 +74,8 @@ class LabeledTree:
     """Tree with one real label per vertex; adjacent labels must differ.
 
     An optional marked vertex constrains automorphisms to fix it (used for
-    the cut point created when a tree is cut inside an edge).
+    the cut point created when a tree is cut inside an edge).  ``bfs`` is
+    the breadth-first order from vertex 0 that the connectivity check makes.
     """
 
     def __init__(self, labels, edges, marked: int | None = None):
@@ -98,7 +99,10 @@ class LabeledTree:
             self.adj[v].append(u)
         for a in self.adj:
             a.sort()
-        if len(self.edges) != n - 1 or len(walk(self.adj, 0)[0]) != n:
+        if len(self.edges) != n - 1:
+            raise InvalidTree("not a tree")
+        self.bfs = walk(self.adj, 0)[0]
+        if len(self.bfs) != n:
             raise InvalidTree("not a tree")
         for u, v in self.edges:
             if self.labels[u] == self.labels[v]:
@@ -177,8 +181,7 @@ def tree_isomorphic(t1: LabeledTree, t2: LabeledTree) -> bool:
 def _centers(tree: LabeledTree) -> list[int]:
     """The middle one or two vertices of a longest path, which runs from
     the vertex farthest from any vertex to the one farthest from it."""
-    far = walk(tree.adj, 0)[0][-1]
-    order, parent = walk(tree.adj, far)
+    order, parent = walk(tree.adj, tree.bfs[-1])
     path = [order[-1]]
     while parent[path[-1]] != -1:
         path.append(parent[path[-1]])

@@ -19,7 +19,13 @@ from reebsplit.gen import (
     random_realizable_tree,
     realize_tree,
 )
-from reebsplit.io import load_mesh_field, save_mesh_field
+from reebsplit.io import (
+    dumps_canonical,
+    load_mesh_field,
+    mesh_field_from_dict,
+    mesh_field_to_dict,
+    save_mesh_field,
+)
 from reebsplit.mesh import cut_along_cycle
 from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
 
@@ -751,8 +757,16 @@ OCTA_TRIANGLES = [[0, 2, 1], [0, 3, 2], [0, 4, 3], [0, 1, 4],
     [i for t in OCTA_TRIANGLES for i in t],
     [t[:2] for t in OCTA_TRIANGLES],
     [["0", "2", "1"]] + OCTA_TRIANGLES[1:],
+    [[2 ** 63, 2, 1]] + OCTA_TRIANGLES[1:],
+    [[10 ** 400, 2, 1]] + OCTA_TRIANGLES[1:],
+    [[0, 2]] + OCTA_TRIANGLES[1:],
+    [5] + OCTA_TRIANGLES[1:],
+    [[0, 2, None]] + OCTA_TRIANGLES[1:],
+    [{"a": 0, "b": 2, "c": 1}] + OCTA_TRIANGLES[1:],
+    [[0, 2, [1]]] + OCTA_TRIANGLES[1:],
 ], ids=["float-index", "false-index", "true-index", "flat-list", "pairs",
-        "string-index"])
+        "string-index", "index-2**63", "index-10**400", "two-entry-row",
+        "number-row", "null-index", "object-row", "nested-row"])
 def test_validate_rejects_malformed_triangles(octa_file, tmp_path, triangles):
     data = json.loads(octa_file.read_text())
     data["triangles"] = triangles
@@ -762,6 +776,23 @@ def test_validate_rejects_malformed_triangles(octa_file, tmp_path, triangles):
     assert code == 1
     assert err.startswith("error: ValueError: ")
     assert "Traceback" not in err
+
+
+def test_flat_json_pass_gives_the_nested_arrays():
+    # the rows are read through one flat list of their entries; the arrays
+    # must be those that converting the nested rows gives
+    fields = [realize_tree(random_realizable_tree(n, symmetry=k, seed=s), 4)
+              for s, n, k in selftest.split_corpus_seeds(30)]
+    mesh, field = realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 48)
+    assert mesh.n_vertices == 4148
+    for mesh, field in fields + [(mesh, field)]:
+        data = json.loads(dumps_canonical(mesh_field_to_dict(mesh, field)))
+        got_mesh, got_field = mesh_field_from_dict(data)
+        for got, want in ((got_mesh.vertices, np.asarray(data["vertices"], dtype=float)),
+                          (got_mesh.triangles, np.asarray(data["triangles"]).astype(np.intp)),
+                          (got_field.values, np.asarray(data["values"], dtype=float))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_internal_inconsistency_exits_three(octa_file, monkeypatch):

@@ -34,7 +34,7 @@ def vertex_classes(mesh, field):
     """The classification of every vertex, as objects."""
     report = classify_field(mesh, field)
     keys = zip(report.kinds.tolist(), report.multiplicities.tolist(),
-               report.lower.tolist(), _link_runs(mesh, field)[1].tolist())
+               report.lower.tolist(), _link_runs(mesh, report.order)[1].tolist())
     return tuple([Criticality(KIND_NAMES[k], m, lo, up)
                   for k, m, lo, up in keys])
 

@@ -350,7 +350,8 @@ def singletons(n):
 
 def one_tree(values, *args):
     """``_tree_from_sweeps`` of a graph that is one part."""
-    return next(_tree_from_sweeps(values, *args, [0, len(values)], [True]))
+    return next(_tree_from_sweeps(values, np.argsort(values, kind="stable"), *args,
+                                  [0, len(values)], [True]))
 
 
 def test_shared_level_component_rejected():
@@ -480,12 +481,31 @@ def oracle_contour_tree(values, ties, neighbors):
     return arcs, order
 
 
+def peel(values, indptr, indices):
+    """``_contour_tree`` of a graph in any node numbering: the nodes
+    renumbered in (value, id) order, their CSR adjacency split into the
+    neighbours numbered below and above, and the arcs numbered back."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    row = rank[np.repeat(np.arange(n), np.diff(indptr))]
+    col = rank[indices]
+    halves = []
+    for side in (col < row, col > row):
+        pairs = np.sort(row[side] * n + col[side])
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(pairs // n, minlength=n), out=ptr[1:])
+        halves.append((ptr.tolist(), (pairs % n).tolist()))
+    return [(int(order[lo]), int(order[hi])) for lo, hi in _contour_tree(*halves)]
+
+
 def assert_peel_matches_oracle(values, indptr, indices):
     """Equal arc sets from the peel and the oracle, ties broken by node id."""
     neighbors = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
     ties = [(v, i) for i, v in enumerate(values)]
     want, _ = oracle_contour_tree(values, ties, neighbors)
-    got = _contour_tree(np.argsort(values, kind="stable").tolist(), indptr, indices)
+    got = peel(values, indptr, indices)
     assert len(got) == len(values) - 1
     assert set(got) == set(want)
     return got
@@ -568,8 +588,7 @@ def oracle_tree_from_sweeps(values, indptr, indices, kinds, mults,
     nz = len(values)
     down = [[] for _ in range(nz)]
     up = [[] for _ in range(nz)]
-    for lo, hi in _contour_tree(np.argsort(values, kind="stable").tolist(),
-                                indptr, indices):
+    for lo, hi in peel(values, indptr, indices):
         up[lo].append(hi)
         down[hi].append(lo)
 
@@ -611,7 +630,7 @@ def part_args(args, i):
     """The arguments of ``_tree_from_sweeps`` for part ``i`` of a union alone,
     in the one-part form without ``zones`` and ``valid``: the part's slices,
     renumbered from its first node and its first vertex."""
-    values, indptr, indices, kinds, multiplicities, members, starts, zones, _ = args
+    values, _, indptr, indices, kinds, multiplicities, members, starts, zones, _ = args
     z0, z1 = zones[i], zones[i + 1]
     a, b = indptr[z0], indptr[z1]
     return (values[z0:z1], indptr[z0:z1 + 1] - a, indices[a:b] - z0,

@@ -62,6 +62,56 @@ def test_three_bump_split_orders(three_bump):
     assert report.crossings == 4
 
 
+def faulted_cut(monkeypatch, side, fault):
+    """Makes every cut give its piece ``side`` (0 for A) the values
+    ``fault(piece)``; the list it returns collects the faulted pieces."""
+    cut, faulted = split.cut_along_cycle, []
+
+    def faulty(mesh, field, cycle):
+        pieces = list(cut(mesh, field, cycle))
+        pieces[side] = replace(pieces[side], field=ScalarField(fault(pieces[side])))
+        faulted.append(pieces[side])
+        return tuple(pieces)
+
+    monkeypatch.setattr(split, "cut_along_cycle", faulty)
+    return faulted
+
+
+def test_invalid_disk_field_names_its_reasons(three_bump, monkeypatch):
+    def flat(piece):
+        # two adjacent interior vertices share a value: a flat zone
+        values = piece.field.values.copy()
+        inner = ~piece.mesh.is_boundary_vertex
+        u, w = next((u, w) for u, w in piece.mesh.edge_pairs.tolist()
+                    if inner[u] and inner[w])
+        values[w] = values[u]
+        return values
+
+    faulted = faulted_cut(monkeypatch, 1, flat)
+    report = verify_theorem(*three_bump)
+    [piece] = faulted
+    reasons = classify_field(piece.mesh, piece.field).reasons
+    assert any(reason.startswith("FlatZone: ") for reason in reasons)
+    assert not report.passed and report.disks[1].field_class == "invalid"
+    assert report.notes[:len(reasons)] == tuple(f"disk B: {r}" for r in reasons)
+
+
+def test_disk_boundary_off_the_cut_value_names_a_vertex(three_bump, monkeypatch):
+    def lifted(piece):
+        values = piece.field.values.copy()
+        values[piece.boundary[1]] = np.nextafter(values[piece.boundary[1]], np.inf)
+        return values
+
+    faulted = faulted_cut(monkeypatch, 0, lifted)
+    report = verify_theorem(*three_bump)
+    [piece] = faulted
+    v, c = piece.boundary[1], report.cut_value
+    assert not report.passed and not report.disks[0].boundary_constant
+    assert (f"disk A: boundary vertex {v} has value {float(np.nextafter(c, np.inf))!r}, "
+            f"not the cut value {c!r}") in report.notes
+    assert report.disks[1].boundary_constant
+
+
 def test_double_fork_both_cuts(double_fork):
     mesh, field = double_fork
     reports = verify_all_fixed_edges(mesh, field)
