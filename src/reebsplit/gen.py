@@ -2,7 +2,8 @@
 of a field on a sphere, plus canonical and random fixtures.
 
 The realization builds one cap per leaf, one tube per edge, and one
-multi-saddle gadget per internal vertex.  A gadget places a single saddle
+multi-saddle gadget per internal vertex, each from a cached template of
+vertex-id triangles that is shifted onto the vertices it meets.  A gadget places a single saddle
 vertex whose link alternates lower/upper exactly (down-degree + up-degree - 1)
 times, so the saddle's multiplicity matches the tree degree and each tree
 vertex owns exactly one critical component.  Tube rings carry small in-ring
@@ -14,6 +15,8 @@ on symmetric branches.
 from __future__ import annotations
 
 import random
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,70 +34,71 @@ def validate_realizable(tree: LabeledTree) -> None:
     """Check the leaf/saddle conditions that make a labeled tree realizable."""
     if tree.n < 2:
         raise InvalidTree("need at least one edge")
-    for v in range(tree.n):
-        nbrs = tree.adj[v]
+    for v, nbrs in enumerate(tree.adj):
         lower = sum(1 for w in nbrs if tree.labels[w] < tree.labels[v])
-        upper = len(nbrs) - lower
-        if len(nbrs) == 1:
-            continue
-        if lower == 0 or upper == 0:
+        if len(nbrs) > 1 and lower in (0, len(nbrs)):
             raise InvalidTree(f"internal vertex {v} has one-sided neighbours")
-        if len(nbrs) < 3:
+        if len(nbrs) == 2:
             raise InvalidTree(f"internal vertex {v} has degree {len(nbrs)}")
 
 
-class _Builder:
-    def __init__(self):
-        self.coords: list[tuple[float, float, float]] = []
-        self.values: list[float] = []
-        self.tris: list[tuple[int, int, int]] = []
-
-    def vertex(self, xyz, value) -> int:
-        self.coords.append(tuple([float(c) for c in xyz]))
-        self.values.append(float(value))
-        return len(self.coords) - 1
-
-    def triangle(self, a: int, b: int, c: int) -> None:
-        self.tris.append((a, b, c))
-
-    def ring(self, size: int, center, base_value: float, jitter: float) -> list[int]:
-        ids = []
-        for i in range(size):
-            ang = 2.0 * np.pi * i / size
-            xyz = (center[0] + np.cos(ang),
-                   center[1] + np.sin(ang),
-                   base_value)
-            ids.append(self.vertex(xyz, base_value + jitter * i / size))
-        return ids
-
-    def annulus(self, lower: list[int], upper: list[int]) -> None:
-        """Triangulated tube between two rings of possibly different size."""
-        p, q = len(lower), len(upper)
+@cache
+def _tube(sizes: tuple[int, ...]) -> np.ndarray:
+    """Triangles of a stack of rings of these sizes, bottom to top, whose
+    vertices are numbered on from 0 ring by ring: one annulus between each
+    ring and the next."""
+    tris = []
+    for low, p, q in zip(accumulate(sizes, initial=0), sizes, sizes[1:]):
+        up = low + p                          # first ids of the two rings
         i = j = 0
         while i < p or j < q:
             if j >= q or (i < p and (i + 1) * q <= (j + 1) * p):
-                self.triangle(lower[i % p], lower[(i + 1) % p], upper[j % q])
+                tris.append((low + i % p, low + (i + 1) % p, up + j % q))
                 i += 1
             else:
-                self.triangle(lower[i % p], upper[(j + 1) % q], upper[j % q])
+                tris.append((low + i % p, up + (j + 1) % q, up + j % q))
                 j += 1
-
-    def finish(self) -> tuple[TriangleMesh, ScalarField]:
-        return (TriangleMesh(np.asarray(self.coords), self.tris),
-                ScalarField(np.asarray(self.values)))
+    return np.array(tris)
 
 
-def _sector_word(a: int, b: int) -> list[tuple[str, int]]:
-    """Cyclic sector pattern around a saddle joining ``a`` circles below to
-    ``b`` circles above: the closed walk of a spanning tree on the incident
-    regions, alternating down/up and of length 2(a + b - 1)."""
-    word = []
-    for j in range(1, b):
-        word += [("d", 0), ("u", j)]
-    word += [("d", 0), ("u", 0)]
-    for i in range(1, a):
-        word += [("d", i), ("u", 0)]
-    return word
+@cache
+def _atom(a: int, b: int, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Triangles around the critical vertex of a tree vertex with ``a``
+    edges below and ``b`` above, and the size of each ring they meet in
+    arcs of ``m`` vertices.
+
+    Local id 0 is the critical vertex; the top rings of the down edges and
+    then the bottom rings of the up edges follow, numbered on in order.  A
+    leaf's cap meets one arc; a saddle gadget slices each ring into one arc
+    per sector of its word that faces that ring.
+    """
+    if a + b == 1:
+        ring = [(1 + i, 1 + (i + 1) % m) for i in range(m)]
+        # a minimum's cap lies below its ring, a maximum's above
+        return np.array([(0, j, i) if b else (0, i, j) for i, j in ring]), (1,)
+    # the cyclic sector word around the saddle: the closed walk of a spanning
+    # tree on the incident regions, alternating down/up, 2(a + b - 1) long
+    word = ([x for j in range(1, b) for x in (("d", 0), ("u", j))] + [("d", 0), ("u", 0)]
+            + [x for i in range(1, a) for x in (("d", i), ("u", 0))])
+    slots = [("d", i) for i in range(a)] + [("u", j) for j in range(b)]
+    counts = tuple(word.count(slot) for slot in slots)
+    first = dict(zip(slots, accumulate([m * k for k in counts], initial=1)))
+    arcs: list[int] = []                      # first local id of each arc
+    ring_slots: dict[tuple[str, int], list[int]] = {}
+    for pos, slot in enumerate(word):
+        positions = ring_slots.setdefault(slot, [])
+        arcs.append(first[slot] + m * len(positions))
+        positions.append(pos)
+    tris = []
+    for u, w in zip(arcs[::2], arcs[1::2]):
+        for c in range(m - 1):
+            tris += [(u + c, u + c + 1, w + c + 1), (u + c, w + c + 1, w + c)]
+        tris += [(0, u, w), (0, w + m - 1, u + m - 1)]
+    for (side, _), positions in ring_slots.items():
+        for cur, nxt in zip(positions, positions[1:] + positions[:1]):
+            end, start = arcs[cur] + m - 1, arcs[nxt]
+            tris.append((0, end, start) if side == "d" else (0, start, end))
+    return np.array(tris), counts
 
 
 def realize_tree(tree: LabeledTree, resolution: int = 4
@@ -105,120 +109,80 @@ def realize_tree(tree: LabeledTree, resolution: int = 4
     ``resolution`` is the arc size: boundary rings of a saddle gadget have
     resolution times (number of sectors facing that tube) vertices, plain
     tube rings exactly ``resolution``.
+
+    The vertices are every edge's tube of rings, edge by edge and bottom to
+    top, then one vertex per tree vertex.  The triangles are the tubes' in
+    the same order, then each tree vertex's cap or gadget, each from a
+    template cached by its shape and shifted onto the vertices it meets.
     """
     validate_realizable(tree)
     if resolution < 3:
         raise InvalidTree("resolution must be at least 3")
     m = resolution
     labels = tree.labels
-
-    down_edges: list[list[int]] = [[] for _ in range(tree.n)]
-    up_edges: list[list[int]] = [[] for _ in range(tree.n)]
+    # ring k of edge e's tube, bottom to top, is ring rings * e + k
+    rings = INTERIOR_RINGS + 2
+    # each vertex's edges, down and up, by the (label, id) of their other end
+    ends = []                                 # (lower, upper) of each edge
+    down_edges: list[list] = [[] for _ in range(tree.n)]
+    up_edges: list[list] = [[] for _ in range(tree.n)]
     for eid, (u, v) in enumerate(tree.edges):
         lo, hi = (u, v) if (labels[u], u) < (labels[v], v) else (v, u)
-        up_edges[lo].append(eid)
-        down_edges[hi].append(eid)
+        ends.append((lo, hi))
+        up_edges[lo].append((labels[hi], hi, eid))
+        down_edges[hi].append((labels[lo], lo, eid))
+    # the rings each template meets, its local ids numbered through them in
+    # turn: a tube its own; a cap or gadget its tree vertex's own vertex (a
+    # ring of one after all tube rings), the top rings of the down edges and
+    # the bottom rings of the up edges
+    tubes = rings * len(ends)
+    meets = [range(r, r + rings) for r in range(0, tubes, rings)] + [
+        [tubes + v] + [rings * e + rings - 1 for *_, e in sorted(down)]
+        + [rings * e for *_, e in sorted(up)]
+        for v, (down, up) in enumerate(zip(down_edges, up_edges))]
+    atoms = [_atom(len(down), len(up), m) for down, up in zip(down_edges, up_edges)]
+    size = [m] * tubes + [1] * tree.n
+    for met, (_, arcs) in zip(meets[len(ends):], atoms):
+        for r, k in zip(met[1:], arcs):
+            size[r] = m * k
+    parts = [_tube(tuple([size[r] for r in met])) for met in meets[:len(ends)]]
+    parts += [tris for tris, _ in atoms]
 
-    def other_end(eid: int, v: int) -> int:
-        a, b = tree.edges[eid]
-        return b if a == v else a
+    # ring heights in (ring, edge) arrays, and the cosmetic layout: tree
+    # vertex v at (3v, 0), each ring's centre a fixed fraction along its edge
+    lows, highs = np.array(ends).T
+    label = np.array(labels)
+    low, high = label[lows], label[highs]
+    gap = high - low
+    bases = np.linspace(low + RING_MARGIN * gap, high - RING_MARGIN * gap, rings)
+    jitter = RING_JITTER * (np.vstack((bases[1:], high)) - bases)
+    frac = np.arange(1, rings + 1)[:, None] / (rings + 1)
+    cx = 3.0 * lows + frac * (3.0 * highs - 3.0 * lows)
 
-    for v in range(tree.n):
-        down_edges[v].sort(key=lambda e: (labels[other_end(e, v)], other_end(e, v)))
-        up_edges[v].sort(key=lambda e: (labels[other_end(e, v)], other_end(e, v)))
+    size = np.array(size)
+    first = np.cumsum(size) - size            # each ring's first vertex id
+    ring = np.repeat(np.arange(tubes), size[:tubes])  # of each tube vertex
+    i = np.arange(len(ring)) - first[ring]
+    ring_size = size[ring]
+    ang = 2.0 * np.pi * i / ring_size
+    base = bases.T.ravel()[ring]
+    values = np.concatenate((base, label))
+    vertices = np.zeros((len(values), 3))
+    vertices[:, 0] = np.concatenate((cx.T.ravel()[ring] + np.cos(ang),
+                                     3.0 * np.arange(tree.n)))
+    vertices[:len(ring), 1] = np.sin(ang)     # the centre is at y = 0
+    vertices[:, 2] = values
+    values[:len(ring)] += jitter.T.ravel()[ring] * i / ring_size
 
-    words: dict[int, list[tuple[str, int]]] = {}
-    occurrences: dict[tuple[int, int], int] = {}  # (vertex, edge) -> sector count
-    for v in range(tree.n):
-        if tree.degree(v) == 1:
-            continue
-        a, b = len(down_edges[v]), len(up_edges[v])
-        word = _sector_word(a, b)
-        words[v] = word
-        for side, idx in word:
-            eid = down_edges[v][idx] if side == "d" else up_edges[v][idx]
-            occurrences[(v, eid)] = occurrences.get((v, eid), 0) + 1
-
-    # cosmetic layout: tree vertices spread on a line, tubes interpolate
-    centers = [(3.0 * v, 0.0) for v in range(tree.n)]
-
-    builder = _Builder()
-
-    # one ring stack per edge, bottom to top
-    edge_rings: dict[int, list[list[int]]] = {}
-    for eid, (u, v) in enumerate(tree.edges):
-        lo, hi = (u, v) if (labels[u], u) < (labels[v], v) else (v, u)
-        low_l, high_l = labels[lo], labels[hi]
-        gap = high_l - low_l
-        size_bot = m * occurrences.get((lo, eid), 1)
-        size_top = m * occurrences.get((hi, eid), 1)
-        bases = list(np.linspace(low_l + RING_MARGIN * gap,
-                                 high_l - RING_MARGIN * gap,
-                                 INTERIOR_RINGS + 2))
-        sizes = [size_bot] + [m] * INTERIOR_RINGS + [size_top]
-        rings = []
-        for i, (base, size) in enumerate(zip(bases, sizes)):
-            spacing = (bases[i + 1] - base) if i + 1 < len(bases) else (high_l - base)
-            frac = (i + 1) / (len(bases) + 1)
-            cx = centers[lo][0] + frac * (centers[hi][0] - centers[lo][0])
-            cy = centers[lo][1] + frac * (centers[hi][1] - centers[lo][1])
-            rings.append(builder.ring(size, (cx, cy), base, RING_JITTER * spacing))
-        for i in range(len(rings) - 1):
-            builder.annulus(rings[i], rings[i + 1])
-        edge_rings[eid] = rings
-
-    for v in range(tree.n):
-        cx, cy = centers[v]
-        if tree.degree(v) == 1:
-            eid = (up_edges[v] or down_edges[v])[0]
-            apex = builder.vertex((cx, cy, labels[v]), labels[v])
-            if up_edges[v]:  # minimum: cap below the tube's bottom ring
-                ring = edge_rings[eid][0]
-                for i in range(len(ring)):
-                    builder.triangle(apex, ring[(i + 1) % len(ring)], ring[i])
-            else:            # maximum: cap above the top ring
-                ring = edge_rings[eid][-1]
-                for i in range(len(ring)):
-                    builder.triangle(apex, ring[i], ring[(i + 1) % len(ring)])
-            continue
-
-        word = words[v]
-        saddle = builder.vertex((cx, cy, labels[v]), labels[v])
-        # slice each incident ring into equal arcs, one per sector occurrence
-        seen: dict[tuple[str, int], int] = {}
-        arcs: list[list[int]] = []
-        ring_slots: dict[tuple[str, int], list[int]] = {}
-        for pos, (side, idx) in enumerate(word):
-            if side == "d":
-                eid = down_edges[v][idx]
-                ring = edge_rings[eid][-1]
-            else:
-                eid = up_edges[v][idx]
-                ring = edge_rings[eid][0]
-            q = seen.get((side, idx), 0)
-            seen[(side, idx)] = q + 1
-            arcs.append(ring[q * m:(q + 1) * m])
-            ring_slots.setdefault((side, idx), []).append(pos)
-
-        for j in range(len(word) // 2):
-            u_arc = arcs[2 * j]
-            v_arc = arcs[2 * j + 1]
-            for c in range(m - 1):
-                builder.triangle(u_arc[c], u_arc[c + 1], v_arc[c + 1])
-                builder.triangle(u_arc[c], v_arc[c + 1], v_arc[c])
-            builder.triangle(saddle, u_arc[0], v_arc[0])
-            builder.triangle(saddle, v_arc[m - 1], u_arc[m - 1])
-
-        for (side, idx), positions in ring_slots.items():
-            for qi in range(len(positions)):
-                cur = arcs[positions[qi]]
-                nxt = arcs[positions[(qi + 1) % len(positions)]]
-                if side == "d":
-                    builder.triangle(saddle, cur[m - 1], nxt[0])
-                else:
-                    builder.triangle(saddle, nxt[0], cur[m - 1])
-
-    return builder.finish()
+    # `lookup` lists the vertices of every template's rings in turn
+    flat = np.array([r for met in meets for r in met])
+    length = size[flat]
+    at = np.cumsum(length) - length           # of each met ring in `lookup`
+    lookup = np.arange(at[-1] + length[-1]) + np.repeat(first[flat] - at, length)
+    local = np.concatenate(parts)
+    local += np.repeat(at[np.cumsum([0] + [len(met) for met in meets[:-1]])],
+                       [len(p) for p in parts])[:, None]
+    return TriangleMesh(vertices, lookup[local]), ScalarField(values)
 
 
 # ----------------------------------------------------------------------

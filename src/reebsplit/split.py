@@ -208,14 +208,23 @@ def _analyze_batch(batch) -> list[tuple]:
                     part_trees(union, surfaces, fclasses, bounds)))
 
 
-def _disk_check(side: str, group: RootedGroup, c: float, piece, rep, fclass,
-                graph) -> tuple[DiskCheck, tuple[str, ...]]:
+def _disk_check(side: str, group: RootedGroup, orig: tuple[int, ...], c: float,
+                piece, rep, fclass, graph) -> tuple[DiskCheck, tuple[str, ...]]:
     """The check of one cut piece, and the notes that name the witnesses of
-    its invalid field and of a boundary vertex off the cut value."""
-    match = graph is not None and group.root_form_is(
-        graph.tree, int(np.flatnonzero(graph.kinds == BOUNDARY)[0]), float(c))
-    off = np.flatnonzero(piece.field.values.take(piece.boundary) != c)
+    its invalid field, of where its tree parts from its cut side (whose
+    vertices are the sphere tree's ``orig``) and of a boundary vertex off
+    the cut value."""
     notes = tuple(f"disk {side}: {reason}" for reason in fclass.reasons)
+    match = False
+    if graph is not None:
+        at = int(np.flatnonzero(graph.kinds == BOUNDARY)[0])
+        match = group.root_form_is(graph.tree, at, float(c))
+        if not match:
+            x, y = group.parting(graph.tree, at, float(c))
+            where = f"sphere tree vertex {orig[x]}" if orig[x] >= 0 else "the cut point"
+            notes += (f"disk {side}: its tree parts from the cut side at disk "
+                      f"tree vertex {y} and {where}",)
+    off = np.flatnonzero(piece.field.values.take(piece.boundary) != c)
     if len(off):
         v = piece.boundary[off[0]]
         notes += (f"disk {side}: boundary vertex {v} has value "
@@ -310,8 +319,8 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     reports = []
     for facts_a, facts_b in zip(analyses, analyses):  # each edge's two disks
         eid, labels, c, crossings, cut, (group_a, group_b) = cuts.popleft()
-        disk_a, notes_a = _disk_check("A", group_a, c, *facts_a)
-        disk_b, notes_b = _disk_check("B", group_b, c, *facts_b)
+        disk_a, notes_a = _disk_check("A", group_a, cut.side_a.orig, c, *facts_a)
+        disk_b, notes_b = _disk_check("B", group_b, cut.side_b.orig, c, *facts_b)
         pair = (disk_a, disk_b)
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
         if replay_group is None:

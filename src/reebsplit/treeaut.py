@@ -375,6 +375,27 @@ class RootedGroup:
         key = (label, tuple([forms[w] for w in kids[self.root]]))
         return _rooted_form(other, at, ids)[0][at] == ids.setdefault(key, len(ids))
 
+    def parting(self, other: LabeledTree, at: int, label: float) -> tuple[int, int]:
+        """Where ``other`` rooted at ``at`` parts from this tree rooted here
+        with the root relabelled to ``label``, when ``root_form_is`` is
+        false: a vertex here and one there whose children's forms differ, or
+        the roots if their labels do.  From the roots, the walk steps to the
+        children that matching by equal forms leaves over, while that is one
+        child on each side and the two share a label."""
+        forms, kids, ids = self._pass[:3]
+        theirs, their_kids, _ = _rooted_form(other, at, ids)
+        x, y = self.root, at
+        if label != other.labels[at]:
+            return x, y
+        while True:
+            mine = Counter([forms[w] for w in kids[x]])
+            yours = Counter([theirs[w] for w in their_kids[y]])
+            a = [w for w in kids[x] if (mine - yours)[forms[w]]]
+            b = [w for w in their_kids[y] if (yours - mine)[theirs[w]]]
+            if len(a) != 1 or len(b) != 1 or self.tree.labels[a[0]] != other.labels[b[0]]:
+                return x, y
+            x, y = a[0], b[0]
+
     @property
     def unmarked_order(self) -> int:
         """The order of the tree's whole label-preserving group, this one's

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from reebsplit.gen import (
 )
 from reebsplit.mesh import validate_surface
 from reebsplit.reeb import build_reeb
+from reebsplit.selftest import split_corpus_seeds
 from reebsplit.split import reeb_to_tree
 from reebsplit.treeaut import LabeledTree, enumerate_aut, tree_isomorphic
+
+from realize_reference import reference_realize_tree
 
 
 def test_single_edge_round_trip():
@@ -144,3 +148,44 @@ def test_random_field_regression_frozen():
     assert classify_field(mesh2, field2).field_class == "Morse"
     g2 = build_reeb(mesh2, field2)
     assert (g2.n_vertices, g2.n_edges) == (82, 81)
+
+
+def assert_realizes_as_reference(tree, resolution):
+    """``realize_tree`` returns the reference's mesh and field bit for bit,
+    or refuses the tree with the reference's error."""
+    try:
+        ref_mesh, ref_field = reference_realize_tree(tree, resolution)
+    except InvalidTree as err:
+        with pytest.raises(InvalidTree, match=re.escape(str(err))):
+            realize_tree(tree, resolution)
+        return
+    mesh, field = realize_tree(tree, resolution)
+    for got, want in ((mesh.vertices, ref_mesh.vertices),
+                      (mesh.triangles, ref_mesh.triangles),
+                      (field.values, ref_field.values)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_realization_matches_reference_on_the_split_corpus():
+    for s, n, k in split_corpus_seeds(200):
+        assert_realizes_as_reference(
+            random_realizable_tree(n, symmetry=k, seed=s), 4)
+
+
+def test_realization_matches_reference_on_symmetric_trees():
+    for s in range(12):
+        assert_realizes_as_reference(
+            random_realizable_tree(2 + s % 9, symmetry=5, seed=s), 4)
+    for k in range(1, 8):   # bumps 1 is refused: its saddle has degree 2
+        assert_realizes_as_reference(
+            LabeledTree([0.0, 1.0] + [2.0] * k,
+                        [(0, 1)] + [(1, 2 + i) for i in range(k)]), 4)
+
+
+@pytest.mark.parametrize("resolution", range(2, 9))
+def test_realization_matches_reference_at_every_resolution(resolution):
+    for s in range(100):
+        tree = random_realizable_tree(2 + s % 13, symmetry=(1, 1, 2, 3)[s % 4],
+                                      seed=s)
+        assert_realizes_as_reference(tree, resolution)

@@ -112,6 +112,37 @@ def test_disk_boundary_off_the_cut_value_names_a_vertex(three_bump, monkeypatch)
     assert report.disks[1].boundary_constant
 
 
+def test_disk_tree_parting_from_its_side_names_both_vertices(double_fork, monkeypatch):
+    # the first disk tree with a vertex two steps below its boundary vertex
+    # gets that vertex's label nudged: the walk down both trees must stop at
+    # its parent, the one vertex whose children's forms now differ
+    trees, faulted = split.part_trees, []
+
+    def faulty(*args):
+        for k, graph in enumerate(trees(*args)):
+            at = int(np.flatnonzero(graph.kinds == field_module.BOUNDARY)[0])
+            order, parent = treeaut.walk(graph.tree.adj, at)
+            y = parent[order[-1]]
+            if not faulted and y != at:
+                faulted.append((k, y, graph.tree.labels[y]))
+                graph.tree = nudged(graph.tree, order[-1])
+            yield graph
+
+    monkeypatch.setattr(split, "part_trees", faulty)
+    mesh, field = double_fork
+    reports = verify_all_fixed_edges(mesh, field)
+    [(k, y, label)] = faulted
+    side = "AB"[k % 2]
+    x = build_reeb(mesh, field).tree.labels.index(label)   # a label of one vertex
+    parted = [r for r in reports if not r.passed]
+    assert parted == [reports[k // 2]]
+    assert not parted[0].disks[k % 2].tree_matches_cut_side
+    assert parted[0].disks[1 - k % 2].tree_matches_cut_side
+    assert [n for n in parted[0].notes if "parts" in n] == [
+        f"disk {side}: its tree parts from the cut side at disk tree vertex {y} "
+        f"and sphere tree vertex {x}"]
+
+
 def test_double_fork_both_cuts(double_fork):
     mesh, field = double_fork
     reports = verify_all_fixed_edges(mesh, field)
@@ -298,9 +329,9 @@ def test_disk_match_equals_relabel_and_pin(monkeypatch):
     disks = []
     check = split._disk_check
 
-    def recorded(side, group, c, piece, rep, fclass, graph):
+    def recorded(side, group, orig, c, piece, rep, fclass, graph):
         disks.append((group, float(c), graph))
-        return check(side, group, c, piece, rep, fclass, graph)
+        return check(side, group, orig, c, piece, rep, fclass, graph)
 
     monkeypatch.setattr(split, "_disk_check", recorded)
     fields = list(_split_corpus_fields(30)) + [
