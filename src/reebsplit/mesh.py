@@ -23,6 +23,7 @@ __all__ = [
     "CutPiece",
     "validate_surface",
     "check_level_cycle",
+    "level_components",
     "cut_along_cycle",
 ]
 
@@ -380,8 +381,11 @@ def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> np.ndarr
         raise CycleNotLevel(f"a vertex has value exactly {c}")
     if len(eids) < 3:
         raise CycleNotLevel("cycle needs at least three crossings")
-    if len(distinct(eids)) != len(eids):
-        raise CycleNotLevel("cycle crosses a mesh edge twice")
+    ordered = np.sort(eids)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(twice):
+        u, v = mesh.edge_pairs[twice[0]].tolist()
+        raise CycleNotLevel(f"cycle crosses a mesh edge twice: edge {(u, v)}")
     straddles = np.not_equal(*(values[mesh.edge_pairs[eids]] < c).T)
     if not straddles.all():
         u, v = mesh.edge_pairs[eids[np.argmin(straddles)]].tolist()
@@ -390,8 +394,12 @@ def check_level_cycle(mesh: TriangleMesh, values, cycle: LevelCycle) -> np.ndarr
     # shared[i, j, k]: triangle j of crossing i is triangle k of crossing i + 1
     shared = ((tris[:, :, None] == np.roll(tris, -1, axis=0)[:, None, :])
               & (tris[:, :, None] >= 0))
-    if np.any(shared.sum(axis=(1, 2)) != 1):
-        raise CycleNotLevel("consecutive crossings do not share one triangle")
+    apart = shared.sum(axis=(1, 2)) != 1
+    if apart.any():
+        i = int(np.argmax(apart))
+        e, f = mesh.edge_pairs[eids[[i, (i + 1) % len(eids)]]].tolist()
+        raise CycleNotLevel(f"consecutive crossings do not share one triangle: "
+                            f"edges {tuple(e)} and {tuple(f)}")
     return tris[shared.any(axis=2)]
 
 
@@ -415,8 +423,45 @@ class CutPiece:
         return TriangleMesh(np.broadcast_to(0.0, (len(self.field), 3)), self.triangles)
 
 
-def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
-                    cycle: LevelCycle) -> tuple[CutPiece, CutPiece]:
+def level_components(mesh: TriangleMesh, values, c: float) -> np.ndarray:
+    """Each vertex labelled with the smallest vertex of its component in the
+    vertex graph without the edges that cross level ``c``: the components
+    of the strict sublevel and strict superlevel graphs in one labelling."""
+    u, v = mesh.edge_pairs.T
+    above = np.asarray(values) > c
+    level = above[u] == above[v]
+    return components(mesh.n_vertices, u[level], v[level])
+
+
+def _cut_sides(mesh: TriangleMesh, values: np.ndarray, cycle: LevelCycle,
+               levels: np.ndarray) -> np.ndarray:
+    """Each vertex labelled with the smallest vertex of its piece of the cut
+    along ``cycle``, whose ``level_components`` are ``levels``;
+    CutNotSeparating unless there are two pieces.
+
+    On a sphere the cycle separates exactly its crossed edges: the pieces
+    are the components of the vertex graph without them, which are the
+    level components joined by the crossed edges off the cycle.  Those are
+    labelled on the level components alone, numbered in vertex order.
+    """
+    nv = mesh.n_vertices
+    u, v = mesh.edge_pairs.T
+    above = values > cycle.value
+    off = above[u] != above[v]
+    off[list(cycle.edges)] = False
+    heads = np.flatnonzero(levels == np.arange(nv))
+    node = np.empty(nv, dtype=np.intp)
+    node[heads] = np.arange(len(heads))
+    joined = heads[components(len(heads), node[levels[u[off]]], node[levels[v[off]]])]
+    roots = distinct(joined).tolist()
+    if len(roots) != 2:
+        raise CutNotSeparating(f"cut produced {len(roots)} pieces, whose "
+                               f"smallest vertices are {roots}")
+    return joined[node[levels]]
+
+
+def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField", cycle: LevelCycle, *,
+                    levels: np.ndarray | None = None) -> tuple[CutPiece, CutPiece]:
     """Cut a closed sphere along a regular level cycle into two disks.
 
     Every crossed edge gets one new vertex and every crossed triangle is
@@ -425,6 +470,9 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     the first cut point).  New boundary vertices carry the cut value exactly
     and no coordinates; both pieces receive their own copy of the cut
     polygon.
+
+    ``levels`` passes in ``level_components(mesh, field.values,
+    cycle.value)`` when the caller already has it.
     """
     from .field import ScalarField  # local import to avoid a module cycle
 
@@ -433,10 +481,11 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     crossed_tris = check_level_cycle(mesh, values, cycle)
     if not mesh.closed:
         raise CycleNotLevel("cut requires a closed surface")
+    if levels is None:
+        levels = level_components(mesh, values, c)
 
     nv, nt = mesh.n_vertices, mesh.n_triangles
     ncross = len(cycle)
-    eids = list(cycle.edges)
     # crossed triangle i lies between crossings i and i + 1, which sit on
     # its two sides at its lone vertex, the apex.  Crossing vertex i is
     # numbered nv + i until the pieces are renumbered; p1 is the one on side
@@ -444,7 +493,7 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
     # triangle (apex, p1, p2) and the quad split from p1 as (p1, a, b),
     # (p1, b, p2).
     cut_rows = []
-    pairs = mesh.edge_pairs[eids].tolist()
+    pairs = mesh.edge_pairs[list(cycle.edges)].tolist()
     for i, tri in enumerate(mesh.triangles[crossed_tris].tolist()):
         e1, e2 = pairs[i], pairs[(i + 1) % ncross]
         k = tri.index((set(e1) & set(e2)).pop())
@@ -452,46 +501,44 @@ def cut_along_cycle(mesh: TriangleMesh, field: "ScalarField",
         p1, p2 = nv + i, nv + (i + 1) % ncross
         if a not in e1:
             p1, p2 = p2, p1
-        cut_rows += [(apex, p1, p2), (p1, a, b), (p1, b, p2)]
+        cut_rows += (apex, p1, p2, p1, a, b, p1, b, p2)
 
-    # on a sphere the cycle separates exactly its crossed edges: the pieces
-    # are the components of the vertex graph without them
-    kept = np.ones(mesh.n_edges, dtype=bool)
-    kept[eids] = False
-    label = components(nv, mesh.edge_pairs[kept, 0], mesh.edge_pairs[kept, 1])
-    roots = np.flatnonzero(np.bincount(label))
-    if len(roots) != 2:
-        raise CutNotSeparating(f"cut produced {len(roots)} pieces")
+    # the first piece holds vertex 0; in_b marks the other's vertices
+    in_b = _cut_sides(mesh, values, cycle, levels) != 0
 
-    # new triangles in triangle order, a crossed triangle's three rows in
-    # its place; each row goes to the piece of its first original corner
+    # the new triangles are the mesh's in triangle order, a crossed
+    # triangle's three rows in its place: row r is row order[r] of the
+    # mesh's triangles followed by the cut rows.  Each row goes to the
+    # piece of its first original corner
+    cut_rows = np.reshape(cut_rows, (-1, 3))
+    rows = np.concatenate((mesh.triangles, cut_rows))
+    lead = np.concatenate((mesh.triangles[:, 0],
+                           np.where(cut_rows[:, 0] < nv, cut_rows[:, 0], cut_rows[:, 1])))
     crossed = np.zeros(nt, dtype=np.intp)
     crossed[crossed_tris] = 1
     first_row = np.arange(nt) + 2 * (np.cumsum(crossed) - crossed)
-    new_tris = np.empty((nt + 2 * ncross, 3), dtype=np.intp)
-    plain = np.flatnonzero(crossed == 0)
-    new_tris[first_row[plain]] = mesh.triangles[plain]
-    new_tris[(first_row[crossed_tris, None] + [0, 1, 2]).ravel()] = cut_rows
-    tri_piece = label[np.where(new_tris[:, 0] < nv, new_tris[:, 0], new_tris[:, 1])]
+    order = np.empty(nt + 2 * ncross, dtype=np.intp)
+    order[first_row] = np.arange(nt)
+    order[(first_row[crossed_tris, None] + [0, 1, 2]).ravel()] = np.arange(nt, nt + 3 * ncross)
+    row_in_b = in_b[lead][order]
 
-    vals = np.concatenate((values, np.full(ncross, c)))
+    # a piece numbers its original vertices in ascending order, then the
+    # crossings in cycle order: an original vertex's number counts the
+    # vertices of its piece before it
+    before_b = np.cumsum(in_b) - in_b
     pieces = []
-    for root in roots:
-        # original vertices first, in ascending order, then the crossings in
-        # cycle order
-        orig = np.flatnonzero(label == root)
-        used = np.concatenate((orig, np.arange(nv, nv + ncross)))
-        renumber = np.empty(nv + ncross, dtype=np.intp)
-        renumber[used] = np.arange(len(used))
+    for mine, rows_of, rank in ((~in_b, order[~row_in_b], np.arange(nv) - before_b),
+                                (in_b, order[row_in_b], before_b)):
+        orig = np.flatnonzero(mine)
+        renumber = np.concatenate((rank, np.arange(len(orig), len(orig) + ncross)))
         pieces.append(CutPiece(
-            triangles=renumber[new_tris[tri_piece == root]],
-            field=ScalarField(vals[used]),
+            triangles=renumber[rows.take(rows_of, axis=0)],
+            field=ScalarField(np.concatenate((values[orig], np.full(ncross, c)))),
             orig_vertex=np.concatenate((orig, np.full(ncross, -1))),
-            boundary=tuple(range(len(orig), len(used))),
+            boundary=tuple(range(len(orig), len(orig) + ncross)),
         ))
 
     u0, v0 = pairs[0]
-    below_first = u0 if values[u0] < c else v0
-    if not (pieces[0].orig_vertex == below_first).any():
+    if in_b[u0 if values[u0] < c else v0]:
         pieces.reverse()
     return pieces[0], pieces[1]

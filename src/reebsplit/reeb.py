@@ -38,8 +38,8 @@ from .mesh import (
     SurfaceReport,
     TriangleMesh,
     _jump,
-    components,
     distinct,
+    level_components,
     overflow_scale,
     validate_surface,
 )
@@ -452,25 +452,28 @@ def part_trees(mesh: TriangleMesh, surfaces: list[SurfaceReport],
 # ----------------------------------------------------------------------
 # level cycles
 
-def choose_cut_value(field: ScalarField, graph: ReebGraph, edge_id: int) -> float:
-    """Midpoint of the largest value gap strictly inside an edge's label span.
+def choose_cut_value(ascending: np.ndarray, graph: ReebGraph, edge_id: int) -> float:
+    """Midpoint of the largest value gap strictly inside an edge's label span,
+    read from the field's values in ascending order.
 
     Ties between equally large gaps resolve to the lowest one, so the choice
-    is deterministic.  Gaps and midpoint are scaled by ``overflow_scale``.
-    Where the largest gap lies between adjacent floats the midpoint rounds
-    onto one of its ends, which ``level_cycle`` refuses with ValueCollision.
+    is deterministic; a repeated value makes a gap of width 0, which never
+    wins.  Gaps and midpoint are scaled by ``overflow_scale``.  Where the
+    largest gap lies between adjacent floats the midpoint rounds onto one of
+    its ends, which ``level_cycle`` refuses with ValueCollision.
     """
     (lo, hi), _ = graph.edge_ends(edge_id)
-    vals = field.values
-    inside = distinct(vals[(vals > lo) & (vals < hi)]).tolist()
+    inside = ascending[np.searchsorted(ascending, lo, "right"):
+                       np.searchsorted(ascending, hi, "left")]
     s = overflow_scale(lo, hi)
-    stops = [x * s for x in [lo] + inside + [hi]]
+    stops = np.concatenate(([lo], inside, [hi])) * s
     best = int(np.argmax(np.diff(stops)))  # the first of the largest gaps
-    return (stops[best] + stops[best + 1]) / (2 * s)
+    a, b = stops[best:best + 2].tolist()
+    return (a + b) / (2 * s)
 
 
 def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
-                edge_id: int, c: float) -> LevelCycle:
+                edge_id: int, c: float, *, levels: np.ndarray | None = None) -> LevelCycle:
     """The unique level-``c`` cycle lying over the interior of a tree edge.
 
     ``c`` must be strictly inside the edge's label span and distinct from
@@ -478,7 +481,9 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
     one belonging to the requested edge is identified by the pair (component
     of the strict sublevel graph holding the lower endpoint's preimage,
     component of the strict superlevel graph holding the upper endpoint's);
-    on a tree that pair is unique to the edge.
+    on a tree that pair is unique to the edge.  ``levels`` passes in
+    ``level_components(mesh, field.values, c)`` when the caller already has
+    it.
     """
     (lo, hi), (lo_rep, hi_rep) = graph.edge_ends(edge_id)
     vals = field.values
@@ -486,20 +491,18 @@ def level_cycle(mesh: TriangleMesh, field: ScalarField, graph: ReebGraph,
         raise ValueCollision(f"{c} is outside the edge span ({lo}, {hi})")
     if np.any(vals == c):
         raise ValueCollision(f"{c} collides with a vertex value")
+    if levels is None:
+        levels = level_components(mesh, vals, c)
 
     # every crossed edge joins a component of the strict sublevel graph to
     # one of the strict superlevel graph, and all edges of one level cycle
-    # join the same pair; the requested cycle's pair holds the edge's ends.
-    # The uncrossed edges give both kinds of component in one labelling.
+    # join the same pair; the requested cycle's pair holds the edge's ends
     u, v = mesh.edge_pairs.T
     above = vals > c
-    crosses = above[u] != above[v]
-    level = np.flatnonzero(~crosses)
-    crossed = np.flatnonzero(crosses)
-    comp = components(mesh.n_vertices, u[level], v[level])
+    crossed = np.flatnonzero(above[u] != above[v])
     a, b = u[crossed], v[crossed]
     low, high = np.where(above[a], b, a), np.where(above[a], a, b)
-    hits = np.flatnonzero((comp[low] == comp[lo_rep]) & (comp[high] == comp[hi_rep]))
+    hits = np.flatnonzero((levels[low] == levels[lo_rep]) & (levels[high] == levels[hi_rep]))
     if not len(hits):
         raise InternalInconsistency("no level component matches the requested edge")
     start = int(hits[0])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EdgeNotFound, GenusNotZero, InternalInconsistency
 from .field import BOUNDARY, FieldClassReport, ScalarField, classify_field
-from .mesh import TriangleMesh, cut_along_cycle, validate_surface
+from .mesh import TriangleMesh, cut_along_cycle, level_components, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle, part_trees
 from .treeaut import (
     AutGroup,
@@ -171,24 +171,32 @@ def check_subtree_group_gap(side_groups) -> tuple[GapNote, ...]:
 
 
 # a batch of cut pieces closes before its union would pass this many vertices
-# (a larger piece is a batch of its own): a union's peak memory, about 1 kB a
-# vertex, grows with it faster than the per-call time it saves falls
+# (a larger edge's pair is a batch of its own): a union's peak memory, about
+# 1 kB a vertex, grows with it faster than the per-call time it saves falls
 BATCH_VERTICES = 768
 
 
-def disk_analyses(pieces):
-    """Each cut piece with its ``validate_surface``, ``classify_field`` and
-    tree (None where its field is invalid), taken as they come in batches of
-    at most ``BATCH_VERTICES`` vertices, each one disjoint-union mesh."""
+def disk_analyses(pairs):
+    """Each edge's pair of cut pieces as a pair of each piece with its
+    ``validate_surface``, ``classify_field`` and tree (None where its field
+    is invalid).  Pairs are taken whole, as they come, in batches of at most
+    ``BATCH_VERTICES`` vertices, each one disjoint-union mesh."""
     batch, vertices = [], 0
-    for piece in pieces:
-        vertices += len(piece.field)
-        if batch and vertices > BATCH_VERTICES:
-            yield from _analyze_batch(batch)
-            batch, vertices = [], len(piece.field)
-        batch.append(piece)
+    for pair in pairs:
+        size = sum(len(piece.field) for piece in pair)
+        if batch and vertices + size > BATCH_VERTICES:
+            yield from _paired(_analyze_batch(batch))
+            batch, vertices = [], 0
+        batch += pair
+        vertices += size
     if batch:
-        yield from _analyze_batch(batch)
+        yield from _paired(_analyze_batch(batch))
+
+
+def _paired(analyses):
+    """Consecutive pairs of ``analyses``: each edge's disk A and disk B."""
+    it = iter(analyses)
+    return zip(it, it)
 
 
 def _analyze_batch(batch) -> list[tuple]:
@@ -298,26 +306,28 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     # (edge, end labels, cut value, crossings, tree cut, side groups) of the
     # edges cut but not yet reported, so that each is freed once reported
     cuts = deque()
+    # the field's values in ascending order, for every edge's cut value
+    ascending = field.values[sphere.fclass.order]
 
     def pieces():
         for eid in edge_ids:
             labels, (lower_rep, upper_rep) = graph.edge_ends(eid)
-            c = choose_cut_value(field, graph, eid)
-            cycle = level_cycle(mesh, field, graph, eid, c)
+            c = choose_cut_value(ascending, graph, eid)
+            levels = level_components(mesh, field.values, c)
+            cycle = level_cycle(mesh, field, graph, eid, c, levels=levels)
             # piece A holds the lower end of crossing 0, which level_cycle
             # takes from the lower end's sublevel component
-            piece_a, piece_b = cut_along_cycle(mesh, field, cycle)
+            piece_a, piece_b = cut_along_cycle(mesh, field, cycle, levels=levels)
             if not ((piece_a.orig_vertex == lower_rep).any()
                     and (piece_b.orig_vertex == upper_rep).any()):
                 raise InternalInconsistency("cut pieces do not separate the edge ends")
             cut = cut_tree_at(tree, eid)
             sides = tuple(RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
             cuts.append((eid, labels, c, len(cycle), cut, sides))
-            yield from (piece_a, piece_b)
+            yield piece_a, piece_b
 
-    analyses = disk_analyses(pieces())
     reports = []
-    for facts_a, facts_b in zip(analyses, analyses):  # each edge's two disks
+    for facts_a, facts_b in disk_analyses(pieces()):
         eid, labels, c, crossings, cut, (group_a, group_b) = cuts.popleft()
         disk_a, notes_a = _disk_check("A", group_a, cut.side_a.orig, c, *facts_a)
         disk_b, notes_b = _disk_check("B", group_b, cut.side_b.orig, c, *facts_b)

@@ -448,7 +448,7 @@ def enumerate_aut(tree: LabeledTree, max_order: int = MAX_GROUP_ORDER) -> AutGro
     before anything is listed."""
     rooted = unmarked_group(tree) if tree.marked is None else RootedGroup(tree, tree.marked)
     if rooted.order > max_order:
-        raise GroupTooLarge(f"group exceeds {max_order} elements")
+        raise GroupTooLarge(f"group exceeds {max_order} elements (order {rooted.order})")
     for t in rooted.generators:
         if t not in rooted:
             raise InternalInconsistency(f"structural generator {t} is no automorphism")

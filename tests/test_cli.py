@@ -318,7 +318,8 @@ def _bounded_fixture(tmp_path, name) -> Path:
     mesh, field = load_mesh_field(path)
     if name == "bumps-3-disk":
         graph = build_reeb(mesh, field)
-        cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+        c = choose_cut_value(np.sort(field.values), graph, 0)
+        cycle = level_cycle(mesh, field, graph, 0, c)
         piece = cut_along_cycle(mesh, field, cycle)[0]
         save_mesh_field(path, piece.mesh, piece.field)
         return path
@@ -499,6 +500,7 @@ def test_split_passes_beyond_the_group_bound(tmp_path, n):
         code, out, err = run(["aut", "--input", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("error: GroupTooLarge: group exceeds 10000 elements")
+        assert err.rstrip().endswith(f"(order {math.factorial(8)})")
 
 
 def test_split_unmarked_side_beyond_the_group_bound(tmp_path):
@@ -618,7 +620,7 @@ def cut_disk(octahedron):
     """The lower disk of the octahedron cut across its only edge."""
     mesh, field = octahedron
     graph = build_reeb(mesh, field)
-    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(np.sort(field.values), graph, 0))
     piece = cut_along_cycle(mesh, field, cycle)[0]
     return piece.mesh, piece.field
 

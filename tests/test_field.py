@@ -87,7 +87,7 @@ def test_three_bump_field_class(three_bump):
 def test_cut_disk_has_regular_constant_boundary(three_bump):
     mesh, field = three_bump
     graph = build_reeb(mesh, field)
-    c = choose_cut_value(field, graph, 0)
+    c = choose_cut_value(np.sort(field.values), graph, 0)
     cycle = level_cycle(mesh, field, graph, 0, c)
     a, b = cut_along_cycle(mesh, field, cycle)
     for piece in (a, b):
@@ -302,7 +302,7 @@ def corpus_spheres_and_disks(count):
         graph = build_reeb(mesh, field)
         for eid in range(graph.n_edges):
             cycle = level_cycle(mesh, field, graph, eid,
-                                choose_cut_value(field, graph, eid))
+                                choose_cut_value(np.sort(field.values), graph, eid))
             for piece in cut_along_cycle(mesh, field, cycle):
                 yield piece.mesh, piece.field
 
@@ -349,7 +349,7 @@ def test_parts_of_a_union_are_classified_as_if_alone(octahedron, monkey_star, th
     triangle = TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
     mesh, field = octahedron
     graph = build_reeb(mesh, field)
-    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(np.sort(field.values), graph, 0))
     disk = cut_along_cycle(mesh, field, cycle)[1]
     flat = field.values.copy()
     flat[1] = flat[2]

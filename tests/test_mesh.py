@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spheres import flipped_sphere
+from test_irregular_spheres import hull_fields
 
 import reebsplit.mesh
 import reebsplit.split
@@ -9,6 +11,7 @@ from reebsplit.errors import (
     CutNotSeparating,
     CycleNotLevel,
     DegenerateTriangle,
+    InvalidFieldClass,
     NonManifoldEdge,
     NonOrientable,
     PinchedVertex,
@@ -21,6 +24,8 @@ from reebsplit.mesh import (
     check_level_cycle,
     components,
     cut_along_cycle,
+    distinct,
+    level_components,
     validate_surface,
 )
 from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
@@ -124,7 +129,7 @@ def edge_triangles_by_loop(mesh):
 def test_edge_triangles_match_a_loop_on_closed_and_bounded_meshes(octahedron, torus):
     mesh, field = octahedron
     graph = build_reeb(mesh, field)
-    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(np.sort(field.values), graph, 0))
     meshes = [mesh, torus[0], TriangleMesh(*two_octahedra(shared=False)),
               TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])]
     meshes += [piece.mesh for piece in cut_along_cycle(mesh, field, cycle)]
@@ -245,15 +250,23 @@ def counted_components(monkeypatch):
 def test_mesh_and_cut_labelling_budget(three_bump, monkeypatch):
     mesh, field = three_bump
     graph = build_reeb(mesh, field)
-    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(np.sort(field.values), graph, 0))
+    levels = level_components(mesh, field.values, cycle.value)
+    n_levels = len(distinct(levels))
     sizes = counted_components(monkeypatch)
     # a consistently wound mesh: the corner graph and the vertex graph
     validate_surface(TriangleMesh(mesh.vertices, mesh.triangles))
     assert sizes == [3 * mesh.n_triangles, mesh.n_vertices]
     sizes.clear()
-    # the cut labels the vertex graph once and builds no piece's mesh
+    # the cut labels the vertex graph once, then the level components it
+    # leaves, and builds no piece's mesh; handed the vertex graph's labels,
+    # it labels only the level components
     piece = cut_along_cycle(mesh, field, cycle)[0]
-    assert sizes == [mesh.n_vertices]
+    assert sizes == [mesh.n_vertices, n_levels]
+    sizes.clear()
+    again = cut_along_cycle(mesh, field, cycle, levels=levels)[0]
+    assert np.array_equal(again.triangles, piece.triangles)
+    assert sizes == [n_levels]
     sizes.clear()
     # a bounded mesh also labels its boundary edges, once
     n = len(piece.field)
@@ -318,7 +331,7 @@ def test_boundary_labels_match_a_walk_on_cut_pieces_and_unions(monkeypatch):
         sphere = analyze_sphere(mesh, field)
         for eid in sphere.fixed.edge_ids:
             cycle = level_cycle(mesh, field, sphere.graph, eid,
-                                choose_cut_value(field, sphere.graph, eid))
+                                choose_cut_value(np.sort(field.values), sphere.graph, eid))
             for piece in cut_along_cycle(mesh, field, cycle):
                 # a piece holds no coordinates: its mesh's are one origin
                 assert piece.mesh.vertices.strides == (0, 0)
@@ -416,7 +429,7 @@ def test_torus_detected_as_genus_one(torus):
 def octa_cut(octahedron):
     mesh, field = octahedron
     graph = build_reeb(mesh, field)
-    c = choose_cut_value(field, graph, 0)
+    c = choose_cut_value(np.sort(field.values), graph, 0)
     cycle = level_cycle(mesh, field, graph, 0, c)
     return mesh, field, cycle, c
 
@@ -446,7 +459,7 @@ def test_three_bump_cut_critical_split(three_bump):
     mesh, field = three_bump
     graph = build_reeb(mesh, field)
     # edge 0 is the basin-side edge (min below the saddle)
-    c = choose_cut_value(field, graph, 0)
+    c = choose_cut_value(np.sort(field.values), graph, 0)
     cycle = level_cycle(mesh, field, graph, 0, c)
     a, b = cut_along_cycle(mesh, field, cycle)
     fa = classify_field(a.mesh, a.field)
@@ -459,7 +472,7 @@ def test_cut_piece_fields_classify(three_bump):
     mesh, field = three_bump
     graph = build_reeb(mesh, field)
     for eid in range(graph.n_edges):
-        c = choose_cut_value(field, graph, eid)
+        c = choose_cut_value(np.sort(field.values), graph, eid)
         cycle = level_cycle(mesh, field, graph, eid, c)
         a, b = cut_along_cycle(mesh, field, cycle)
         for piece in (a, b):
@@ -527,13 +540,35 @@ def test_each_cut_refusal_names_its_check(octahedron, case):
         cut_along_cycle(mesh, field, cycle)
 
 
+def test_cut_refusals_name_their_witnesses(octahedron):
+    mesh, field, cycle, c = octa_cut(octahedron)
+    e = cycle.edges
+    pair = {eid: tuple(mesh.edge_pairs[eid].tolist()) for eid in e}
+    with pytest.raises(CycleNotLevel) as no:
+        cut_along_cycle(mesh, field, LevelCycle(e[:2] + e[1:], c))
+    assert str(no.value) == f"cycle crosses a mesh edge twice: edge {pair[e[1]]}"
+    with pytest.raises(CycleNotLevel) as no:
+        cut_along_cycle(mesh, field, LevelCycle((e[0], e[2], e[1], e[3]), c))
+    assert str(no.value) == ("consecutive crossings do not share one triangle: "
+                             f"edges {pair[e[0]]} and {pair[e[2]]}")
+    # the same cycle on the first of two disjoint octahedra leaves its two
+    # pieces and the whole second octahedron, vertices 6 to 11
+    smallest = sorted(int(piece.orig_vertex[0]) for piece in cut_along_cycle(mesh, field, cycle))
+    both = TriangleMesh(*two_octahedra(shared=False))
+    assert both.edge_pairs[list(e)].tolist() == mesh.edge_pairs[list(e)].tolist()
+    values = ScalarField(np.concatenate((field.values, field.values + 10.0)))
+    with pytest.raises(CutNotSeparating) as no:
+        cut_along_cycle(both, values, cycle)
+    assert str(no.value) == f"cut produced 3 pieces, whose smallest vertices are {smallest + [6]}"
+
+
 def test_generated_cuts_validate_everywhere():
     for seed in (1, 4, 9):
         tree = random_realizable_tree(8, symmetry=2, seed=seed)
         mesh, field = realize_tree(tree, 4)
         graph = build_reeb(mesh, field)
         for eid in range(graph.n_edges):
-            c = choose_cut_value(field, graph, eid)
+            c = choose_cut_value(np.sort(field.values), graph, eid)
             cycle = level_cycle(mesh, field, graph, eid, c)
             a, b = cut_along_cycle(mesh, field, cycle)
             for piece in (a, b):
@@ -599,11 +634,137 @@ def corner_node_pieces(mesh, field, cycle):
     return pieces
 
 
+def vertex_graph_pieces(mesh, field, cycle):
+    """The side labels and pieces of a cut as ``cut_along_cycle`` made them
+    from the whole vertex graph: the components of the vertex graph without
+    the cycle's edges, labelled on all its nodes, and each piece gathered,
+    scattered and renumbered on its own."""
+    values = np.asarray(field.values, dtype=float)
+    c = cycle.value
+    crossed_tris = check_level_cycle(mesh, values, cycle)
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    ncross = len(cycle)
+    eids = list(cycle.edges)
+    cut_rows = []
+    pairs = mesh.edge_pairs[eids].tolist()
+    for i, tri in enumerate(mesh.triangles[crossed_tris].tolist()):
+        e1, e2 = pairs[i], pairs[(i + 1) % ncross]
+        k = tri.index((set(e1) & set(e2)).pop())
+        apex, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        p1, p2 = nv + i, nv + (i + 1) % ncross
+        if a not in e1:
+            p1, p2 = p2, p1
+        cut_rows += [(apex, p1, p2), (p1, a, b), (p1, b, p2)]
+    kept = np.ones(mesh.n_edges, dtype=bool)
+    kept[eids] = False
+    label = components(nv, mesh.edge_pairs[kept, 0], mesh.edge_pairs[kept, 1])
+    roots = np.flatnonzero(np.bincount(label))
+    if len(roots) != 2:
+        return label, None
+    crossed = np.zeros(nt, dtype=np.intp)
+    crossed[crossed_tris] = 1
+    first_row = np.arange(nt) + 2 * (np.cumsum(crossed) - crossed)
+    new_tris = np.empty((nt + 2 * ncross, 3), dtype=np.intp)
+    plain = np.flatnonzero(crossed == 0)
+    new_tris[first_row[plain]] = mesh.triangles[plain]
+    new_tris[(first_row[crossed_tris, None] + [0, 1, 2]).ravel()] = cut_rows
+    tri_piece = label[np.where(new_tris[:, 0] < nv, new_tris[:, 0], new_tris[:, 1])]
+    vals = np.concatenate((values, np.full(ncross, c)))
+    pieces = []
+    for root in roots:
+        orig = np.flatnonzero(label == root)
+        used = np.concatenate((orig, np.arange(nv, nv + ncross)))
+        renumber = np.empty(nv + ncross, dtype=np.intp)
+        renumber[used] = np.arange(len(used))
+        pieces.append((renumber[new_tris[tri_piece == root]], vals[used],
+                       np.concatenate((orig, np.full(ncross, -1))),
+                       tuple(range(len(orig), len(used)))))
+    u0, v0 = pairs[0]
+    if not (pieces[0][2] == (u0 if values[u0] < c else v0)).any():
+        pieces.reverse()
+    return label, pieces
+
+
+def assert_cut_matches_vertex_graph(mesh, field, cycle):
+    """The cut's side labels and pieces, with the level components it is
+    handed and without, equal the whole vertex graph's, array for array."""
+    label, want = vertex_graph_pieces(mesh, field, cycle)
+    levels = level_components(mesh, field.values, cycle.value)
+    if want is None:
+        with pytest.raises(CutNotSeparating) as no:
+            reebsplit.mesh._cut_sides(mesh, field.values, cycle, levels)
+        assert str(no.value).endswith(f"are {distinct(label).tolist()}")
+        return
+    assert np.array_equal(reebsplit.mesh._cut_sides(mesh, field.values, cycle, levels), label)
+    for got in (cut_along_cycle(mesh, field, cycle),
+                cut_along_cycle(mesh, field, cycle, levels=levels)):
+        assert len(got) == len(want) == 2
+        for piece, (triangles, values, orig, boundary) in zip(got, want):
+            for have, expected in ((piece.triangles, triangles),
+                                   (piece.field.values, values),
+                                   (piece.orig_vertex, orig)):
+                assert have.dtype == expected.dtype
+                assert have.shape == expected.shape
+                assert have.tobytes() == expected.tobytes()
+            assert piece.boundary == boundary
+
+
+def fixed_edge_cycles(mesh, field):
+    """The level cycle of every fixed edge, at the split path's cut value."""
+    sphere = analyze_sphere(mesh, field)
+    ascending = field.values[sphere.fclass.order]
+    for eid in sphere.fixed.edge_ids:
+        c = choose_cut_value(ascending, sphere.graph, eid)
+        yield level_cycle(mesh, field, sphere.graph, eid, c)
+
+
+def test_cut_matches_vertex_graph_on_three_sphere_sources():
+    cuts = []
+    fields = [realize_tree(random_realizable_tree(n, symmetry=k, seed=s), 4)
+              for s, n, k in split_corpus_seeds(30)]
+    fields.append(realize_tree(random_realizable_tree(n=14, symmetry=2, seed=1), 48))
+    for seed in range(6):
+        mesh, hull = hull_fields(120, seed)
+        fields += [(mesh, field) for field in hull]
+    for i, (s, n, k) in enumerate(split_corpus_seeds(20)):
+        mesh, field = realize_tree(random_realizable_tree(n, symmetry=k, seed=s), 4)
+        fields.append((flipped_sphere(mesh, 3 * mesh.n_triangles, i), field))
+    for mesh, field in fields:
+        try:
+            cycles = list(fixed_edge_cycles(mesh, field))
+        except InvalidFieldClass:  # a flip can put equal values side by side
+            continue
+        for cycle in cycles:
+            assert_cut_matches_vertex_graph(mesh, field, cycle)
+        cuts.append(len(cycles))
+    # 30 corpus spheres, the large sphere, 18 hull fields and the 18 flipped
+    # spheres whose fields have no flat zone
+    assert (len(cuts), sum(cuts)) == (67, 1417)
+
+
+def test_cut_matches_vertex_graph_on_hand_made_cycles(octahedron, three_bump, torus):
+    mesh, field, cycle, _ = octa_cut(octahedron)
+    assert_cut_matches_vertex_graph(mesh, field, cycle)
+    # the three level circles at 1.5 of the three-bump field
+    bumps, bump_field = three_bump
+    graph = build_reeb(bumps, bump_field)
+    for eid in range(graph.n_edges):
+        lo, hi = graph.edge_ends(eid)[0]
+        if lo < 1.5 < hi:
+            assert_cut_matches_vertex_graph(bumps, bump_field,
+                                            level_cycle(bumps, bump_field, graph, eid, 1.5))
+    # one piece on the torus, three on two disjoint octahedra
+    assert_cut_matches_vertex_graph(*torus, torus_meridian(torus[0]))
+    both = TriangleMesh(*two_octahedra(shared=False))
+    values = ScalarField(np.concatenate((field.values, field.values + 10.0)))
+    assert_cut_matches_vertex_graph(both, values, cycle)
+
+
 def assert_cut_matches_corner_node_pieces(mesh, field):
     """Cut across every fixed edge; return how many were cut."""
     sphere = analyze_sphere(mesh, field)
     for eid in sphere.fixed.edge_ids:
-        c = choose_cut_value(field, sphere.graph, eid)
+        c = choose_cut_value(np.sort(field.values), sphere.graph, eid)
         cycle = level_cycle(mesh, field, sphere.graph, eid, c)
         got = [(p.mesh.triangles.tolist(), p.orig_vertex.tolist(), p.boundary)
                for p in cut_along_cycle(mesh, field, cycle)]
@@ -626,16 +787,24 @@ def test_cut_matches_corner_node_pieces_on_large_sphere():
     assert assert_cut_matches_corner_node_pieces(mesh, field) == 13
 
 
-def test_cut_along_a_torus_meridian_not_separating(torus):
-    # level 3.5 on the 4x4 torus is two meridians, either side of row 0;
-    # cutting along one leaves the torus in one piece
-    mesh, field = torus
+def torus_meridian(mesh):
+    """Level 3.5 on the 4x4 torus is two meridians, either side of row 0:
+    the one through rows 0 and 1."""
     index = {pair: e for e, pair in enumerate(map(tuple, mesh.edge_pairs.tolist()))}
     edges = []
     for j in range(4):
         for u, v in ((j, 4 + j), (4 + j, (j + 1) % 4)):
             edges.append(index[min(u, v), max(u, v)])
-    cycle = LevelCycle(edges=tuple(edges), value=3.5)
+    return LevelCycle(edges=tuple(edges), value=3.5)
+
+
+def test_cut_along_a_torus_meridian_not_separating(torus):
+    # cutting along one meridian leaves the torus in one piece
+    mesh, field = torus
+    cycle = torus_meridian(mesh)
     for cut in (cut_along_cycle, corner_node_pieces):
         with pytest.raises(CutNotSeparating, match="1 pieces"):
             cut(mesh, field, cycle)
+    with pytest.raises(CutNotSeparating) as no:
+        cut_along_cycle(mesh, field, cycle)
+    assert str(no.value) == "cut produced 1 pieces, whose smallest vertices are [0]"

@@ -9,6 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_irregular_spheres import hull_fields
 
 from reebsplit import kernels, reeb, split
 from reebsplit.cli import main
@@ -77,7 +78,7 @@ def test_three_bump_reeb_is_a_star(three_bump):
 def test_cut_disk_reeb_replaces_min_with_boundary(three_bump):
     mesh, field = three_bump
     g = build_reeb(mesh, field)
-    c = choose_cut_value(field, g, 0)
+    c = choose_cut_value(np.sort(field.values), g, 0)
     cycle = level_cycle(mesh, field, g, 0, c)
     a, b = cut_along_cycle(mesh, field, cycle)
     gb = build_reeb(b.mesh, b.field)
@@ -103,7 +104,7 @@ def test_preimages_are_the_critical_zones(three_bump, side):
     mesh, field = three_bump
     if side is not None:
         g = build_reeb(mesh, field)
-        cycle = level_cycle(mesh, field, g, 0, choose_cut_value(field, g, 0))
+        cycle = level_cycle(mesh, field, g, 0, choose_cut_value(np.sort(field.values), g, 0))
         piece = cut_along_cycle(mesh, field, cycle)[side]
         mesh, field = piece.mesh, piece.field
     g = build_reeb(mesh, field)
@@ -149,7 +150,7 @@ def test_export_dot_shapes(octahedron, three_bump):
 def test_level_cycle_octahedron(octahedron):
     mesh, field = octahedron
     g = build_reeb(mesh, field)
-    c = choose_cut_value(field, g, 0)
+    c = choose_cut_value(np.sort(field.values), g, 0)
     cycle = level_cycle(mesh, field, g, 0, c)
     assert len(cycle) == 4
 
@@ -177,7 +178,7 @@ def test_level_cycle_value_collision(octahedron):
     with pytest.raises(EdgeNotFound):
         level_cycle(mesh, field, g, 99, 0.0)
     with pytest.raises(EdgeNotFound):
-        choose_cut_value(field, g, 99)
+        choose_cut_value(np.sort(field.values), g, 99)
 
 
 def test_choose_cut_value_largest_gap():
@@ -188,7 +189,7 @@ def test_choose_cut_value_largest_gap():
     tree = LabeledTree([0.0, 10.0], [(0, 1)])
     mesh, field = realize_tree(tree, 4)
     g = build_reeb(mesh, field)
-    c = choose_cut_value(field, g, 0)
+    c = choose_cut_value(np.sort(field.values), g, 0)
     inside = sorted(v for v in field.values if 0.0 < v < 10.0)
     gaps = [(b - a, (a + b) / 2) for a, b in
             zip([0.0] + inside, inside + [10.0])]
@@ -222,23 +223,35 @@ def test_choose_cut_value_matches_python_oracle(octahedron):
                                                           seed=seed), 4)
         sphere = analyze_sphere(mesh, field)
         for eid in sphere.fixed.edge_ids:
-            got = choose_cut_value(field, sphere.graph, eid)
+            got = choose_cut_value(field.values[sphere.fclass.order], sphere.graph, eid)
             assert got.hex() == python_cut_value(field, sphere.graph, eid).hex()
             edges += 1
     assert edges == 202
+    # every tree edge of random and trigonometric fields on hull spheres,
+    # whose values are no realization's
+    for seed in range(3):
+        mesh, fields = hull_fields(120, seed)
+        for field in fields:
+            graph = build_reeb(mesh, field)
+            for eid in range(graph.n_edges):
+                got = choose_cut_value(np.sort(field.values), graph, eid)
+                assert got.hex() == python_cut_value(field, graph, eid).hex()
+                edges += 1
+    assert edges == 442
     # the gaps inside (0, 4) are 0.5, 1.5, 0.5 and 1.5: the lower of the
     # two widest wins
     mesh, _ = octahedron
     field = ScalarField(np.array([0.0, 0.5, 2.0, 2.5, 2.0, 4.0]))
     graph = build_reeb(mesh, field)
     assert graph.n_edges == 1
-    assert choose_cut_value(field, graph, 0) == python_cut_value(field, graph, 0) == 1.25
+    c = choose_cut_value(np.sort(field.values), graph, 0)
+    assert c == python_cut_value(field, graph, 0) == 1.25
     # the same tie mapped onto [-2**1023, 2**1023], where hi - lo overflows
     # unscaled: the gaps are 1/4, 3/4, 1/4 and 3/4 of 2**1023
     big = 2.0 ** 1023
     field = ScalarField(np.array([-1.0, -0.75, 0.0, 0.25, 0.0, 1.0]) * big)
     graph = build_reeb(mesh, field)
-    c = choose_cut_value(field, graph, 0)
+    c = choose_cut_value(np.sort(field.values), graph, 0)
     assert c == -0.375 * big
     # the level circles the two lowest vertices, which share an edge
     assert len(level_cycle(mesh, field, graph, 0, c)) == 6
@@ -262,7 +275,7 @@ def test_cut_values_and_level_cycles_on_every_tree_edge():
     for mesh, field in inputs:
         graph = build_reeb(mesh, field)
         for eid in range(graph.n_edges):
-            c = choose_cut_value(field, graph, eid)
+            c = choose_cut_value(np.sort(field.values), graph, eid)
             values.update(c.hex().encode())
             cycles.update(repr(level_cycle(mesh, field, graph, eid, c).edges).encode())
             edges += 1
@@ -517,7 +530,7 @@ def sphere_and_disks(mesh, field):
     yield mesh, field
     for eid in range(graph.n_edges):
         cycle = level_cycle(mesh, field, graph, eid,
-                            choose_cut_value(field, graph, eid))
+                            choose_cut_value(np.sort(field.values), graph, eid))
         for piece in cut_along_cycle(mesh, field, cycle):
             yield piece.mesh, piece.field
 
@@ -822,7 +835,9 @@ def test_disk_pass_unions_equal_each_piece_alone(monkeypatch):
         for piece, _, _, graph in analyses:
             assert graph_facts(graph) == graph_facts(build_reeb(piece.mesh, piece.field))
     parts = [len(analyses) for analyses in batches]
-    assert (len(parts), sum(parts), max(parts)) == (93, 420, 10)
+    # each union holds whole edges: both disks of each of its cuts
+    assert all(part % 2 == 0 for part in parts)
+    assert (len(parts), sum(parts), max(parts)) == (95, 420, 10)
 
 
 def called_regular(fclasses, vertices):
@@ -868,7 +883,7 @@ def valid_pieces():
     saddle."""
     mesh, field = realize_tree(bumps_tree(3), 4)
     graph = build_reeb(mesh, field)
-    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(field, graph, 0))
+    cycle = level_cycle(mesh, field, graph, 0, choose_cut_value(np.sort(field.values), graph, 0))
     disk = cut_along_cycle(mesh, field, cycle)[1]
     return (*octahedron_height(), ()), (disk.mesh, disk.field, ())
 

@@ -67,8 +67,8 @@ def faulted_cut(monkeypatch, side, fault):
     ``fault(piece)``; the list it returns collects the faulted pieces."""
     cut, faulted = split.cut_along_cycle, []
 
-    def faulty(mesh, field, cycle):
-        pieces = list(cut(mesh, field, cycle))
+    def faulty(mesh, field, cycle, **kwargs):
+        pieces = list(cut(mesh, field, cycle, **kwargs))
         pieces[side] = replace(pieces[side], field=ScalarField(fault(pieces[side])))
         faulted.append(pieces[side])
         return tuple(pieces)
@@ -508,8 +508,9 @@ def test_shared_analysis_computes_each_fact_once(double_fork_tree, monkeypatch):
     init = mesh_module.TriangleMesh.__init__
     monkeypatch.setattr(mesh_module.TriangleMesh, "__init__", lambda self, *args: (
         calls["TriangleMesh"].append(self), init(self, *args))[-1])
-    # the four disks fit in one batch, or under a cap of one vertex make four
-    for cap, batches in ((split.BATCH_VERTICES, 1), (1, 4)):
+    # the four disks fit in one batch, or under a cap of one vertex make one
+    # per edge: an edge's two disks always share a union
+    for cap, batches in ((split.BATCH_VERTICES, 1), (1, 2)):
         monkeypatch.setattr(split, "BATCH_VERTICES", cap)
         for made in calls.values():
             made.clear()
@@ -555,8 +556,9 @@ def test_one_reduction_per_disk_pass_union(monkeypatch):
 
     count(reeb, "_tree_from_sweeps")
     count(split, "_analyze_batch", lambda batch: parts.append(len(batch)))
-    # unions of up to five pieces, or under a cap of one vertex one piece each
-    for cap, sizes in ((split.BATCH_VERTICES, [5, 4, 3, 4, 2]), (1, [1] * 18)):
+    # unions of whole edges, two pieces each, or under a cap of one vertex
+    # one edge each
+    for cap, sizes in ((split.BATCH_VERTICES, [4, 4, 4, 4, 2]), (1, [2] * 9)):
         monkeypatch.setattr(split, "BATCH_VERTICES", cap)
         calls.clear()
         parts.clear()
@@ -565,6 +567,30 @@ def test_one_reduction_per_disk_pass_union(monkeypatch):
         # the sphere's tree, then one reduction per union
         assert calls == {"_analyze_batch": len(sizes),
                          "_tree_from_sweeps": len(sizes) + 1}
+
+
+def test_one_vertex_labelling_per_fixed_edge(monkeypatch):
+    # the cut value's level components label the sphere's V vertices once
+    # per edge, for both its level cycle and its cut; no union of pieces
+    # has V vertices, so every such labelling is the sphere's
+    fields = [realize_tree(random_realizable_tree(14, symmetry=2, seed=1), 48),
+              *_split_corpus_fields(10)]
+    sizes = []
+    labelled = mesh_module.components
+
+    def counted(n, u, v):
+        sizes.append(n)
+        return labelled(n, u, v)
+
+    for module in (mesh_module, field_module, reeb):
+        if hasattr(module, "components"):
+            monkeypatch.setattr(module, "components", counted)
+    for mesh, field in fields:
+        sphere = split.analyze_sphere(mesh, field)
+        sizes.clear()
+        reports = verify_all_fixed_edges(mesh, field, sphere=sphere)
+        assert len(reports) == len(sphere.fixed.edge_ids)
+        assert sizes.count(mesh.n_vertices) == len(reports)
 
 
 def test_split_spans_no_group(double_fork_tree, monkeypatch):
@@ -586,7 +612,7 @@ def test_split_spans_no_group(double_fork_tree, monkeypatch):
 def _cut_disk(mesh, field):
     """The lower disk of the octahedron cut across its only edge."""
     graph = build_reeb(mesh, field)
-    c = choose_cut_value(field, graph, 0)
+    c = choose_cut_value(np.sort(field.values), graph, 0)
     piece = cut_along_cycle(mesh, field, level_cycle(mesh, field, graph, 0, c))[0]
     return piece.mesh, piece.field
 
@@ -696,15 +722,18 @@ def test_batched_disk_pass_matches_each_disk_alone(monkeypatch, small_cap):
     corpus_batches = most = 0
     for mesh, field in [large, *_split_corpus_fields(30)]:
         graph = split.analyze_sphere(mesh, field).graph
-        pieces = []
+        pairs = []
         for eid in treeaut.fixed_set(enumerate_aut(graph.tree), graph.tree).edge_ids:
-            cycle = level_cycle(mesh, field, graph, eid, choose_cut_value(field, graph, eid))
-            pieces += cut_along_cycle(mesh, field, cycle)
+            c = choose_cut_value(np.sort(field.values), graph, eid)
+            cycle = level_cycle(mesh, field, graph, eid, c)
+            pairs.append(cut_along_cycle(mesh, field, cycle))
         batch_sizes.clear()
-        checked = list(split.disk_analyses(pieces))
+        checked = [facts for pair in split.disk_analyses(pairs) for facts in pair]
+        pieces = [piece for pair in pairs for piece in pair]
         if mesh is large[0]:
-            # under the small cap every large disk is a batch of its own
-            assert batch_sizes == [1] * len(pieces) or not small_cap
+            # under the small cap every large edge's two disks are a batch
+            # of their own
+            assert batch_sizes == [2] * len(pairs) or not small_cap
         else:
             corpus_batches += len(batch_sizes)
             most = max(most, *batch_sizes)

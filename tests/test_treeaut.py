@@ -467,6 +467,23 @@ def test_group_order_bound_enforced(monkeypatch):
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_group_too_large_names_its_order():
+    # the refusal ends in the order of the rooted pass, which Schreier-Sims
+    # finds from the generators too, with nothing listed
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for tree, max_order, order in ((bumps_tree(8), 10_000, factorial(8)),
+                                   (star_tree(5), 119, factorial(5)),
+                                   (star_tree(12), 10_000, factorial(12))):
+        with pytest.raises(GroupTooLarge, match=f"group exceeds {max_order} elements") as no:
+            enumerate_aut(tree, max_order=max_order)
+        assert str(no.value).endswith(f" (order {order})")
+        group = unmarked_group(tree)
+        span = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p))
+             for p in (identity_perm(group.n), *group.generators)])
+        assert span.order() == order
+
+
 def half_swap(kids, a, b, *rest):
     """Exchanges ``a`` and ``b`` alone, leaving their children behind."""
     p = list(range(len(kids)))
