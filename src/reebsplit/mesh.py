@@ -346,6 +346,15 @@ def validate_surface(mesh: TriangleMesh, parts=None):
     return reports[0] if parts is None else reports
 
 
+def disconnection(mesh: TriangleMesh, start: int, stop: int) -> str:
+    """Why vertices ``start`` to ``stop - 1`` are no connected surface: the
+    smallest vertex of each of the two components whose smallest vertices
+    come first, numbered from ``start``."""
+    label = components(mesh.n_vertices, *mesh.edge_pairs.T)[start:stop]
+    a, b = np.flatnonzero(label == np.arange(start, stop))[:2].tolist()
+    return f"a disconnected surface: vertices {a} and {b} lie in different components"
+
+
 @dataclass(frozen=True)
 class LevelCycle:
     """A simple closed curve of a regular level set: its value and the mesh

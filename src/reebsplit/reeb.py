@@ -38,6 +38,7 @@ from .mesh import (
     SurfaceReport,
     TriangleMesh,
     _jump,
+    disconnection,
     distinct,
     level_components,
     overflow_scale,
@@ -399,8 +400,9 @@ def build_reeb(mesh: TriangleMesh, field: ScalarField, *,
     """
     report = validate_surface(mesh) if surface is None else surface
     if report.genus != 0 or not report.connected:
-        raise GenusNotZero(
-            f"need a connected genus-0 surface, got genus {report.genus}")
+        got = f"genus {report.genus}" if report.connected else \
+            disconnection(mesh, 0, mesh.n_vertices)
+        raise GenusNotZero(f"need a connected genus-0 surface, got {got}")
     if fclass is None:
         fclass = classify_field(mesh, field)
     if not fclass.valid:
@@ -432,9 +434,11 @@ def part_trees(mesh: TriangleMesh, surfaces: list[SurfaceReport],
         fclasses[0].kinds[first], fclasses[0].multiplicities[first],
         members, starts, zones, [fclass.valid for fclass in fclasses])
     graphs = []
-    for surface, fclass in zip(surfaces, fclasses):
+    for surface, fclass, start, stop in zip(surfaces, fclasses, parts, parts[1:]):
         if fclass.valid and (surface.genus != 0 or not surface.connected):
-            raise GenusNotZero(f"need a connected genus-0 surface, got genus {surface.genus}")
+            got = f"genus {surface.genus}" if surface.connected else \
+                disconnection(mesh, start, stop)
+            raise GenusNotZero(f"need a connected genus-0 surface, got {got}")
         graph = next(trees)
         graphs.append(graph)
         if graph is None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EdgeNotFound, GenusNotZero, InternalInconsistency
 from .field import BOUNDARY, FieldClassReport, ScalarField, classify_field
-from .mesh import TriangleMesh, cut_along_cycle, level_components, validate_surface
+from .mesh import TriangleMesh, cut_along_cycle, disconnection, level_components, validate_surface
 from .reeb import ReebGraph, build_reeb, choose_cut_value, level_cycle, part_trees
 from .treeaut import (
     AutGroup,
@@ -28,7 +28,7 @@ from .treeaut import (
     certify_splitting,
     cut_tree_at,
     fixed_set,
-    keeps_sides,
+    side_leaver,
     unmarked_group,
     verify_isomorphism,
 )
@@ -63,8 +63,8 @@ def analyze_sphere(mesh: TriangleMesh, field: ScalarField) -> SphereAnalysis:
     """
     surface = validate_surface(mesh)
     if not (surface.closed and surface.genus == 0 and surface.connected):
-        raise GenusNotZero(
-            f"need a closed connected genus-0 surface, got {surface}")
+        got = surface if surface.connected else disconnection(mesh, 0, mesh.n_vertices)
+        raise GenusNotZero(f"need a closed connected genus-0 surface, got {got}")
     fclass = classify_field(mesh, field)
     graph = build_reeb(mesh, field, surface=surface, fclass=fclass)
     group = unmarked_group(graph.tree)
@@ -216,12 +216,12 @@ def _analyze_batch(batch) -> list[tuple]:
                     part_trees(union, surfaces, fclasses, bounds)))
 
 
-def _disk_check(side: str, group: RootedGroup, orig: tuple[int, ...], c: float,
+def _disk_check(side: str, group: RootedGroup, c: float,
                 piece, rep, fclass, graph) -> tuple[DiskCheck, tuple[str, ...]]:
     """The check of one cut piece, and the notes that name the witnesses of
-    its invalid field, of where its tree parts from its cut side (whose
-    vertices are the sphere tree's ``orig``) and of a boundary vertex off
-    the cut value."""
+    its invalid field, of where its tree parts from its cut side (the
+    branch of ``group``, rooted at the cut point) and of a boundary vertex
+    off the cut value."""
     notes = tuple(f"disk {side}: {reason}" for reason in fclass.reasons)
     match = False
     if graph is not None:
@@ -229,7 +229,7 @@ def _disk_check(side: str, group: RootedGroup, orig: tuple[int, ...], c: float,
         match = group.root_form_is(graph.tree, at, float(c))
         if not match:
             x, y = group.parting(graph.tree, at, float(c))
-            where = f"sphere tree vertex {orig[x]}" if orig[x] >= 0 else "the cut point"
+            where = "the cut point" if x == group.root else f"sphere tree vertex {x}"
             notes += (f"disk {side}: its tree parts from the cut side at disk "
                       f"tree vertex {y} and {where}",)
     off = np.flatnonzero(piece.field.values.take(piece.boundary) != c)
@@ -264,15 +264,15 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
     An edge outside the fixed set raises EdgeNotFound.  The map to the side
     groups and the sides' invariance are certified on the generators of the
     sphere's group (``certify_splitting``), with that group and each side
-    group held by structure (``RootedGroup`` at a center or the cut leaf),
-    none enumerated; each side's one pass also serves its disk-tree match
-    and its gap note.  ``replay_group`` substitutes a dumped element list for
-    the sphere's group, to audit it element by element
-    (``verify_isomorphism``) against the same side groups, which are listed
-    only to name the first side pair a dump misses: a tampered dump fails
-    the verdict, and an element that is no permutation of the tree's
-    vertices raises ValueError.  ``sphere`` passes in
-    ``analyze_sphere(mesh, field)``.
+    group held by structure (``RootedGroup`` at a center, or at the cut
+    point over its branch of the cut tree), none enumerated; each side's one
+    pass also serves its disk-tree match and its gap note.  ``replay_group``
+    substitutes a dumped element list for the sphere's group, to audit it
+    element by element (``verify_isomorphism``) against the same side
+    groups, which are listed only to name the first side pair a dump
+    misses: a tampered dump fails the verdict, and an element that is no
+    permutation of the tree's vertices raises ValueError.  ``sphere``
+    passes in ``analyze_sphere(mesh, field)``.
     """
     if sphere is None:
         sphere = analyze_sphere(mesh, field)
@@ -303,8 +303,8 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
         if eid not in fixed.edge_ids:
             raise EdgeNotFound(f"edge {eid} is not in the fixed set")
 
-    # (edge, end labels, cut value, crossings, tree cut, side groups) of the
-    # edges cut but not yet reported, so that each is freed once reported
+    # (edge, end labels, cut value, crossings, tree cut) of the edges cut
+    # but not yet reported, so that each is freed once reported
     cuts = deque()
     # the field's values in ascending order, for every edge's cut value
     ascending = field.values[sphere.fclass.order]
@@ -321,30 +321,31 @@ def verify_fixed_edges(mesh: TriangleMesh, field: ScalarField, edge_ids,
             if not ((piece_a.orig_vertex == lower_rep).any()
                     and (piece_b.orig_vertex == upper_rep).any()):
                 raise InternalInconsistency("cut pieces do not separate the edge ends")
-            cut = cut_tree_at(tree, eid)
-            sides = tuple(RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
-            cuts.append((eid, labels, c, len(cycle), cut, sides))
+            cuts.append((eid, labels, c, len(cycle), cut_tree_at(tree, eid)))
             yield piece_a, piece_b
 
     reports = []
     for facts_a, facts_b in disk_analyses(pieces()):
-        eid, labels, c, crossings, cut, (group_a, group_b) = cuts.popleft()
-        disk_a, notes_a = _disk_check("A", group_a, cut.side_a.orig, c, *facts_a)
-        disk_b, notes_b = _disk_check("B", group_b, cut.side_b.orig, c, *facts_b)
+        eid, labels, c, crossings, cut = cuts.popleft()
+        # each side's group: the cut point's branch away from the other end
+        group_a, group_b = (RootedGroup(cut.tree, tree.n, end) for end in reversed(cut.ends))
+        disk_a, notes_a = _disk_check("A", group_a, c, *facts_a)
+        disk_b, notes_b = _disk_check("B", group_b, c, *facts_b)
         pair = (disk_a, disk_b)
         euler_sum_ok = pair[0].euler + pair[1].euler == 2
         if replay_group is None:
-            phi, sides_invariant = certify_splitting(cut, group, group_a, group_b)
+            phi, leaver = certify_splitting(cut, group, group_a, group_b)
         else:
             # a claimed list need not be a group: audit every element
             phi = verify_isomorphism(cut, group, group_a, group_b)
-            sides_invariant = keeps_sides(cut, group.elements)
+            leaver = side_leaver(cut, group.elements, "replayed element g")
+        sides_invariant = leaver is None
         order_product_ok = group.order == group_a.order * group_b.order
         gap = check_subtree_group_gap((group_a, group_b))
         notes = notes_a + notes_b + tuple(
             f"side {note.side}: marking the cut leaf shrinks the subtree "
             f"group ({note.unmarked_order} -> {note.marked_order})"
-            for note in gap if not note.equal)
+            for note in gap if not note.equal) + ((leaver,) if leaver else ())
 
         passed = (all(d.passed for d in pair) and euler_sum_ok and phi.passed
                   and order_product_ok and sides_invariant)

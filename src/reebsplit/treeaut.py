@@ -4,10 +4,12 @@ and the cut and restriction maps used by the splitting pipeline.
 Automorphisms are explicit vertex permutations (tuples).  One bottom-up AHU
 pass, rooted at the mark or else at a center, gives a tree's group
 (``RootedGroup``): its order, a product of factorials, and generators that
-swap equal-form siblings.  A group that fixes a vertex, such as a cut
-side's or a level-set tree's, is held that way alone, with membership as an
-O(n) test and no bound; its kept forms also match another rooted tree and
-give the unmarked order by orbit-stabilizer.  An enumerated group
+swap equal-form siblings.  A tree cut inside an edge is one tree, the edge
+subdivided by a cut point, and each cut side is a branch at that point.  A
+group that fixes a vertex, a level-set tree's or a branch's, is held that
+way alone, in the tree's own vertex ids, with membership as an O(n) test;
+its forms also match another rooted tree and give the unmarked order by
+orbit-stabilizer.  An enumerated group
 (``AutGroup``) is the sorted span of the generators, for output and audits;
 an order above 10^4 (``bumps --n 8`` has 40320) raises GroupTooLarge before
 anything is listed, unless ``max_order`` is higher.  Labels ignored, the
@@ -32,7 +34,7 @@ breadth-first ``walk``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -73,9 +75,9 @@ def walk(adj, root: int, avoid: int = -1) -> tuple[list[int], list[int]]:
 class LabeledTree:
     """Tree with one real label per vertex; adjacent labels must differ.
 
-    An optional marked vertex constrains automorphisms to fix it (used for
-    the cut point created when a tree is cut inside an edge).  ``bfs`` is
-    the breadth-first order from vertex 0 that the connectivity check makes.
+    An optional marked vertex constrains listed automorphisms to fix it.
+    ``bfs`` is the breadth-first order from vertex 0 that the connectivity
+    check makes.
     """
 
     def __init__(self, labels, edges, marked: int | None = None):
@@ -125,10 +127,11 @@ class LabeledTree:
         return f"LabeledTree(n={self.n}{mk})"
 
 
-def _rooted_form(tree: LabeledTree, root: int, ids: dict):
-    """Bottom-up AHU from ``root``: each vertex's form, each vertex's
-    children sorted by (form, id), and the order of the group of
-    label-preserving automorphisms that fix ``root``.
+def _rooted_form(tree: LabeledTree, root: int, ids: dict, avoid: int = -1):
+    """Bottom-up AHU from ``root`` over its branch away from ``avoid``: each
+    vertex's form, each vertex's children sorted by (form, id), the order
+    of the group of label-preserving automorphisms of the branch that fix
+    ``root``, and the branch's vertices in BFS order.
 
     A vertex's form is its label and its children's sorted form ids,
     interned in ``ids`` as one int; children precede parents in reverse BFS
@@ -136,7 +139,7 @@ def _rooted_form(tree: LabeledTree, root: int, ids: dict):
     the group permutes each class of k of them in all k! ways, independently
     at every vertex, so its order is the product of those factorials.
     """
-    order, parent = walk(tree.adj, root)
+    order, parent = walk(tree.adj, root, avoid)
     forms = [0] * tree.n
     kids: list[list[int]] = [[] for _ in range(tree.n)]
     size = 1
@@ -152,7 +155,7 @@ def _rooted_form(tree: LabeledTree, root: int, ids: dict):
         forms[v] = ids.setdefault((tree.labels[v], tuple([forms[w] for w in ks])), len(ids))
         if v != root:
             kids[parent[v]].append(v)
-    return forms, kids, size
+    return forms, kids, size, order
 
 
 def _swap(kids, a: int, b: int) -> Perm:
@@ -336,27 +339,31 @@ def verify_group_axioms(group) -> bool:
 
 @dataclass(frozen=True)
 class RootedGroup:
-    """The label-preserving automorphisms of a tree that fix ``root``, held
-    by the tree's structure instead of an element list: its order and
-    generators from the rooted AHU forms, whose pass is kept, and membership
-    by an O(n) test.  The tree's own mark is ignored; a cut side's group is
-    rooted at its mark.
+    """The label-preserving automorphisms of ``root``'s branch away from
+    ``avoid`` (the whole tree when ``avoid`` is -1) that fix ``root``, as
+    permutations of the tree's vertices that are the identity off the
+    branch.  Held by the branch's structure instead of an element list: its
+    order and generators from the rooted AHU forms, whose pass is kept, and
+    membership by an O(n) test.  The tree's own mark is ignored; a cut
+    side's group is rooted at the cut point, away from the other side.
     """
 
     tree: LabeledTree
     root: int
+    avoid: int = -1
 
     @cached_property
     def _pass(self):
         """The ``_rooted_form`` pass from the root, with one swap per
-        adjacent pair of equal-form siblings.  At each vertex these generate
-        every permutation of each class of equal-form children, and they
-        pair subtrees consistently, so they span the group."""
+        adjacent pair of equal-form siblings, and the branch as a set.  At
+        each vertex these generate every permutation of each class of
+        equal-form children, and they pair subtrees consistently, so they
+        span the group."""
         ids: dict[tuple, int] = {}
-        forms, kids, order = _rooted_form(self.tree, self.root, ids)
+        forms, kids, size, branch = _rooted_form(self.tree, self.root, ids, self.avoid)
         gens = tuple([_swap(kids, a, b) for ks in kids
                       for a, b in zip(ks, ks[1:]) if forms[a] == forms[b]])
-        return forms, kids, ids, order, gens
+        return forms, kids, ids, size, gens, frozenset(branch)
 
     @property
     def order(self) -> int:
@@ -368,22 +375,23 @@ class RootedGroup:
         return self._pass[4]
 
     def root_form_is(self, other: LabeledTree, at: int, label: float) -> bool:
-        """Whether ``other`` rooted at ``at`` is this tree rooted here with the
-        root relabelled to ``label``: one pass over ``other`` in this pass's
-        table, whose root form must be (label, the root's children's forms)."""
+        """Whether ``other`` rooted at ``at`` is this branch rooted here with
+        the root relabelled to ``label``: one pass over ``other`` in this
+        pass's table, whose root form must be (label, the root's children's
+        forms)."""
         forms, kids, ids = self._pass[:3]
         key = (label, tuple([forms[w] for w in kids[self.root]]))
         return _rooted_form(other, at, ids)[0][at] == ids.setdefault(key, len(ids))
 
     def parting(self, other: LabeledTree, at: int, label: float) -> tuple[int, int]:
-        """Where ``other`` rooted at ``at`` parts from this tree rooted here
-        with the root relabelled to ``label``, when ``root_form_is`` is
+        """Where ``other`` rooted at ``at`` parts from this branch rooted
+        here with the root relabelled to ``label``, when ``root_form_is`` is
         false: a vertex here and one there whose children's forms differ, or
         the roots if their labels do.  From the roots, the walk steps to the
         children that matching by equal forms leaves over, while that is one
         child on each side and the two share a label."""
         forms, kids, ids = self._pass[:3]
-        theirs, their_kids, _ = _rooted_form(other, at, ids)
+        theirs, their_kids = _rooted_form(other, at, ids)[:2]
         x, y = self.root, at
         if label != other.labels[at]:
             return x, y
@@ -398,14 +406,16 @@ class RootedGroup:
 
     @property
     def unmarked_order(self) -> int:
-        """The order of the tree's whole label-preserving group, this one's
-        times the root's orbit (orbit-stabilizer): the vertices of its label
-        and degree whose rooted form, one pass each in this table, is its."""
-        forms, _, ids = self._pass[:3]
+        """The order of the branch's whole label-preserving group, this
+        one's times the root's orbit (orbit-stabilizer): the root and the
+        branch's other vertices of its label and of its degree in the
+        branch whose rooted form, one pass each in this table, is its."""
+        forms, kids, ids = self._pass[:3]
         tree, x = self.tree, self.root
         return self.order * sum(
-            y == x or _rooted_form(tree, y, ids)[0][y] == forms[x] for y in range(tree.n)
-            if tree.labels[y] == tree.labels[x] and tree.degree(y) == tree.degree(x))
+            y == x or (tree.labels[y] == tree.labels[x] and tree.degree(y) == len(kids[x])
+                       and _rooted_form(tree, y, ids, self.avoid)[0][y] == forms[x])
+            for y in self._pass[5])
 
     @property
     def n(self) -> int:
@@ -418,7 +428,9 @@ class RootedGroup:
         return tuple(close_under_composition(self.generators, self.n))
 
     def __contains__(self, p: Perm) -> bool:
-        return _is_automorphism(self.tree, p) and p[self.root] == self.root
+        branch = self._pass[5]
+        return (_is_automorphism(self.tree, p) and p[self.root] == self.root
+                and all(p[v] == v or v in branch for v in range(self.n)))
 
 
 def _is_automorphism(tree: LabeledTree, p: Perm) -> bool:
@@ -548,86 +560,50 @@ def fixed_set(group, tree: LabeledTree) -> FixedSet:
 # cutting, restriction, gluing
 
 @dataclass(frozen=True)
-class MarkedSubtree:
-    tree: LabeledTree          # has its marked vertex set to the cut point
-    orig: tuple[int, ...]      # subtree index -> base-tree vertex (-1 for the cut point)
-    # base-tree vertex -> subtree index, for the side's base vertices only
-    position: dict[int, int] = field(repr=False, compare=False)
-
-    @property
-    def marked(self) -> int:
-        return self.tree.marked  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
 class TreeCut:
-    """A tree cut inside an edge: the edge is subdivided by a new point and
-    each side, closed up with that point as a marked leaf, becomes a subtree.
-    Side A holds the lower endpoint of the cut edge."""
+    """A tree cut inside an edge: ``tree`` is the base tree with the edge
+    subdivided by a cut point numbered ``base.n``.  The sides are the two
+    branches at the cut point, A holding the lower end ``ends[0]`` of the
+    edge, by (label, id); ``sides`` lists each one's base vertices."""
 
     base: LabeledTree
     edge_id: int
-    side_a: MarkedSubtree
-    side_b: MarkedSubtree
-
-    def side(self, which: str) -> MarkedSubtree:
-        if which == "A":
-            return self.side_a
-        if which == "B":
-            return self.side_b
-        raise ValueError("side must be 'A' or 'B'")
+    tree: LabeledTree
+    ends: tuple[int, int]
+    sides: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def cut_tree_at(tree: LabeledTree, edge_id: int) -> TreeCut:
-    """Cut a tree inside an edge; the new point's label is the midpoint of
+    """Cut a tree inside an edge; the cut point's label is the midpoint of
     the endpoint labels."""
     if not 0 <= edge_id < len(tree.edges):
         raise EdgeNotFound(f"no edge {edge_id}")
     u, v = tree.edges[edge_id]
-    cut_label = (tree.labels[u] + tree.labels[v]) / 2.0
-    lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
-
-    def side_from(start: int, banned: int) -> MarkedSubtree:
-        """The side of ``start`` away from ``banned``: one walk gives its
-        vertices, numbered by base id, and each one's edge to its parent."""
-        order, parent = walk(tree.adj, start, avoid=banned)
-        members = sorted(order)
-        position = {o: i for i, o in enumerate(members)}
-        labels = [tree.labels[o] for o in members] + [cut_label]
-        x = len(members)
-        edges = [(position[parent[o]], position[o]) for o in order[1:]]
-        edges.append((position[start], x))
-        sub = LabeledTree(labels, edges, marked=x)
-        return MarkedSubtree(tree=sub, orig=tuple(members) + (-1,), position=position)
-
-    return TreeCut(
-        base=tree,
-        edge_id=edge_id,
-        side_a=side_from(lo, hi),
-        side_b=side_from(hi, lo),
-    )
+    ends = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
+    x = tree.n
+    cut = LabeledTree(tree.labels + ((tree.labels[u] + tree.labels[v]) / 2.0,),
+                      tree.edges[:edge_id] + tree.edges[edge_id + 1:] + ((u, x), (v, x)))
+    sides = tuple([tuple(sorted(walk(tree.adj, a, b)[0])) for a, b in (ends, ends[::-1])])
+    return TreeCut(tree, edge_id, cut, ends, sides)
 
 
 def restrict_aut(cut: TreeCut, gamma: Perm, which: str) -> Perm:
-    """Restriction of a base-tree automorphism to one cut side.
+    """Restriction of a base-tree automorphism to one cut side: the cut
+    tree's permutation that is the identity off the side.
 
     The automorphism must fix both endpoints of the cut edge and map the
     side's vertex set to itself; otherwise SideNotInvariant is raised.
     """
-    u, v = cut.base.edges[cut.edge_id]
-    if gamma[u] != u or gamma[v] != v:
+    lo, hi = cut.ends
+    if gamma[lo] != lo or gamma[hi] != hi:
         raise SideNotInvariant("cut edge endpoints move")
-    side = cut.side(which)
-    position = side.position
-    out = [0] * side.tree.n
-    for i, o in enumerate(side.orig):
-        if o == -1:
-            out[i] = i  # the cut point stays put
-            continue
-        j = position.get(gamma[o])
-        if j is None:
-            raise SideNotInvariant(f"vertex {o} leaves side {which}")
-        out[i] = j
+    side = cut.sides[("A", "B").index(which)]
+    members = set(side)
+    out = list(range(cut.tree.n))
+    for v in side:
+        if gamma[v] not in members:
+            raise SideNotInvariant(f"vertex {v} leaves side {which}")
+        out[v] = gamma[v]
     return tuple(out)
 
 
@@ -719,12 +695,22 @@ def verify_isomorphism_pairs(elements, side_a: AutGroup | RootedGroup,
         try:
             pa, pb = next(p for p in product(side_a.elements, side_b.elements)
                           if p not in hit)
-            notes.append(f"a side pair has no preimage: alpha={pa}, beta={pb}")
+            notes.append(f"a side pair has no preimage: alpha={_on_side(side_a, pa)}, "
+                         f"beta={_on_side(side_b, pb)}")
         except GroupTooLarge:  # too many to list: name the counts instead
             notes.append(f"the image has {len(hit)} side pairs, not |G_A| * |G_B| "
                          f"= {side_a.order} * {side_b.order}")
 
     return IsoVerdict(injective, surjective, homomorphism, tuple(notes))
+
+
+def _on_side(group, p: Perm) -> Perm:
+    """An element of a side group as a note names it: a ``RootedGroup``'s
+    on its branch alone, numbered in ascending order, which puts a cut
+    point last; an element list's as listed."""
+    branch = sorted(group._pass[5]) if isinstance(group, RootedGroup) else range(len(p))
+    at = {v: i for i, v in enumerate(branch)}
+    return tuple([at[p[v]] for v in branch])
 
 
 def verify_isomorphism(cut: TreeCut, group: AutGroup,
@@ -738,19 +724,23 @@ def verify_isomorphism(cut: TreeCut, group: AutGroup,
     return verify_isomorphism_pairs(group, side_a_group, side_b_group, pair_of)
 
 
-def keeps_sides(cut: TreeCut, perms) -> bool:
-    """Whether every map in ``perms`` keeps each cut side's base vertices."""
-    sides = [set(cut.side_a.position), set(cut.side_b.position)]
-    return all({p[v] for v in side} == side for p in perms for side in sides)
+def side_leaver(cut: TreeCut, perms, kind: str) -> str | None:
+    """The note naming the first map in ``perms``, as ``kind``, that moves
+    a vertex of a cut side off that side, and that vertex; None when every
+    map keeps both sides."""
+    side_of = {v: name for name, side in zip("AB", cut.sides) for v in side}
+    return next((f"sides not invariant: {kind}={p} moves vertex {v} of side {side_of[v]} "
+                 f"to vertex {p[v]}, off that side" for p in perms
+                 for v in range(cut.base.n) if side_of[p[v]] != side_of[v]), None)
 
 
 def certify_splitting(cut: TreeCut, group: AutGroup | RootedGroup,
                       side_a: AutGroup | RootedGroup,
-                      side_b: AutGroup | RootedGroup) -> tuple[IsoVerdict, bool]:
-    """The verdict of ``verify_isomorphism`` on a group, and whether each
-    cut side's base vertices are invariant under it, read off the group's
-    generators T alone: an element list's greedy ones, or a
-    ``RootedGroup``'s sibling swaps.
+                      side_b: AutGroup | RootedGroup
+                      ) -> tuple[IsoVerdict, str | None]:
+    """The verdict of ``verify_isomorphism`` on a group, and the note of
+    ``side_leaver`` on its generators T, read off T alone: an element
+    list's greedy generators, or a ``RootedGroup``'s sibling swaps.
 
     T spans the group (by an element list's closure check, or by
     construction), and restricting maps that keep both sides is
@@ -758,20 +748,20 @@ def certify_splitting(cut: TreeCut, group: AutGroup | RootedGroup,
 
     * the restrictions are defined and lie in side_a x side_b when those of
       every generator are and do: the side groups are groups;
-    * the map is injective when the sides' base vertices cover the tree,
-      since the two restrictions then give the image of every vertex;
+    * the map is injective, since the two sides hold every base vertex and
+      the two restrictions give the image of each;
     * being injective, it is onto exactly when |G| = |side_a| * |side_b|.
 
     The map is then a homomorphism without a check.  Costs at most 2|T|
     restrictions and membership tests; of the side groups only ``order``
     and ``in`` are read, so a ``RootedGroup`` serves.  A failing check
-    names its generator, the missed vertices or the three orders.  Raises
-    ValueError when an element list ``group`` is not closed.
+    names its generator or the three orders.  Raises ValueError when an
+    element list ``group`` is not closed.
     """
     if isinstance(group, AutGroup) and group.closure[1] is not None:
         raise ValueError("certify_splitting needs a group (closure check failed)")
     gens = group.generators
-    sides_invariant = keeps_sides(cut, gens)
+    leaver = side_leaver(cut, gens, "generator t")
     for t in gens:
         try:
             pa, pb = restrict_aut(cut, t, "A"), restrict_aut(cut, t, "B")
@@ -781,16 +771,9 @@ def certify_splitting(cut: TreeCut, group: AutGroup | RootedGroup,
             if pa in side_a and pb in side_b:
                 continue
             note = f"restriction of generator t={t} leaves the side group"
-        return IsoVerdict(False, False, False, (note,)), sides_invariant
+        return IsoVerdict(False, False, False, (note,)), leaver
 
-    missed = sorted(set(range(cut.base.n)) - cut.side_a.position.keys()
-                    - cut.side_b.position.keys())
-    injective = not missed
-    surjective = injective and group.order == side_a.order * side_b.order
-    notes = []
-    if missed:
-        notes.append(f"the cut sides miss base vertices {missed}")
-    elif not surjective:
-        notes.append(f"|G| = {group.order} != |G_A| * |G_B| = "
-                     f"{side_a.order} * {side_b.order}")
-    return IsoVerdict(injective, surjective, True, tuple(notes)), sides_invariant
+    surjective = group.order == side_a.order * side_b.order
+    notes = () if surjective else (f"|G| = {group.order} != |G_A| * |G_B| = "
+                                   f"{side_a.order} * {side_b.order}",)
+    return IsoVerdict(True, surjective, True, notes), leaver

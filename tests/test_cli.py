@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from reebsplit import selftest
 from reebsplit.cli import main
+from reebsplit.field import ScalarField
 from reebsplit.gen import (
     octahedron_height,
     random_field,
@@ -26,7 +27,7 @@ from reebsplit.io import (
     mesh_field_to_dict,
     save_mesh_field,
 )
-from reebsplit.mesh import cut_along_cycle
+from reebsplit.mesh import TriangleMesh, cut_along_cycle
 from reebsplit.reeb import build_reeb, choose_cut_value, level_cycle
 
 
@@ -451,6 +452,24 @@ def test_replayed_repeated_element_is_not_injective(bumps_file, tmp_path):
     assert phi["notes"] == ["elements 0 and 6 are the same map g=(0, 1, 2, 3, 4)"]
 
 
+def test_replayed_element_moving_a_vertex_across_the_cut_is_named(bumps_file, tmp_path):
+    # bumps 3's tree: basin 0, saddle 1 and peaks 2-4; its one fixed edge
+    # (0, 1) leaves side A = {0}.  Swapping the basin with a peak moves
+    # vertex 0 into side B
+    tree = build_reeb(*load_mesh_field(bumps_file)).tree
+    assert tree.labels == (0.0, 1.0, 2.0, 2.0, 2.0) and tree.edges[0] == (0, 1)
+    gdump = tmp_path / "dump.json"
+    gdump.write_text(json.dumps({"elements": [[0, 1, 2, 3, 4], [2, 1, 0, 3, 4]]}))
+    jsn = tmp_path / "split.json"
+    code, out, err = run(["split", "--input", str(bumps_file), "--replay-group", str(gdump),
+                          "--json", str(jsn)])
+    assert (code, err) == (2, "") and out.startswith("FAIL")
+    report = json.loads(jsn.read_text())
+    assert report["sides_invariant"] is False
+    assert report["notes"] == ["sides not invariant: replayed element g=(2, 1, 0, 3, 4) "
+                               "moves vertex 0 of side A to vertex 2, off that side"]
+
+
 def test_replay_audit_names_counts_where_a_side_group_is_too_large_to_list(tmp_path):
     # a dump of the identity and one swap of two peaks of bumps 8: side B's
     # group has 8! = 40320 elements, too many to list for the first side
@@ -634,6 +653,31 @@ def test_split_rejects_a_surface_that_is_no_sphere(request, tmp_path, surface, f
     assert code == 1
     assert out == ""
     assert err.startswith("error: GenusNotZero: need a closed connected genus-0 surface")
+
+
+@pytest.mark.parametrize("command", ["reeb", "aut", "split"])
+def test_disconnected_surface_is_refused_naming_two_components(tmp_path, command):
+    # two octahedra with their vertices shuffled together: the refusal names
+    # the smallest vertex of each of the two components, which networkx
+    # finds here
+    nx = pytest.importorskip("networkx")
+    mesh, field = octahedron_height()
+    new = np.random.default_rng(5).permutation(12)
+    vertices = np.empty((12, 3))
+    vertices[new] = np.concatenate([mesh.vertices, mesh.vertices + 3.0])
+    values = np.empty(12)
+    values[new] = np.concatenate([field.values, field.values + 10.0])
+    two = TriangleMesh(vertices, new[np.concatenate([mesh.triangles, mesh.triangles + 6])])
+    graph = nx.Graph(two.edge_pairs.tolist())
+    a, b = sorted(min(c) for c in nx.connected_components(graph))
+    assert (a, b) != (0, 6)
+    path = tmp_path / "two.json"
+    save_mesh_field(path, two, ScalarField(values))
+    code, out, err = run([command, "--input", str(path)])
+    assert (code, out) == (1, "")
+    closed = "closed " if command == "split" else ""
+    assert err == (f"error: GenusNotZero: need a {closed}connected genus-0 surface, got a "
+                   f"disconnected surface: vertices {a} and {b} lie in different components\n")
 
 
 @pytest.mark.parametrize("argv, message", [

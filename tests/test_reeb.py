@@ -923,16 +923,23 @@ def degree_failure():
 
 def test_first_failing_part_raises_its_own_error(torus):
     mesh, field = octahedron_height()
+    two = TriangleMesh(np.concatenate([mesh.vertices] * 2),
+                       np.concatenate([mesh.triangles, mesh.triangles + 6]))
     failing = {
         "stall": (mesh, field, (5,)),       # the maximum called regular
         "degree": degree_failure(),
         "genus": (*torus, ()),
+        "disconnected": (two, ScalarField(np.concatenate([field.values, field.values + 9])), ()),
     }
     errors = {name: alone(piece) for name, piece in failing.items()}
     assert errors["stall"] == (
         InternalInconsistency,
         "a regular component's monotone path stalls on the regular component at vertex 5")
     assert errors["genus"][0] is GenusNotZero
+    # numbered within its part wherever it lies in a union
+    assert errors["disconnected"] == (
+        GenusNotZero, "need a connected genus-0 surface, got a disconnected surface: "
+        "vertices 0 and 6 lie in different components")
     first, last = valid_pieces()
     for x, y in itertools.permutations(failing, 2):
         pieces = [first, failing[x], flat_top(), failing[y], last]

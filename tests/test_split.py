@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from aut_oracles import backtrack_aut
+from aut_oracles import oracle_side_groups, vf2_side_orbit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,9 +209,9 @@ def test_all_fixed_edges_pass_on_symmetric_corpus():
 
 
 def side_groups(cut):
-    """The two cut sides' groups, rooted at their cut leaves, as
-    ``verify_fixed_edges`` makes them."""
-    return tuple(RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b))
+    """The two cut sides' groups, rooted at the cut point away from the
+    other end, as ``verify_fixed_edges`` makes them."""
+    return tuple(RootedGroup(cut.tree, cut.base.n, end) for end in reversed(cut.ends))
 
 
 def side_gap(cut):
@@ -230,7 +230,7 @@ def test_subtree_group_gap_detects_marking():
     tree = LabeledTree([0.0, 2.0, 4.0, 3.0, 6.0, 6.0],
                        [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
     cut = cut_tree_at(tree, 1)  # between labels 2 and 4: cut label 3
-    assert cut.side_b.tree.labels[cut.side_b.marked] == 3.0
+    assert cut.tree.labels[cut.base.n] == 3.0
     notes = {n.side: n for n in side_gap(cut)}
     assert notes["B"].marked_order == 2
     assert notes["B"].unmarked_order == 4
@@ -238,32 +238,15 @@ def test_subtree_group_gap_detects_marking():
     assert notes["A"].equal
 
 
-def orbit_unmarked_orders(cut, side_orders):
-    """The unmarked side orders by orbit counting: the marked group is the
-    stabilizer of the cut leaf x in the unmarked one, so the unmarked order
-    is the marked order times the size of x's orbit {p[x]} under the
-    unmarked side's automorphisms, listed by the backtracking oracle."""
-    orders = []
-    for name, marked in zip("AB", side_orders):
-        t = cut.side(name).tree
-        orbit = {p[t.marked] for p in backtrack_aut(LabeledTree(t.labels, t.edges))}
-        orders.append(marked * len(orbit))
-    return orders
-
-
 def relabelled_cut(tree, eid, label):
-    """``cut_tree_at`` with both cut leaves relabelled ``label``, or as it
-    is when ``label`` is None."""
+    """``cut_tree_at`` with the cut point relabelled ``label``, or as it is
+    when ``label`` is None."""
     cut = cut_tree_at(tree, eid)
     if label is None:
         return cut
-
-    def relabel(side):
-        labels = list(side.tree.labels)
-        labels[side.marked] = label
-        return replace(side, tree=LabeledTree(labels, side.tree.edges, marked=side.marked))
-
-    return replace(cut, side_a=relabel(cut.side_a), side_b=relabel(cut.side_b))
+    labels = list(cut.tree.labels)
+    labels[tree.n] = label
+    return replace(cut, tree=LabeledTree(labels, cut.tree.edges))
 
 
 def test_unmarked_orders_by_orbit_match_enumeration():
@@ -274,7 +257,9 @@ def test_unmarked_orders_by_orbit_match_enumeration():
     trees += [LabeledTree([0.0, 1.0] + [2.0] * b, [(0, 1)] + [(1, 2 + i) for i in range(b)])
               for b in range(1, 8)]
     # besides the midpoint, cut at every vertex label inside the edge, so
-    # that some cut leaves share their label with other vertices
+    # that some cut points share their label with other vertices.  The
+    # marked group is the stabilizer of the cut point in the unmarked one,
+    # so the unmarked order is the marked order times the cut point's orbit
     sides, gaps = 0, 0
     for tree in trees:
         for eid in treeaut.fixed_set(enumerate_aut(tree), tree).edge_ids:
@@ -282,14 +267,10 @@ def test_unmarked_orders_by_orbit_match_enumeration():
             for c in [None] + sorted({x for x in tree.labels if lo < x < hi}):
                 cut = relabelled_cut(tree, eid, c)
                 notes = side_gap(cut)
-                assert [n.unmarked_order for n in notes] == orbit_unmarked_orders(
-                    cut, [n.marked_order for n in notes]), (tree, eid, c)
-                for note in notes:
-                    side = cut.side(note.side).tree
-                    assert note.marked_order == len(backtrack_aut(side))
-                    unmarked = LabeledTree(side.labels, side.edges)
+                for k, (note, marked) in enumerate(zip(notes, oracle_side_groups(cut))):
+                    assert note.marked_order == marked.order
                     assert note.unmarked_order == \
-                        len(backtrack_aut(unmarked)), (tree, eid, c)
+                        marked.order * len(vf2_side_orbit(cut, k)), (tree, eid, c)
                     sides += 1
                     gaps += not note.equal
     assert sides > 4000 and gaps > 200, (sides, gaps)
@@ -299,24 +280,16 @@ def test_unmarked_orders_by_orbit_match_enumeration():
 # the disk match read off the side's own AHU pass
 
 
-def pinned_isomorphic(t1, t2, v1, v2):
-    """Whether some label-preserving isomorphism of ``t1`` onto ``t2`` maps
-    v1 to v2: both trees' forms rooted there, in one intern table."""
-    if t1.n != t2.n or sorted(t1.labels) != sorted(t2.labels):
-        return False
+def relabel_and_pin(side, c, disk_tree, boundary):
+    """The disk match's former path, kept as its oracle: the cut tree
+    copied with its cut point relabelled to c, whose branch rooted there
+    must have the form of the disk tree rooted at its boundary vertex."""
+    labels = list(side.tree.labels)
+    labels[side.root] = c
     ids = {}
-    return (treeaut._rooted_form(t1, v1, ids)[0][v1]
-            == treeaut._rooted_form(t2, v2, ids)[0][v2])
-
-
-def relabel_and_pin(side_tree, c, disk_tree, boundary):
-    """The disk match's former path, kept as its oracle: the side tree
-    copied with its cut leaf relabelled to c, pinned there against the disk
-    tree pinned at its boundary vertex."""
-    labels = list(side_tree.labels)
-    labels[side_tree.marked] = c
-    return pinned_isomorphic(disk_tree, LabeledTree(labels, side_tree.edges),
-                             boundary, side_tree.marked)
+    return (treeaut._rooted_form(disk_tree, boundary, ids)[0][boundary]
+            == treeaut._rooted_form(LabeledTree(labels, side.tree.edges), side.root, ids,
+                                    side.avoid)[0][side.root])
 
 
 def nudged(tree, v):
@@ -329,9 +302,9 @@ def test_disk_match_equals_relabel_and_pin(monkeypatch):
     disks = []
     check = split._disk_check
 
-    def recorded(side, group, orig, c, piece, rep, fclass, graph):
+    def recorded(side, group, c, piece, rep, fclass, graph):
         disks.append((group, float(c), graph))
-        return check(side, group, orig, c, piece, rep, fclass, graph)
+        return check(side, group, c, piece, rep, fclass, graph)
 
     monkeypatch.setattr(split, "_disk_check", recorded)
     fields = list(_split_corpus_fields(30)) + [
@@ -346,20 +319,20 @@ def test_disk_match_equals_relabel_and_pin(monkeypatch):
         for k, (group, c, graph) in enumerate(disks):
             tree = graph.tree
             boundary = int(np.flatnonzero(graph.kinds == field_module.BOUNDARY)[0])
-            assert relabel_and_pin(group.tree, c, tree, boundary)
+            assert relabel_and_pin(group, c, tree, boundary)
             matched += 1
             # the disk with one label nudged (at vertex k mod n), and the
             # other side's tree: the match agrees with the oracle, which
             # mostly rejects them
             other = disks[k ^ 1][0]
             for side, disk in ((group, nudged(tree, k % tree.n)), (other, tree)):
-                want = relabel_and_pin(side.tree, c, disk, boundary)
+                want = relabel_and_pin(side, c, disk, boundary)
                 assert side.root_form_is(disk, boundary, c) == want, (k, want)
                 mismatched += not want
     assert matched > 200 and mismatched > 300, (matched, mismatched)
 
 
-def test_split_makes_four_tree_passes_per_fixed_edge(double_fork_tree, monkeypatch):
+def test_split_makes_three_tree_builds_per_fixed_edge(double_fork_tree, monkeypatch):
     mesh, field = realize_tree(double_fork_tree, 4)
     calls = Counter()
 
@@ -377,9 +350,10 @@ def test_split_makes_four_tree_passes_per_fixed_edge(double_fork_tree, monkeypat
     calls.clear()
     reports = verify_all_fixed_edges(mesh, field, sphere=sphere)
     assert len(reports) == 2 and all(r.passed for r in reports)
-    # per edge: two side trees and their groups' passes, and two disk trees
-    # each interned in its side's table; no centers, no isomorphism test
-    assert calls == {"LabeledTree": 4 * 2, "_rooted_form": 4 * 2}
+    # per edge: one cut tree and two disk trees, and the two sides' passes
+    # over the cut tree with each disk tree interned in its side's table;
+    # no centers, no isomorphism test
+    assert calls == {"LabeledTree": 3 * 2, "_rooted_form": 4 * 2}
 
 
 def test_report_serialization_shape(octahedron):
@@ -404,10 +378,13 @@ def test_replay_group_tamper_detected(three_bump):
     assert not report.passed
     # the notes name the dropped element as the product that leaves the
     # set, and its restriction pair as the side pair without a preimage
+    # the pair is named on each side alone: its vertices in ascending
+    # order, then the cut point
     missing = group.elements[-1]
     cut = cut_tree_at(reeb_to_tree(graph), report.edge_id)
-    alpha = treeaut.restrict_aut(cut, missing, "A")
-    beta = treeaut.restrict_aut(cut, missing, "B")
+    alpha, beta = (tuple(on.index(p[v]) for v in on) for on, p in (
+        (cut.sides[k] + (cut.base.n,), treeaut.restrict_aut(cut, missing, name))
+        for k, name in enumerate("AB")))
     notes = report.phi["notes"]
     assert any("not closed" in x and f"gives {missing}, which is missing" in x
                for x in notes)

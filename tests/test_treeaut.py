@@ -12,7 +12,13 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
-from aut_oracles import backtrack_aut, backtrack_group, refine_colors
+from aut_oracles import (
+    backtrack_aut,
+    backtrack_group,
+    oracle_side_groups,
+    refine_colors,
+    vf2_side_orbit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,16 +67,13 @@ from reebsplit.treeaut import (
 def glue_aut(cut, alpha, beta):
     """Automorphism of the base tree restricting to ``alpha`` and ``beta``:
     the preimage the surjectivity oracle glues for each side pair."""
-    a, b = cut.side_a, cut.side_b
-    if alpha[a.marked] != a.marked or beta[b.marked] != b.marked:
-        raise ValueError("glued pieces must fix their marked leaves")
-    out = [0] * cut.base.n
-    for i, o in enumerate(a.orig):
-        if o != -1:
-            out[o] = a.orig[alpha[i]]
-    for i, o in enumerate(b.orig):
-        if o != -1:
-            out[o] = b.orig[beta[i]]
+    x = cut.base.n
+    if alpha[x] != x or beta[x] != x:
+        raise ValueError("glued pieces must fix the cut point")
+    out = list(range(x))
+    for piece, side in zip((alpha, beta), cut.sides):
+        for v in side:
+            out[v] = piece[v]
     return tuple(out)
 
 
@@ -265,13 +268,13 @@ def test_fixed_set_requires_a_group(three_bump_tree):
 
 def test_cut_tree_basic(three_bump_tree):
     cut = cut_tree_at(three_bump_tree, 0)
-    assert cut.side_a.tree.n == 2
-    assert cut.side_b.tree.n == 5
+    assert cut.tree.n == 6 and cut.ends == (0, 1)
+    assert cut.sides == ((0,), (1, 2, 3, 4))
     lo, hi = three_bump_tree.edges[0]
-    cut_label = cut.side_b.tree.labels[cut.side_b.marked]
+    cut_label = cut.tree.labels[5]
     assert min(three_bump_tree.labels[lo], three_bump_tree.labels[hi]) \
         < cut_label < max(three_bump_tree.labels[lo], three_bump_tree.labels[hi])
-    assert cut.side_a.tree.labels[cut.side_a.marked] == cut_label
+    assert cut.tree.adj[5] == [0, 1]
     with pytest.raises(EdgeNotFound):
         cut_tree_at(three_bump_tree, 9)
 
@@ -279,25 +282,27 @@ def test_cut_tree_basic(three_bump_tree):
 def test_cut_single_edge():
     tree = LabeledTree([0.0, 1.0], [(0, 1)])
     cut = cut_tree_at(tree, 0)
-    for side in (cut.side_a, cut.side_b):
-        assert side.tree.n == 2
-        assert side.tree.labels[side.marked] == 0.5
+    assert (cut.tree.labels, cut.tree.edges) == ((0.0, 1.0, 0.5), ((0, 2), (1, 2)))
+    assert cut.sides == ((0,), (1,))
 
 
-# the cut side built by scanning every base edge, which the walk's parent
-# links replaced, kept as an oracle
-
-def oracle_side(tree, start, banned, cut_label):
-    """The side of ``start`` away from ``banned``, closed up with the cut
-    point: (tree, orig, position), side vertices numbered by base id."""
-    members = sorted(walk(tree.adj, start, avoid=banned)[0])
-    index = {o: i for i, o in enumerate(members)}
-    labels = [tree.labels[o] for o in members] + [cut_label]
-    x = len(members)
-    edges = [(index[a], index[b]) for a, b in tree.edges
-             if a in index and b in index]
-    edges.append((index[start], x))
-    return LabeledTree(labels, edges, marked=x), tuple(members) + (-1,), index
+def oracle_sides(tree, eid):
+    """The sides of a tree cut inside edge ``eid``, the lower end's (by
+    label, then id) first: each grown from its end by scanning every other
+    edge until none joins it to a vertex outside."""
+    u, v = tree.edges[eid]
+    ends = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
+    sides = []
+    for end in ends:
+        side, grown = {end}, True
+        while grown:
+            grown = False
+            for i, (a, b) in enumerate(tree.edges):
+                if i != eid and (a in side) != (b in side):
+                    side |= {a, b}
+                    grown = True
+        sides.append(tuple(sorted(side)))
+    return ends, tuple(sides)
 
 
 def test_cut_sides_match_the_edge_scan():
@@ -309,15 +314,16 @@ def test_cut_sides_match_the_edge_scan():
               for s in range(50)]
     sides = 0
     for tree in trees:
+        x = tree.n
         for eid, (u, v) in enumerate(tree.edges):   # every edge, fixed or not
             cut = cut_tree_at(tree, eid)
-            lo, hi = (u, v) if (tree.labels[u], u) < (tree.labels[v], v) else (v, u)
-            midpoint = (tree.labels[u] + tree.labels[v]) / 2.0
-            for side, start, banned in ((cut.side_a, lo, hi), (cut.side_b, hi, lo)):
-                sub, orig, position = oracle_side(tree, start, banned, midpoint)
-                assert side.tree.labels == sub.labels
-                assert set(side.tree.edges) == set(sub.edges)
-                assert (side.marked, side.orig, side.position) == (sub.marked, orig, position)
+            ends, oracle = oracle_sides(tree, eid)
+            assert (cut.ends, cut.sides) == (ends, oracle)
+            assert cut.tree.labels == tree.labels + ((tree.labels[u] + tree.labels[v]) / 2.0,)
+            assert set(cut.tree.edges) == set(tree.edges) - {(u, v)} | {(u, x), (v, x)}
+            # each side is the cut point's branch away from the other end
+            for side, avoid in zip(oracle, reversed(ends)):
+                assert sorted(walk(cut.tree.adj, x, avoid)[0]) == [*side, x]
                 sides += 1
     assert sides > 3000
 
@@ -347,8 +353,7 @@ def test_glue_order_is_lcm(double_fork_tree):
     group = enumerate_aut(double_fork_tree)
     fx = fixed_set(group, double_fork_tree)
     cut = cut_tree_at(double_fork_tree, fx.edge_ids[0])
-    ga = enumerate_aut(cut.side_a.tree)
-    gb = enumerate_aut(cut.side_b.tree)
+    ga, gb = oracle_side_groups(cut)
     rng = random.Random(1)
     from math import lcm
 
@@ -372,8 +377,7 @@ def test_verify_isomorphism_trivial():
     tree = LabeledTree([0.0, 1.0], [(0, 1)])
     group = enumerate_aut(tree)
     cut = cut_tree_at(tree, 0)
-    ga = enumerate_aut(cut.side_a.tree)
-    gb = enumerate_aut(cut.side_b.tree)
+    ga, gb = oracle_side_groups(cut)
     verdict = verify_isomorphism(cut, group, ga, gb)
     assert verdict.passed
     assert group.order == ga.order * gb.order == 1
@@ -382,8 +386,7 @@ def test_verify_isomorphism_trivial():
 def test_verify_isomorphism_three_bump(three_bump_tree):
     group = enumerate_aut(three_bump_tree)
     cut = cut_tree_at(three_bump_tree, 0)
-    ga = enumerate_aut(cut.side_a.tree)
-    gb = enumerate_aut(cut.side_b.tree)
+    ga, gb = oracle_side_groups(cut)
     verdict = verify_isomorphism(cut, group, ga, gb)
     assert verdict.passed
     assert (ga.order, gb.order) == (1, 6)
@@ -392,8 +395,7 @@ def test_verify_isomorphism_three_bump(three_bump_tree):
 def test_verify_isomorphism_detects_missing_element(three_bump_tree):
     group = enumerate_aut(three_bump_tree)
     cut = cut_tree_at(three_bump_tree, 0)
-    ga = enumerate_aut(cut.side_a.tree)
-    gb = enumerate_aut(cut.side_b.tree)
+    ga, gb = oracle_side_groups(cut)
     dropped = [g for g in group.elements if g != group.elements[-1]]
 
     def pair_of(g):
@@ -614,8 +616,7 @@ def fixed_edge_cuts(tree):
     cuts = []
     for eid in fixed_set(group, tree).edge_ids:
         cut = cut_tree_at(tree, eid)
-        cuts.append((cut, backtrack_group(cut.side_a.tree),
-                     backtrack_group(cut.side_b.tree)))
+        cuts.append((cut, *oracle_side_groups(cut)))
     return group, cuts
 
 
@@ -741,18 +742,17 @@ def element_wise_splitting(cut, group, ga, gb):
     """(injective, surjective, homomorphism) of ``verify_isomorphism`` and
     whether every element keeps both sides' base vertices."""
     verdict = verify_isomorphism(cut, group, ga, gb)
-    sides = {name: set(cut.side(name).orig) - {-1} for name in ("A", "B")}
-    invariant = all({g[v] for v in sides[name]} == sides[name]
-                    for g in group.elements for name in ("A", "B"))
+    invariant = all({g[v] for v in side} == set(side)
+                    for g in group.elements for side in cut.sides)
     return (verdict.injective, verdict.surjective, verdict.homomorphism), invariant
 
 
 def assert_certificate_agrees(cut, group, ga, gb):
     """The certificate and the element-wise checks agree; returns the
     certificate's verdict."""
-    verdict, invariant = certify_splitting(cut, group, ga, gb)
+    verdict, leaver = certify_splitting(cut, group, ga, gb)
     assert ((verdict.injective, verdict.surjective, verdict.homomorphism),
-            invariant) == element_wise_splitting(cut, group, ga, gb)
+            leaver is None) == element_wise_splitting(cut, group, ga, gb)
     return verdict
 
 
@@ -836,23 +836,27 @@ def test_certificate_names_a_generator_moving_the_cut_edge(three_bump_tree):
     # edge 1 joins the saddle to a peak that the group moves
     assert 1 not in fixed_set(group, three_bump_tree).edge_ids
     cut = cut_tree_at(three_bump_tree, 1)
-    ga, gb = enumerate_aut(cut.side_a.tree), enumerate_aut(cut.side_b.tree)
+    ga, gb = oracle_side_groups(cut)
     verdict = assert_certificate_agrees(cut, group, ga, gb)
     assert not (verdict.injective or verdict.surjective or verdict.homomorphism)
-    assert not certify_splitting(cut, group, ga, gb)[1]
     [t] = witness(verdict.notes, "restriction undefined", "t")
     u, v = three_bump_tree.edges[1]
     assert t in group.generators and (t[u], t[v]) != (u, v)
+    # the first generator moving a vertex off its side, and that vertex
+    note = certify_splitting(cut, group, ga, gb)[1]
+    [s] = witness([note], "sides not invariant", "t")
+    w, name = re.search(r"moves vertex (\d+) of side ([AB])", note).groups()
+    side = cut.sides["AB".index(name)]
+    assert s in group.generators and int(w) in side and s[int(w)] not in side
 
 
 def test_certificate_names_the_orders_of_a_wrong_product(three_bump_cut):
     group, cut, ga, gb = three_bump_cut
     # a subgroup of G of order 2, and side B's group grown to all 24
-    # permutations of its four unmarked vertices
+    # permutations of its four vertices
     swap = group.generators[0]
     subgroup = AutGroup(tuple(close_under_composition([swap], group.n)))
-    marked = cut.side_b.marked
-    free = [i for i in range(gb.n) if i != marked]
+    free = cut.sides[1]
     larger = AutGroup(tuple(sorted(
         tuple(dict(zip(free, p)).get(i, i) for i in range(gb.n))
         for p in permutations(free))))
@@ -993,10 +997,6 @@ def test_no_tuple_is_built_from_a_generator():
 # ----------------------------------------------------------------------
 # groups by structure against the backtracking oracle
 
-def unmarked(tree):
-    return LabeledTree(tree.labels, tree.edges)
-
-
 def span(group, n):
     """The sorted span of a structural group's generators."""
     return close_under_composition(group.generators, n, max_order=10**6)
@@ -1019,14 +1019,12 @@ def test_structural_side_groups_match_enumeration():
         assert span(sphere, tree.n) == list(group.elements)
         assert fixed_set(sphere, tree) == fixed_set(group, tree)
         for cut, ga, gb in cuts:
-            structural = [RootedGroup(s.tree, s.marked) for s in (cut.side_a, cut.side_b)]
-            for side, rooted, enumerated in zip((cut.side_a, cut.side_b),
-                                                structural, (ga, gb)):
+            structural = [RootedGroup(cut.tree, tree.n, end) for end in reversed(cut.ends)]
+            for k, (rooted, enumerated) in enumerate(zip(structural, (ga, gb))):
                 assert rooted.order == enumerated.order
-                assert span(rooted, side.tree.n) == list(enumerated.elements)
+                assert span(rooted, cut.tree.n) == list(enumerated.elements)
                 assert all(p in rooted for p in enumerated.elements)
-                assert unmarked_group(side.tree).order == \
-                    len(backtrack_aut(unmarked(side.tree)))
+                assert rooted.unmarked_order == rooted.order * len(vf2_side_orbit(cut, k))
                 sides += 1
             assert certify_splitting(cut, sphere, *structural) == \
                 certify_splitting(cut, group, ga, gb)
@@ -1156,8 +1154,8 @@ def test_rooted_orders_equal_schreier_sims_orders():
         tree = random_realizable_tree(n, symmetry=symmetry, seed=seed)
         for eid in fixed_set(unmarked_group(tree), tree).edge_ids:
             cut = cut_tree_at(tree, eid)
-            for side in (cut.side_a, cut.side_b):
-                group = RootedGroup(side.tree, side.marked)
+            for end in cut.ends:
+                group = RootedGroup(cut.tree, tree.n, end)
                 if group.order > 1:
                     assert_order(group)
                     sides += 1
@@ -1181,6 +1179,11 @@ def test_membership_rejects_each_broken_condition():
     # reversing a path keeps its edges and its middle vertex, not its labels
     path = LabeledTree([0.0, 1.0, 2.0], [(0, 1), (1, 2)])
     assert (2, 1, 0) not in RootedGroup(path, 1)
+    # a side's group is the identity off its branch: swapping two peaks of
+    # side B fixes the cut point, but is no element of side A's group
+    cut = cut_tree_at(bumps, 0)
+    assert (0, 1, 3, 2, 4, 5) in RootedGroup(cut.tree, 5, 0)
+    assert (0, 1, 3, 2, 4, 5) not in RootedGroup(cut.tree, 5, 1)
 
 
 @settings(max_examples=30, deadline=None)

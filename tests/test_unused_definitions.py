@@ -1,9 +1,11 @@
 """Every definition and every setting of the package is used somewhere.
 
-A definition counts as read when code in ``src/`` or ``perfbench/`` reads
-its name (a bare name, or an attribute such as ``treeaut.walk``) or an
-``__all__`` lists it.  Tests do not count: a helper that only tests call,
-or an exception class nothing raises or catches, is dead code.
+A definition, a module's function or class or a class's method or
+property other than a dunder one, counts as read when code in ``src/`` or
+``perfbench/`` reads its name (a bare name, or an attribute such as
+``treeaut.walk`` or ``group.order``) or an ``__all__`` lists it.  Tests do
+not count: a helper that only tests call, or an exception class nothing
+raises or catches, is dead code.
 
 The same readers must use each setting, matched by name:
 
@@ -23,8 +25,16 @@ SRC = ROOT / "src" / "reebsplit"
 
 
 def definitions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    """The module's functions and classes, and ``Class.member`` for each
+    method and property of its classes other than the dunder ones."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+    return found
 
 
 def read_names(source: str) -> set[str]:
@@ -45,7 +55,7 @@ def unused_definitions(package: dict[str, str], readers: list[str]) -> list[str]
     source) that no source in ``readers`` reads."""
     read = set().union(*map(read_names, readers))
     return [f"{module}.{name}" for module, source in sorted(package.items())
-            for name in definitions(source) if name not in read]
+            for name in definitions(source) if name.split(".")[-1] not in read]
 
 
 def scopes(node, prefix=""):
@@ -151,8 +161,16 @@ def test_guard_sees_a_leftover_definition():
                      "def called():\n    pass\n"
                      "def dead():\n    return Used\n"
                      "x = called() or m.attr\n"
-                     "def attr():\n    pass\n")}
-    assert unused_definitions(package, list(package.values())) == ["m.Dead", "m.dead"]
+                     "def attr():\n    pass\n"
+                     "class Box:\n"
+                     "    def __init__(self):\n        pass\n"
+                     "    def used(self):\n        pass\n"
+                     "    def unread(self):\n        pass\n"
+                     "    @property\n"
+                     "    def size(self):\n        return self.used()\n"
+                     "y = Box().size\n")}
+    assert unused_definitions(package, list(package.values())) == [
+        "m.Dead", "m.dead", "m.Box.unread"]
 
 
 def test_guard_sees_a_leftover_setting():

@@ -1,19 +1,25 @@
 """networkx's VF2 matcher as an independent oracle for the tree layer: the
-isomorphism test by canonical forms, and the orders of the listed groups."""
+isomorphism test by canonical forms, the orders of the listed groups, and
+the orders of the cut sides' groups."""
 
 import random
 from itertools import islice, product
 
 import pytest
+from aut_oracles import vf2_side_matcher
 
 from reebsplit.errors import GroupTooLarge
 from reebsplit.gen import random_realizable_tree
-from reebsplit.selftest import oracle_corpus, split_corpus_seeds
+from reebsplit.selftest import double_fork_tree, oracle_corpus, split_corpus_seeds
 from reebsplit.treeaut import (
     LabeledTree,
+    RootedGroup,
+    cut_tree_at,
     enumerate_aut,
     enumerate_general_aut,
+    fixed_set,
     tree_isomorphic,
+    unmarked_group,
 )
 
 nx = pytest.importorskip("networkx")
@@ -130,3 +136,34 @@ def test_listed_orders_match_vf2(listed, node_match, largest):
             assert got == want, (t, got, want)
             orders.add(got)
     assert len(orders) > 5, orders
+
+
+def fixture_trees():
+    """The named trees (bumps 1-6, the double fork, and a tree whose cut
+    point shares its label with two leaves of side B) and the symmetric
+    ones: five identical branches, and two to four."""
+    yield from (LabeledTree([0.0, 1.0] + [2.0] * k, [(0, 1)] + [(1, 2 + i) for i in range(k)])
+                for k in range(1, 7))
+    yield double_fork_tree()
+    yield LabeledTree([0.0, 2.0, 4.0, 3.0, 3.0, 6.0],
+                      [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
+    yield from (random_realizable_tree(2 + s % 9, symmetry=5, seed=s) for s in range(12))
+    yield from (random_realizable_tree(2 + s % 5, symmetry=2 + s % 3, seed=s)
+                for s in range(20))
+
+
+def test_side_group_orders_match_vf2():
+    # side k is the cut point's branch away from the other end; VF2 counts
+    # its automorphisms with the cut point as a marked and an unmarked leaf
+    sides, gaps = 0, 0
+    for tree in fixture_trees():
+        for eid in fixed_set(unmarked_group(tree), tree).edge_ids:
+            cut = cut_tree_at(tree, eid)
+            for k, end in enumerate(reversed(cut.ends)):
+                group = RootedGroup(cut.tree, tree.n, end)
+                want = tuple(sum(1 for _ in vf2_side_matcher(cut, k, *pin).isomorphisms_iter())
+                             for pin in ((tree.n,), ()))
+                assert (group.order, group.unmarked_order) == want, (tree, eid, k)
+                sides += 1
+                gaps += want[0] != want[1]
+    assert sides > 150 and gaps > 0, (sides, gaps)
